@@ -283,76 +283,22 @@ def sigma_k_bruteforce(lam: np.ndarray, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# eigen-solver: cyclic Jacobi
+# eigenvalues
 
 
-def eigen_full(m: SymMatrix | np.ndarray, *, max_sweeps: int = 100) -> tuple[Spectrum, np.ndarray]:
-    """Eigen-decomposition M = Q diag(lam) Q^T by cyclic Jacobi rotations.
+def eigen_sym(m: SymMatrix | np.ndarray) -> Spectrum:
+    """Sorted eigenvalues of a symmetric matrix, by LAPACK (numpy.linalg.eigvalsh).
 
-    Sweeps annihilate every off-diagonal pair in turn until the off-diagonal
-    Frobenius mass is below 1e-14 * ||M||_F.  For n <= 16 this converges in a
-    handful of sweeps; the 100-sweep cap is a safety net, not a tuning knob.
-    Returns (spectrum sorted ascending, Q with matching column order).
+    Raw arrays go through SymMatrix.from_dense, so a non-finite or asymmetric
+    array raises ValueError instead of reaching LAPACK, which can return
+    zeros for NaN entries without complaint.
     """
-    a = m.dense().copy() if isinstance(m, SymMatrix) else np.array(m, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return Spectrum(np.zeros(n)), v
-    tol = 1e-14 * norm
-
-    def offnorm(mat: np.ndarray) -> float:
-        # summing the off-diagonal entries directly; the ||M||_F^2 - sum(diag^2)
-        # shortcut cancels catastrophically once the matrix is nearly diagonal
-        block = mat.copy()
-        np.fill_diagonal(block, 0.0)
-        return float(np.linalg.norm(block))
-
-    for _ in range(max_sweeps):
-        off = offnorm(a)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                # classic rotation choice: tan(2 theta) = 2 apq / (aqq - app)
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = offnorm(a)
-    if off > tol:
-        raise RuntimeError(f"Jacobi failed to converge in {max_sweeps} sweeps (off={off:.3e})")
-    d = np.diag(a).copy()
-    order = np.argsort(d, kind="stable")
-    return Spectrum(d[order]), v[:, order]
-
-
-def eigen_sym(m: SymMatrix | np.ndarray, *, max_sweeps: int = 100) -> Spectrum:
-    """Sorted eigenvalues of a symmetric matrix (see eigen_full)."""
-    return eigen_full(m, max_sweeps=max_sweeps)[0]
+    mat = m if isinstance(m, SymMatrix) else SymMatrix.from_dense(m)
+    return Spectrum(np.linalg.eigvalsh(mat.dense()))
 
 
 # ---------------------------------------------------------------------------
 # membership, classification, axioms
-
-
-def _closed_gamma_k(lam: np.ndarray, k: int) -> bool:
-    e = sigma_all(lam)
-    return bool(np.all(e[1 : k + 1] >= 0.0))
 
 
 def cone_margin(lam: np.ndarray | Spectrum, spec: ConeSpec) -> float:
@@ -398,8 +344,7 @@ def classify(m: SymMatrix | np.ndarray, spec: ConeSpec, tol: float = 1e-9) -> tu
     jumps across the boundary band in the wrong direction (membership signs
     of all sigma_j are preserved under positive scaling).
     """
-    mat = m if isinstance(m, SymMatrix) else SymMatrix.from_dense(np.asarray(m))
-    margin = cone_margin(eigen_sym(mat), spec)
+    margin = cone_margin(eigen_sym(m), spec)
     if margin > tol:
         return ConeClass.INTERIOR, margin
     if margin < -tol:
@@ -474,7 +419,7 @@ def axiom_check(spec: ConeSpec, samples: int = 200, seed: int = 0, n: int | None
             q = _random_orthogonal(rng, n)
             a_m = q @ np.diag(lam) @ q.T
             b_m = _random_spd(rng, n)
-            s = eigen_sym(SymMatrix.from_dense(a_m + b_m))
+            s = eigen_sym(a_m + b_m)
             if not in_cone(s, spec):
                 checks["add_posdef"] = (False, {"lam_a": lam.tolist(), "eig_sum": s.values.tolist()})
         for name, c in (

@@ -521,14 +521,6 @@ def _fd1(f: Callable[[float], float], t: float) -> float:
     return (f(t + h) - f(t - h)) / (2 * h)
 
 
-def _min_eig(m: np.ndarray) -> float:
-    return eigen_sym(SymMatrix.from_dense(m)).min()
-
-
-def _max_eig(m: np.ndarray) -> float:
-    return eigen_sym(SymMatrix.from_dense(m)).max()
-
-
 def probe_L_conditions(
     spec: OperatorSpec,
     R: float,
@@ -598,7 +590,8 @@ def probe_L_conditions(
             continue
         diff = eval_L(spec, x, s_hi, p) - eval_L(spec, x, s_lo, p)
         scale = 1.0 + float(np.max(np.abs(diff)))
-        lo_eig = _min_eig(diff)
+        eig = eigen_sym(diff)
+        lo_eig = eig.min()
         if lo_eig < -eps * scale and mono_witness is None:
             mono_witness = {
                 "x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist(),
@@ -607,10 +600,10 @@ def probe_L_conditions(
         pm = float(np.linalg.norm(p)) ** m
         denom = (s_hi - s_lo) * pm
         if denom < 1e-300:
-            if _max_eig(np.abs(diff)) > 1e-6:
+            if eigen_sym(np.abs(diff)).max() > 1e-6:
                 witness = {"x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist()}
             continue
-        worst_ratio = max(worst_ratio, _max_eig(diff) / denom)
+        worst_ratio = max(worst_ratio, eig.max() / denom)
     report.s_monotone = (
         ConditionResult(ok=False, witness=mono_witness)
         if mono_witness
@@ -624,7 +617,8 @@ def probe_L_conditions(
         else ConditionResult(ok=True, fitted_C=worst_ratio)
     )
 
-    # --- radial coercivity, both scaling regimes -----------------------
+    # --- radial coercivity: the sub-unit regime is the verdict; the
+    # mirrored super-unit regime excludes it and is reported for reference
     report.radial_coercive = _fit_radial_coercive(spec, pts, Lambda, m, sign=+1, eps=eps)
     report.radial_coercive_sup = _fit_radial_coercive(spec, pts, Lambda, m, sign=-1, eps=eps)
     return report
@@ -643,35 +637,38 @@ def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
     reduces to the endpoints; a log grid of interior theta values is scanned
     once on the fitted pair as a guard against evaluation noise.
     """
-    prepared = []
+    ps, m0s, gs = [], [], []
     for x, s, _, p in pts:
-        n = len(p)
-        l_val = eval_L(spec, x, s, p)
         gp = _grad_p_L(spec, x, s, p)
-        m0 = np.einsum("k,kij->ij", p, gp) - l_val
-        m0 = 0.5 * (m0 + m0.T)
-        g = float(np.sqrt(np.sum(gp * gp)))
-        prepared.append((p, m0, g, n))
+        m0 = np.einsum("k,kij->ij", p, gp) - eval_L(spec, x, s, p)
+        ps.append(p)
+        m0s.append(0.5 * (m0 + m0.T))
+        gs.append(float(np.sqrt(np.sum(gp * gp))))
+    p_arr, m0_arr = np.array(ps), np.array(m0s)
+    pp = p_arr[:, :, None] * p_arr[:, None, :]
+    pm = np.array([float(np.linalg.norm(p)) ** m for p in ps])
+    floor = -eps * (1.0 + np.abs(pm) + np.abs(m0_arr).max(axis=(1, 2)))
+    slope = Lambda * np.array(gs) - 1.0
+    eye = np.eye(p_arr.shape[1])
 
     c_grid = [2.0**j for j in range(-2, 22)]
     theta_grid = [2.0**-j for j in range(40, -1, -1)]  # ascending, up to 1
 
     def feasible(c: float, thetas: list[float]) -> dict | None:
         # gap(theta) = C p(x)p - (|p|^m/C) I - sign*m0 - theta(Lambda g - 1) I,
-        # required PSD for both variants after folding the signs
-        for p, m0, g, n in prepared:
-            pm = float(np.linalg.norm(p)) ** m
-            base = c * np.outer(p, p) - (pm / c) * np.eye(n) - sign * m0
-            scale = 1.0 + abs(pm) + float(np.max(np.abs(m0)))
-            for theta in thetas:
-                gap = base - theta * (Lambda * g - 1.0) * np.eye(n)
-                v = _min_eig(gap)
-                if v < -eps * scale:
-                    return {
-                        "p": p.tolist(), "theta": theta, "C": c,
-                        "violation": v,
-                    }
-        return None
+        # required PSD for both variants after folding the signs; one
+        # (samples, thetas, n, n) stack, first violation in sample-major order
+        base = c * pp - (pm / c)[:, None, None] * eye - sign * m0_arr
+        shift = np.array(thetas)[None, :] * slope[:, None]
+        gap = base[:, None] - shift[:, :, None, None] * eye
+        if not np.all(np.isfinite(gap)):
+            raise ValueError("radial coercivity gap matrices must be finite")
+        low = np.linalg.eigvalsh(gap)[..., 0]
+        bad = np.argwhere(low < floor[:, None])
+        if len(bad) == 0:
+            return None
+        i, t = bad[0]
+        return {"p": ps[i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
 
     # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
     first_c = None

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conedeg.matcone import (
     ConeClass,
@@ -9,7 +12,6 @@ from conedeg.matcone import (
     axiom_check,
     classify,
     cone_margin,
-    eigen_full,
     eigen_sym,
     format_cone,
     in_cone,
@@ -36,12 +38,18 @@ def test_symmatrix_roundtrip():
 
 
 def test_symmatrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SymMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        SymMatrix.from_dense(np.eye(17))
-    with pytest.raises(ValueError):
-        SymMatrix.from_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    bad = [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.eye(17),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 2.0]]),
+    ]
+    # eigen_sym takes raw arrays through the same checks; LAPACK alone
+    # would hand back a spectrum (zeros for NaN entries)
+    for m in bad:
+        for build in (SymMatrix.from_dense, eigen_sym):
+            with pytest.raises(ValueError):
+                build(m)
     # 1x1 is allowed: it carries the scalar case of the grid checks
     assert SymMatrix.from_dense(np.array([[2.0]])).trace() == 2.0
 
@@ -100,8 +108,8 @@ def test_sigma_all_consistent():
 
 
 def test_eigen_diagonal():
-    s = eigen_sym(SymMatrix.from_dense(np.diag([3.0, 1.0, 2.0])))
-    np.testing.assert_allclose(s.values, [1.0, 2.0, 3.0], atol=1e-14)
+    for m in (SymMatrix.from_dense(np.diag([3.0, 1.0, 2.0])), np.diag([3.0, 1.0, 2.0])):
+        np.testing.assert_allclose(eigen_sym(m).values, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_eigen_offdiag_pair():
@@ -128,16 +136,6 @@ def test_eigen_matches_numpy_oracle():
             ref = np.linalg.eigh(m.dense())[0]
             got = eigen_sym(m).values
             np.testing.assert_allclose(got, ref, atol=1e-10 * (1 + np.abs(ref).max()))
-
-
-def test_eigen_reconstruction_residual():
-    rng = np.random.default_rng(39)
-    for n in (3, 8, 16):
-        a = rng.normal(size=(n, n))
-        m = SymMatrix.from_dense(a + a.T)
-        spec, q = eigen_full(m)
-        resid = np.linalg.norm(q @ np.diag(spec.values) @ q.T - m.dense())
-        assert resid <= 1e-12 * (1.0 + m.frob())
 
 
 def test_eigen_conjugation_invariance():
@@ -342,3 +340,86 @@ def test_margin_matches_kind():
     assert cone_margin(lam, ConeSpec.posdef()) == pytest.approx(-0.5)
     assert cone_margin(lam, ConeSpec.trace()) == pytest.approx(2.5)
     assert cone_margin(lam, ConeSpec.one_pos()) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# properties (hypothesis): 50 derandomized examples each, so a run repeats
+
+_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _symmetric(max_n: int, bound: float = 1e3):
+    entries = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    return (
+        st.integers(1, max_n)
+        .flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=entries))
+        .map(lambda a: a + a.T)
+    )
+
+
+def _bundled_cones(n: int) -> list[ConeSpec]:
+    plain = [ConeSpec.posdef(), ConeSpec.one_pos(), ConeSpec.trace()]
+    plain += [ConeSpec.gamma(k) for k in range(1, n + 1)]
+    plain += [ConeSpec.neg_gamma_complement(k) for k in range(1, n + 1)]
+    return plain + [ConeSpec.negated(c) for c in plain]
+
+
+def _member_by_definition(lam: np.ndarray, spec: ConeSpec) -> bool:
+    """Open-cone membership straight from the kind table, sigma_j by subsets."""
+    if spec.kind == "posdef":
+        return bool(np.all(lam > 0.0))
+    if spec.kind == "one_pos":
+        return bool(lam.max() > 0.0)
+    if spec.kind == "trace":
+        return bool(lam.sum() > 0.0)
+    if spec.kind == "gamma_k":
+        return all(sigma_k_bruteforce(lam, j) > 0.0 for j in range(1, spec.k + 1))
+    if spec.kind == "neg_gamma_c":
+        return not all(sigma_k_bruteforce(-lam, j) >= 0.0 for j in range(1, spec.k + 1))
+    return _member_by_definition(-lam, spec.inner)
+
+
+@_PROPERTY
+@given(lam=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+def test_sigma_all_matches_bruteforce_property(lam):
+    lam = np.array(lam)
+    e = sigma_all(lam)
+    for k in range(len(lam) + 1):
+        # rounding scales with the size of sigma_k's terms, not with sigma_k
+        terms = sigma_k_bruteforce(np.abs(lam), k)
+        assert abs(e[k] - sigma_k_bruteforce(lam, k)) <= 1e-12 * (1.0 + terms)
+
+
+@_PROPERTY
+@given(m=_symmetric(16))
+def test_eigen_sym_matches_lapack_property(m):
+    ref = np.sort(np.linalg.eigvalsh(m))
+    np.testing.assert_allclose(eigen_sym(m).values, ref, atol=1e-12 * (1.0 + np.abs(m).max()))
+
+
+@_PROPERTY
+@given(m=_symmetric(6, bound=10.0))
+def test_classify_verdict_is_margin_sign_property(m):
+    lam = np.linalg.eigvalsh(m)
+    for spec in _bundled_cones(len(m)):
+        verdict, margin = classify(m, spec)
+        assert margin == pytest.approx(cone_margin(lam, spec), rel=1e-9, abs=1e-9)
+        if margin > 1e-9:
+            assert verdict is ConeClass.INTERIOR and in_cone(lam, spec)
+        elif margin < -1e-9:
+            assert verdict is ConeClass.OUTSIDE and not in_cone(lam, spec)
+        else:
+            assert verdict is ConeClass.BOUNDARY
+
+
+@_PROPERTY
+@given(lam=st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+def test_margin_sign_matches_cone_definition_property(lam):
+    # integer spectra keep every sigma_j exact, so boundary points sit at margin 0
+    lam = np.array(lam, dtype=float)
+    for spec in _bundled_cones(len(lam)):
+        verdict, margin = classify(np.diag(lam), spec)
+        member = _member_by_definition(lam, spec)
+        assert (margin > 0.0) == member
+        assert (verdict is ConeClass.INTERIOR) == member
+        assert (verdict is ConeClass.BOUNDARY) == (margin == 0.0)

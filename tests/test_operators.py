@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify
+from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
+    _fit_radial_coercive,
+    _grad_p_L,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -339,6 +341,9 @@ def test_probe_varying_quad_family_passes():
     assert report.s_growth.fitted_C is not None and report.s_growth.fitted_C < 10.0
     assert report.radial_coercive.fitted_C is not None
     assert report.radial_coercive.fitted_theta_bar > 0.0
+    # the mirrored super-unit regime cannot hold alongside the sub-unit one
+    assert not report.radial_coercive_sup.ok
+    assert report.radial_coercive_sup.witness["violation"] < 0.0
 
 
 def test_probe_positive_beta_quad_passes_coercivity():
@@ -368,6 +373,91 @@ def test_probe_cubic_mix_monotonicity_fails():
     x, p = np.array(w["x"]), np.array(w["p"])
     diff = eval_L(spec, x, w["s_prime"], p) - eval_L(spec, x, w["s"], p)
     assert np.min(np.linalg.eigvalsh(diff)) < 0.0
+
+
+def _probe_points(seed: int, samples: int, n: int = 3, R: float = 1.0) -> list:
+    """(x, s, s', p) samples with log-spaced |p| up to 1e3, plus the p = 0 corner."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(samples):
+        s_lo, s_hi = np.sort(rng.uniform(-R, R, size=2))
+        d = rng.normal(size=n)
+        p = 10.0 ** rng.uniform(-3.0, 3.0) * d / np.linalg.norm(d)
+        pts.append((rng.uniform(-1.0, 1.0, size=n), float(s_lo), float(s_hi), p))
+    pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))
+    return pts
+
+
+def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
+    """The same (C, theta_bar) search with one eigen_sym call per gap matrix."""
+    prepared = []
+    for x, s, _, p in pts:
+        gp = _grad_p_L(spec, x, s, p)
+        m0 = np.einsum("k,kij->ij", p, gp) - eval_L(spec, x, s, p)
+        prepared.append((p, 0.5 * (m0 + m0.T), float(np.sqrt(np.sum(gp * gp)))))
+
+    def feasible(c, thetas):
+        for p, m0, g in prepared:
+            pm = float(np.linalg.norm(p)) ** m
+            base = c * np.outer(p, p) - (pm / c) * np.eye(len(p)) - sign * m0
+            scale = 1.0 + abs(pm) + float(np.max(np.abs(m0)))
+            for theta in thetas:
+                v = eigen_sym(base - theta * (Lambda * g - 1.0) * np.eye(len(p))).min()
+                if v < -eps * scale:
+                    return {"p": p.tolist(), "theta": theta, "C": c, "violation": v}
+        return None
+
+    thetas = [2.0**-j for j in range(40, -1, -1)]
+    witness = None
+    for c in [2.0**j for j in range(-2, 22)]:
+        witness = feasible(c, [0.0, thetas[0]])
+        if witness is None:
+            break
+    else:
+        return False, None, None, witness
+    best = thetas[0]
+    for t in thetas[1:]:
+        if feasible(c, [t]) is not None:
+            break
+        best = t
+    guard = feasible(c, [0.0, best] + [t for t in thetas if t < best])
+    if guard is not None:
+        return False, None, None, guard
+    return True, c, best, None
+
+
+@pytest.mark.parametrize("text", ["genL:tanh_quad", "quad:1:1", "quad:1:-1"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stacked_coercivity_fit_matches_per_matrix_loop(text, sign):
+    spec = parse_operator(text)
+    pts = _probe_points(seed=5, samples=60, R=2.0)
+    got = _fit_radial_coercive(spec, pts, 8.0, 2.0, sign=sign, eps=1e-9)
+    ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
+    assert got.ok == ok
+    assert got.fitted_C == c and got.fitted_theta_bar == theta_bar
+    if witness is None:
+        assert got.witness is None
+    else:
+        for key in ("p", "theta", "C"):
+            assert got.witness[key] == witness[key], key
+        assert got.witness["violation"] == pytest.approx(witness["violation"], rel=1e-12)
+
+
+def test_probe_rejects_non_finite_L():
+    def L_fn(x, s, p):
+        out = math.tanh(s) * np.outer(p, p)
+        if float(np.linalg.norm(p)) > 100.0:
+            out[0, 0] = math.nan  # LAPACK returns zeros for such a matrix, no error
+        return out
+
+    spec = OperatorSpec.general_l(L_fn, m=2.0, name="nan_beyond_100")
+    with pytest.raises(ValueError, match="finite"):
+        probe_L_conditions(spec, R=1.0, Lambda=8.0, m=2.0, samples=40, seed=0)
+    # the stacked coercivity check refuses the same matrices on its own
+    pts = _probe_points(seed=0, samples=40)
+    assert any(np.linalg.norm(p) > 100.0 for *_, p in pts)
+    with pytest.raises(ValueError, match="finite"):
+        _fit_radial_coercive(spec, pts, 8.0, 2.0, sign=1, eps=1e-9)
 
 
 def test_probe_rejects_zero_samples():
