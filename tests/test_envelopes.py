@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conedeg.envelopes import (
     GridFn,
@@ -160,17 +163,55 @@ def test_envelope_eps_validation():
 
 
 # ---------------------------------------------------------------------------
-# separable variant
+# the two-pass envelope against the exhaustive search
+
+
+def _exhaustive(src: GridFn, eps: float, sign: float):
+    """Reference oracle: every node against every candidate node, O(N^4) in 2D.
+
+    Returns the envelope, the first maximizer in row-major candidate order,
+    and the objective table (node, candidate) in the maximized orientation,
+    with the penalty subtracted axis by axis in the package's float order.
+    """
+    work = src.values if sign > 0 else -src.values
+    cand = np.where(np.isfinite(work), work, -np.inf)
+    pen = []
+    for a in range(src.dim):
+        nodes = src.axis_nodes(a)
+        diff = nodes[:, None] - nodes[None, :]
+        pen.append(diff * diff / eps)
+    if src.dim == 1:
+        objective = cand[None, :] - pen[0]  # (i, k)
+    else:
+        # (i, j, k, l): (cand(k, l) - d1(i, k)) - d2(j, l)
+        stage = cand[None, None, :, :] - pen[0][:, None, :, None]
+        objective = (stage - pen[1][None, :, None, :]).reshape(cand.size, cand.size)
+    best = objective.max(axis=1)
+    env = best if sign > 0 else -best
+    return env.reshape(src.shape), objective.argmax(axis=1).reshape(src.shape), objective
+
+
+def _assert_matches_exhaustive(res, src: GridFn, eps: float, sign: float) -> int:
+    """Values bitwise; argpt attains the objective and equals the oracle's
+    maximizer wherever that is unique.  Returns the number of such nodes."""
+    env, arg, objective = _exhaustive(src, eps, sign)
+    assert np.array_equal(res.env.values, env)
+    flat = res.argpt.ravel()
+    attained = objective[np.arange(flat.size), flat]
+    assert np.array_equal(attained, sign * res.env.values.ravel())
+    unique = np.sum(objective == objective.max(axis=1, keepdims=True), axis=1) == 1
+    assert np.array_equal(flat[unique], arg.ravel()[unique])
+    return int(np.sum(unique))
 
 
 def test_separable_agrees_1d():
     for seed in range(4):
         g = _random_piecewise(np.random.default_rng(seed))
         for eps in (0.5, 0.02):
-            a = upper_envelope(g, eps)
-            b = upper_envelope_separable(g, eps)
-            assert np.array_equal(a.env.values, b.env.values)
-            assert np.array_equal(a.argpt, b.argpt)
+            assert _assert_matches_exhaustive(upper_envelope(g, eps), g, eps, +1.0) > 0
+            assert _assert_matches_exhaustive(lower_envelope(g, eps), g, eps, -1.0) > 0
+            # the former names run the same path
+            assert np.array_equal(upper_envelope_separable(g, eps).argpt, upper_envelope(g, eps).argpt)
 
 
 def test_separable_agrees_2d():
@@ -178,21 +219,63 @@ def test_separable_agrees_2d():
     vals = rng.normal(size=(17, 23))
     vals[3, 5] = -np.inf
     g = GridFn(((-1.0, 1.0), (0.0, 2.0)), vals)
+    lo_src = g.with_values(np.where(np.isfinite(vals), vals, np.inf))
     for eps in (0.3, 0.05):
-        a = upper_envelope(g, eps)
-        b = upper_envelope_separable(g, eps)
-        assert np.array_equal(a.env.values, b.env.values)
-        # tie-breaks may differ; the achieved objective must not
-        coords = g.node_coords()
-        cand = np.where(np.isfinite(vals), vals, -np.inf).ravel()
-        for res in (a, b):
-            ya = coords[res.argpt.ravel()]
-            d2 = np.sum((ya - coords) ** 2, axis=1)
-            obj = cand[res.argpt.ravel()] - d2 / eps
-            assert np.allclose(obj, res.env.values.ravel(), atol=1e-12)
-        lo_a = lower_envelope(g.with_values(np.where(np.isfinite(vals), vals, np.inf)), eps)
-        lo_b = lower_envelope_separable(g.with_values(np.where(np.isfinite(vals), vals, np.inf)), eps)
-        assert np.array_equal(lo_a.env.values, lo_b.env.values)
+        assert _assert_matches_exhaustive(upper_envelope(g, eps), g, eps, +1.0) > 0
+        assert _assert_matches_exhaustive(lower_envelope(lo_src, eps), lo_src, eps, -1.0) > 0
+        assert np.array_equal(lower_envelope_separable(lo_src, eps).env.values,
+                              lower_envelope(lo_src, eps).env.values)
+
+
+def test_exact_tie_takes_smallest_second_axis_index():
+    # at node (i, j) the raised neighbours (i+1, j) and (i, j+1) tie exactly:
+    # one penalty is h^2/eps on axis 0, the other the same on axis 1 (h = 1/4
+    # keeps every node difference exact)
+    n, i, j = 9, 2, 3
+    vals = np.zeros((n, n))
+    vals[i + 1, j] = vals[i, j + 1] = 1.0
+    g = GridFn(((-1.0, 1.0), (-1.0, 1.0)), vals)
+    eps = 0.5
+    res = upper_envelope(g, eps)
+    _assert_matches_exhaustive(res, g, eps, +1.0)
+    _, first, objective = _exhaustive(g, eps, +1.0)
+    node = i * n + j
+    assert objective[node, (i + 1) * n + j] == objective[node, i * n + j + 1] == res.env.values[i, j]
+    assert res.env.values[i, j] > 0.0
+    assert res.argpt[i, j] == (i + 1) * n + j  # smallest second-axis index
+    assert first[i, j] == i * n + j + 1  # row-major search takes the other one
+    low = lower_envelope(g.with_values(-vals), eps)
+    assert low.argpt[i, j] == (i + 1) * n + j
+
+
+# hypothesis: 50 derandomized examples, so a run repeats
+_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _masked_grids(draw):
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(3, 8)) for _ in range(dim))
+    box = tuple((lo, lo + width) for lo, width in (
+        (draw(st.sampled_from([-1.0, 0.0, 0.5])), draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+        for _ in range(dim)))
+    # repeated levels make exact ties; +-inf nodes are masked candidates
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, -np.inf, np.inf]))
+    vals = draw(hnp.arrays(np.float64, shape, elements=entry))
+    vals.flat[draw(st.integers(0, vals.size - 1))] = draw(st.floats(-2.0, 2.0))
+    return GridFn(box, vals)
+
+
+@_PROPERTY
+@given(g=_masked_grids(), eps=st.sampled_from([1e-3, 0.05, 0.3, 2.0, 50.0]))
+def test_two_pass_matches_exhaustive_property(g, eps):
+    up = upper_envelope(g, eps)
+    low = lower_envelope(g, eps)
+    _assert_matches_exhaustive(up, g, eps, +1.0)
+    _assert_matches_exhaustive(low, g, eps, -1.0)
+    dual = upper_envelope(g.with_values(-g.values), eps)
+    assert np.array_equal(low.env.values, -dual.env.values)
+    assert np.array_equal(low.argpt, dual.argpt)
 
 
 # ---------------------------------------------------------------------------
