@@ -26,9 +26,11 @@ __all__ = [
     "sigma_all",
     "sigma_k_bruteforce",
     "eigen_sym",
+    "sym_eigvals",
     "in_cone",
     "cone_margin",
     "classify",
+    "margin_class",
     "axiom_check",
     "parse_cone",
     "format_cone",
@@ -40,6 +42,25 @@ _MAX_N = 16
 
 def _packed_size(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
+    """0.5 (M + M^T) per matrix of an (..., n, n) stack; ValueError unless each
+    is square, n in [_MIN_N, _MAX_N], finite and symmetric to tol (1 + max |M|)."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    n = m.shape[-1]
+    if not (_MIN_N <= n <= _MAX_N):
+        raise ValueError(f"dimension must be in [{_MIN_N}, {_MAX_N}], got {n}")
+    mt = np.swapaxes(m, -1, -2)
+    if m.size:
+        skew = np.abs(m - mt).max(axis=(-2, -1))
+        bad = skew > tol * (1.0 + np.abs(m).max(axis=(-2, -1)))
+        if bad.any():
+            raise ValueError(f"matrix is not symmetric (asymmetry {np.max(skew * bad):.3e})")
+    return 0.5 * (m + mt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,17 +98,10 @@ class SymMatrix:
     @classmethod
     def from_dense(cls, m: np.ndarray, *, tol: float = 1e-12) -> "SymMatrix":
         m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
         n = m.shape[0]
-        skew = np.max(np.abs(m - m.T)) if n else 0.0
-        scale = 1.0 + np.max(np.abs(m))
-        if skew > tol * scale:
-            raise ValueError(f"matrix is not symmetric (asymmetry {skew:.3e})")
-        sym = 0.5 * (m + m.T)
-        return cls(n, sym[_tri_indices(n)])
+        return cls(n, _symmetrized(m, tol)[_tri_indices(n)])
 
     @classmethod
     def eye(cls, n: int, scale: float = 1.0) -> "SymMatrix":
@@ -247,18 +261,19 @@ def sigma_all(lam: np.ndarray | Spectrum) -> np.ndarray:
 
     Computed by the coefficient recurrence of prod_i (1 + lam_i t): after
     absorbing lam_i, e_k <- e_k + lam_i * e_{k-1}.  O(n^2), no cancellation
-    beyond what the polynomial itself requires.
+    beyond what the polynomial itself requires.  A stack (..., n) gives each
+    spectrum the values it would get alone.
     """
     if isinstance(lam, Spectrum):
         lam = lam.values
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float).T  # spectrum on the first axis
     n = len(lam)
-    e = np.zeros(n + 1)
+    e = np.zeros((n + 1,) + lam.shape[1:])
     e[0] = 1.0
     for i in range(n):
         for k in range(i + 1, 0, -1):
             e[k] += lam[i] * e[k - 1]
-    return e
+    return e.T
 
 
 def sigma_k(lam: np.ndarray | Spectrum, k: int) -> float:
@@ -286,46 +301,54 @@ def sigma_k_bruteforce(lam: np.ndarray, k: int) -> float:
 # eigenvalues
 
 
-def eigen_sym(m: SymMatrix | np.ndarray) -> Spectrum:
-    """Sorted eigenvalues of a symmetric matrix, by LAPACK (numpy.linalg.eigvalsh).
+def sym_eigvals(m: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric matrices, (..., n, n) -> (..., n).
 
-    Raw arrays go through SymMatrix.from_dense, so a non-finite or asymmetric
-    array raises ValueError instead of reaching LAPACK, which can return
-    zeros for NaN entries without complaint.
+    Every matrix first passes the checks of SymMatrix.from_dense, so a bad
+    one raises ValueError instead of reaching LAPACK (numpy.linalg.eigvalsh),
+    which can return zeros for NaN entries without complaint.  Each matrix
+    gets the values it would get alone.
     """
-    mat = m if isinstance(m, SymMatrix) else SymMatrix.from_dense(m)
-    return Spectrum(np.linalg.eigvalsh(mat.dense()))
+    return np.linalg.eigvalsh(_symmetrized(np.asarray(m, dtype=float), tol))
+
+
+def eigen_sym(m: SymMatrix | np.ndarray) -> Spectrum:
+    """Sorted eigenvalues of one symmetric matrix (see sym_eigvals)."""
+    if isinstance(m, SymMatrix):  # checked when it was built
+        return Spectrum(np.linalg.eigvalsh(m.dense()))
+    return Spectrum(sym_eigvals(m))
 
 
 # ---------------------------------------------------------------------------
 # membership, classification, axioms
 
 
-def cone_margin(lam: np.ndarray | Spectrum, spec: ConeSpec) -> float:
+def cone_margin(lam: np.ndarray | Spectrum, spec: ConeSpec) -> float | np.ndarray:
     """Signed margin: positive inside U, negative outside, ~0 on dU.
 
     The margin is the minimum slack over the defining inequalities (a proxy
-    for distance, not a calibrated distance).
+    for distance, not a calibrated distance).  One spectrum gives a float, a
+    stack (..., n) an array of the margins each spectrum would get alone.
     """
     if isinstance(lam, Spectrum):
         lam = lam.values
     lam = np.asarray(lam, dtype=float)
-    if spec.kind == "posdef":
-        return float(lam.min())
-    if spec.kind == "one_pos":
-        return float(lam.max())
-    if spec.kind == "trace":
-        return float(lam.sum())
-    if spec.kind == "gamma_k":
-        e = sigma_all(lam)
-        return float(np.min(e[1 : spec.k + 1]))
-    if spec.kind == "neg_gamma_c":
-        # inside iff -lam violates some closed gamma_k inequality
-        e = sigma_all(-lam)
-        return float(np.max(-e[1 : spec.k + 1]))
     if spec.kind == "neg":
         return cone_margin(-lam, spec.inner)
-    raise ValueError(f"unknown cone kind {spec.kind!r}")
+    if spec.kind == "posdef":
+        margin = lam.min(axis=-1)
+    elif spec.kind == "one_pos":
+        margin = lam.max(axis=-1)
+    elif spec.kind == "trace":
+        margin = lam.sum(axis=-1)
+    elif spec.kind == "gamma_k":
+        margin = sigma_all(lam)[..., 1 : spec.k + 1].min(axis=-1)
+    elif spec.kind == "neg_gamma_c":
+        # inside iff -lam violates some closed gamma_k inequality
+        margin = (-sigma_all(-lam)[..., 1 : spec.k + 1]).max(axis=-1)
+    else:
+        raise ValueError(f"unknown cone kind {spec.kind!r}")
+    return float(margin) if lam.ndim == 1 else margin
 
 
 def in_cone(lam: np.ndarray | Spectrum, spec: ConeSpec) -> bool:
@@ -345,11 +368,16 @@ def classify(m: SymMatrix | np.ndarray, spec: ConeSpec, tol: float = 1e-9) -> tu
     of all sigma_j are preserved under positive scaling).
     """
     margin = cone_margin(eigen_sym(m), spec)
+    return margin_class(margin, tol), margin
+
+
+def margin_class(margin: float, tol: float) -> ConeClass:
+    """The verdict for a margin: INTERIOR above tol, OUTSIDE below -tol."""
     if margin > tol:
-        return ConeClass.INTERIOR, margin
+        return ConeClass.INTERIOR
     if margin < -tol:
-        return ConeClass.OUTSIDE, margin
-    return ConeClass.BOUNDARY, margin
+        return ConeClass.OUTSIDE
+    return ConeClass.BOUNDARY
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcone import SymMatrix, eigen_sym
+from .matcone import SymMatrix, eigen_sym, sym_eigvals
 
 __all__ = [
     "Jet2",
@@ -30,6 +30,8 @@ __all__ = [
     "u_to_w_jet",
     "eval_F",
     "eval_L",
+    "sq_norm",
+    "radial_jets",
     "consistency_check",
     "kelvin",
     "kelvin_transform",
@@ -126,28 +128,70 @@ class OperatorSpec:
         return cls("general_l", L_fn=L_fn, m=m, name=name)
 
 
-def eval_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
-    """The lower-order term L(x, s, p) as a dense symmetric matrix."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = len(p)
-    pp = np.outer(p, p)
-    p2 = float(p @ p)
+def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
+    """The lower-order term L(x, s, p) as dense symmetric matrices, (..., n, n).
+
+    x and p (broadcast together) hold points and gradients on their last
+    axis, s the values on the leading axes; one node has none.  Each node
+    gets the values a lone call gives it.  Closed-form kinds are evaluated on
+    the whole stack; the callable kinds call the user's functions per node,
+    with x and p as vectors and s and |p| as floats.
+    """
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    if x.shape != p.shape:
+        x, p = np.broadcast_arrays(x, p)
+    lead, n = p.shape[:-1], p.shape[-1]
+    pp = p[..., :, None] * p[..., None, :]
+    p2 = sq_norm(p)[..., None, None]
+    eye = np.eye(n)
     if spec.kind == "conformal":
-        return pp - 0.5 * p2 * np.eye(n)
+        return pp - 0.5 * p2 * eye
     if spec.kind == "quad_const":
-        return spec.alpha * pp - spec.beta * p2 * np.eye(n)
+        return spec.alpha * pp - spec.beta * p2 * eye
+    s = np.asarray(s, dtype=float)
+    xs, ss = x.reshape(-1, n), (s if s.shape == lead else np.broadcast_to(s, lead)).ravel().tolist()
+
+    def per_node(fn, *args) -> np.ndarray:
+        return np.array([fn(*a) for a in zip(*args)], dtype=float).reshape(lead + (1, 1))
+
     if spec.kind == "quad_var":
-        return spec.alpha_fn(x, s) * pp - spec.beta_fn(x, s) * p2 * np.eye(n)
+        return per_node(spec.alpha_fn, xs, ss) * pp - per_node(spec.beta_fn, xs, ss) * p2 * eye
     if spec.kind == "rot_inv":
-        t = math.sqrt(p2)
-        return spec.a_fn(t) * pp + spec.b_fn(t) * np.eye(n)
-    if spec.kind == "general_l":
-        out = np.asarray(spec.L_fn(x, s, p), dtype=float)
-        if out.shape != (n, n):
-            raise ValueError(f"L_fn returned shape {out.shape}, expected ({n}, {n})")
-        return 0.5 * (out + out.T)
-    raise AssertionError(spec.kind)
+        ts = [math.sqrt(q) for q in p2.ravel().tolist()]
+        return per_node(spec.a_fn, ts) * pp + per_node(spec.b_fn, ts) * eye
+    if spec.kind != "general_l":
+        raise AssertionError(spec.kind)
+    out = [np.asarray(spec.L_fn(*node), dtype=float) for node in zip(xs, ss, p.reshape(-1, n))]
+    for val in out:
+        if val.shape != (n, n):
+            raise ValueError(f"L_fn returned shape {val.shape}, expected ({n}, {n})")
+    out = np.array(out, dtype=float).reshape(pp.shape)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def sq_norm(p: np.ndarray) -> np.ndarray:
+    """p . p over the last axis, by batched matmul: bitwise each row's p @ p."""
+    p = np.asarray(p, dtype=float)
+    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
+
+
+def radial_jets(r, d, dd, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jets (x, p, H) of a radial profile psi(|x|) at x = r e_1 in n dimensions.
+
+    d, dd = psi'(r), psi''(r), broadcast with r: p = d e_1 and H = diag(dd,
+    d/r, ..., d/r), d/r on the tangent space.  n = 1 is the plain 1D jet.
+    """
+    r, d, dd = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, d, dd)))
+    x = np.zeros(r.shape + (n,))
+    x[..., 0] = r
+    p = np.zeros(r.shape + (n,))
+    p[..., 0] = d
+    H = np.zeros(r.shape + (n, n))
+    if n > 1:
+        tangent = np.arange(1, n)
+        H[..., tangent, tangent] = (d / r)[..., None]
+    H[..., 0, 0] = dd
+    return x, p, H
 
 
 def eval_F(j: Jet2, spec: OperatorSpec) -> SymMatrix:
@@ -462,14 +506,10 @@ _P_CAP = 1e3
 def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """d/dx of L as an (n, n, n) array, index order (k, i, j); central differences."""
     n = len(x)
-    out = np.zeros((n, n, n))
     if spec.kind in ("conformal", "quad_const", "rot_inv"):
-        return out  # x-independent by construction
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        out[k] = (eval_L(spec, x + e, s, p) - eval_L(spec, x - e, s, p)) / (2 * h)
-    return out
+        return np.zeros((n, n, n))  # x-independent by construction
+    step = h * np.eye(n)  # row k moves x along e_k
+    return (eval_L(spec, x + step, s, p) - eval_L(spec, x - step, s, p)) / (2 * h)
 
 
 def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
@@ -508,12 +548,8 @@ def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.
                     + db * (p[k] / t) * eye
                 )
             return out
-    h = 1e-6 * (1.0 + float(np.linalg.norm(p)))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        out[k] = (eval_L(spec, x, s, p + e) - eval_L(spec, x, s, p - e)) / (2 * h)
-    return out
+    h = 1e-6 * (1.0 + float(np.linalg.norm(p)))  # row k of h I moves p along e_k
+    return (eval_L(spec, x, s, p + h * eye) - eval_L(spec, x, s, p - h * eye)) / (2 * h)
 
 
 def _fd1(f: Callable[[float], float], t: float) -> float:
@@ -661,9 +697,7 @@ def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
         base = c * pp - (pm / c)[:, None, None] * eye - sign * m0_arr
         shift = np.array(thetas)[None, :] * slope[:, None]
         gap = base[:, None] - shift[:, :, None, None] * eye
-        if not np.all(np.isfinite(gap)):
-            raise ValueError("radial coercivity gap matrices must be finite")
-        low = np.linalg.eigvalsh(gap)[..., 0]
+        low = sym_eigvals(gap)[..., 0]
         bad = np.argwhere(low < floor[:, None])
         if len(bad) == 0:
             return None

@@ -7,13 +7,14 @@ through subsolutions.  Two iterations realize it.
 
 Crossing sweeps (the reference): every sweep moves each interior node to the
 center value at which the discrete operator matrix crosses the cone boundary,
-clamped into the sandwich.  Raising the center value lowers the discrete
-Hessian, so the crossing is monotone and each descending sweep maps a discrete
-supersolution to a smaller one.  The sweep count grows like the square of the
-node count.
+clamped into the sandwich, red nodes (odd coordinate sum) then black ones,
+each group one array operation (callable operators: one stacked eval_L).
+Raising the center value lowers the discrete Hessian, so the crossing is
+monotone and each descending sweep maps a discrete supersolution to a smaller
+one.  The sweep count grows like the square of the node count.
 
 Monotone Newton (1D trace cone, conformal or constant-coefficient quadratic
-operator, red-black order, no masked nodes): the crossing is
+operator, no masked nodes): the crossing is
 c(u) = 1/2 (u- + u+) + 1/2 h^2 ((n - 1) p / r + b p^2) with b = alpha - n beta,
 and the run solves G(u) = u - c(u) = 0 by Newton steps on the tridiagonal
 Jacobian (an M-matrix for small h).  G is concave for b > 0 and convex for
@@ -24,8 +25,8 @@ other side the step is shortened in closed form until every node keeps half
 its margin.  A node already on the cone boundary admits no shortened step;
 when the step would be that short (below _MIN_NEWTON_STEP), the iteration
 takes one crossing sweep instead, whose last group moves only halfway, which
-keeps the run's side and leaves every moved node strictly inside.  No run looks at the other end of
-the bracket except to clamp into it.
+keeps the run's side and leaves every moved node strictly inside.  No run
+looks at the other end of the bracket except to clamp into it.
 
 Supported cones: the trace-positive cone (margin affine in the center value,
 crossing in closed form) and the positive-definite cone / its full k = n
@@ -45,8 +46,8 @@ import numpy as np
 
 from .envelopes import GridFn
 from .matcone import ConeSpec, SymMatrix, cone_margin, eigen_sym
-from .operators import Jet2, OperatorSpec, eval_F, eval_L
-from .viscosity import GridVerifyReport, grid_verify
+from .operators import Jet2, OperatorSpec, eval_F, eval_L, radial_jets
+from .viscosity import GridVerifyReport, _boundary_mask, grid_verify
 
 __all__ = [
     "SolverConfig",
@@ -63,8 +64,6 @@ __all__ = [
     "box_sandwich_problem",
 ]
 
-_SWEEP_ORDERS = ("red_black", "lexicographic")
-
 # nodewise monotonicity is recorded against this absolute slack
 _MONOTONE_SLACK = 1e-11
 
@@ -77,37 +76,25 @@ class SolverConfig:
     classifies BOUNDARY within roughly tol.  The crossing sweeps stop once
     the sweep's largest crossing move, scaled by the center-value slope of
     the margin, drops below it; the Newton path stops once the largest
-    margin itself does.  max_sweeps caps the iterations: crossing sweeps, or
-    Newton iterations on the Newton path (each a margin check followed, if
-    it fails, by one step).  bisection_depth governs pointwise_root; the
-    sweep engine's closed-form crossings realize that limit exactly.
+    margin itself does.  max_sweeps caps the iterations: red-black crossing
+    sweeps, or Newton iterations on the Newton path (each a margin check
+    followed, if it fails, by one step).
     """
 
     tol: float = 1e-8
     max_sweeps: int = 50_000
-    sweep_order: str = "red_black"
-    bisection_depth: int = 60
 
     def __post_init__(self) -> None:
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.sweep_order not in _SWEEP_ORDERS:
-            raise ValueError(f"sweep_order must be one of {_SWEEP_ORDERS}")
-        if not (4 <= self.bisection_depth <= 200):
-            raise ValueError("bisection_depth must lie in [4, 200]")
 
 
 def _node_roles(finite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split finite nodes into interior and boundary (edge or mask-adjacent)."""
-    boundary = np.zeros_like(finite)
+    boundary = _boundary_mask(finite.shape)
     for ax in range(finite.ndim):
-        sl = [slice(None)] * finite.ndim
-        sl[ax] = 0
-        boundary[tuple(sl)] = True
-        sl[ax] = -1
-        boundary[tuple(sl)] = True
         lo = [slice(None)] * finite.ndim
         hi = [slice(None)] * finite.ndim
         lo[ax] = slice(None, -1)
@@ -202,18 +189,11 @@ def _stencil_jet(
         h = spacing[0]
         d = (hi - lo) / (2.0 * h)
         dd = (lo + hi - 2.0 * center) / (h * h)
-        if ambient_n is None or ambient_n == 1:
-            return Jet2(x[:1], s, np.array([d]), SymMatrix.from_dense(np.array([[dd]])))
         r = float(x[0])
-        if r <= 0.0:
+        if ambient_n not in (None, 1) and r <= 0.0:
             raise ValueError("radial stencils need a positive radius")
-        pos = np.zeros(ambient_n)
-        pos[0] = r
-        p = np.zeros(ambient_n)
-        p[0] = d
-        diag = np.full(ambient_n, d / r)
-        diag[0] = dd
-        return Jet2(pos, s, p, SymMatrix.from_dense(np.diag(diag)))
+        pos, p, H = radial_jets(r, d, dd, ambient_n or 1)
+        return Jet2(pos, s, p, SymMatrix.from_dense(H))
     (w, e), (so, no) = neighbors
     hx, hy = spacing
     p = np.array([(e - w) / (2.0 * hx), (no - so) / (2.0 * hy)])
@@ -332,7 +312,6 @@ class _Stencils:
             self.right = idx + 1
             xs = g.axis_nodes(0)
             self.r = xs[idx]
-            self.coords = xs[idx][:, None]
         else:
             s0 = shape[1]
             self.west = idx - s0
@@ -344,25 +323,6 @@ class _Stencils:
             self.se = idx + s0 - 1
             self.sw = idx - s0 - 1
             self.coords = g.node_coords()[idx]
-
-
-def _l_diag_loop(
-    F: OperatorSpec,
-    coords: np.ndarray,
-    s: np.ndarray,
-    p_cols: list[np.ndarray],
-    amb: int,
-) -> np.ndarray:
-    """Dense lower-order matrices nodewise, shape (m, amb, amb)."""
-    m = len(s)
-    out = np.empty((m, amb, amb))
-    p = np.zeros(amb)
-    for i in range(m):
-        p[: len(p_cols)] = [col[i] for col in p_cols]
-        x = np.zeros(amb)
-        x[: coords.shape[1]] = coords[i]
-        out[i] = eval_L(F, x, float(s[i]), p)
-    return out
 
 
 def _sweep_group(
@@ -398,10 +358,11 @@ def _sweep_group(
                 return c_e0
             rest = p / st.r - beta * p2
             return np.where(rest >= 0.0, c_e0, -np.inf)
-        # callable coefficients: loop with the value argument fixed pointwise
+        # callable coefficients: the value argument fixed pointwise
+        x, grad, _ = radial_jets(st.r, p, 0.0, amb)
         s_vec = u[idx].copy()
         for _ in range(3):
-            L = _l_diag_loop(F, st.coords, s_vec, [p], amb)
+            L = eval_L(F, x, s_vec, grad)
             if mode == "trace":
                 tr_l = np.trace(L, axis1=1, axis2=2)
                 extra = (amb - 1.0) * (p / st.r) if radial else 0.0
@@ -441,9 +402,10 @@ def _sweep_group(
         d0 = (south + north) / (hy * hy) + alpha * p1 * p1 - beta * p2
         b = mixed + alpha * p0 * p1
         return _mineig_crossing_2d(a0, d0, b, sx, sy)
+    grad = np.stack([p0, p1], axis=-1)
     s_vec = u[idx].copy()
     for _ in range(3):
-        L = _l_diag_loop(F, st.coords, s_vec, [p0, p1], 2)
+        L = eval_L(F, st.coords, s_vec, grad)
         if mode == "trace":
             c = (t0 + L[:, 0, 0] + L[:, 1, 1]) / (sx + sy)
         else:
@@ -476,11 +438,10 @@ def _margin_slope(problem: DirichletProblem) -> float:
     return 2.0 * sum(1.0 / (h * h) for h in problem.sub.h)
 
 
-def _make_groups(problem: DirichletProblem, order: str) -> list[_Stencils]:
+def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
+    """The red and the black interior nodes, odd coordinate sum first."""
     interior = problem.interior_mask
     flat = np.flatnonzero(interior.ravel())
-    if order == "lexicographic":
-        return [_Stencils(problem, np.array([i])) for i in flat]
     coords = np.array(np.unravel_index(flat, interior.shape))
     parity = coords.sum(axis=0) % 2
     groups = []
@@ -499,10 +460,9 @@ def _make_groups(problem: DirichletProblem, order: str) -> list[_Stencils]:
 _MIN_NEWTON_STEP = 1e-2
 
 
-def _newton_applies(problem: DirichletProblem, cfg: SolverConfig, mode: str) -> bool:
+def _newton_applies(problem: DirichletProblem, mode: str) -> bool:
     return (
-        cfg.sweep_order == "red_black"
-        and problem.sub.dim == 1
+        problem.sub.dim == 1
         and mode == "trace"
         and problem.F.kind in _QUAD_KINDS
         and bool(np.isfinite(problem.sub.values).all())
@@ -610,7 +570,7 @@ def _newton_trace_1d(
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
             new = np.clip(u + t * d, lo, hi)
         else:
-            groups = groups or _make_groups(problem, "red_black")
+            groups = groups or _make_groups(problem)
             new = u.copy()
             for weight, st in zip((1.0, 0.5), groups):
                 c = np.clip(_sweep_group(new, st, problem, "trace"), lo[st.idx], hi[st.idx])
@@ -658,10 +618,10 @@ def perron_solve(
     """Monotone iteration from the upper field (or lower, ascending).
 
     On a 1D grid with the trace cone, a conformal or constant-coefficient
-    quadratic operator, red-black order and no masked nodes, the run takes
+    quadratic operator and no masked nodes, the run takes
     monotone Newton steps (module docstring) and `sweeps` counts Newton
     iterations; it stops once the largest margin falls below cfg.tol.
-    Everywhere else each sweep replaces every interior node by the
+    Everywhere else each red-black sweep replaces every interior node by the
     cone-boundary crossing of its discrete jet, clamped into [sub, sup], and
     the run stops once the largest move, scaled by the margin slope, falls
     below cfg.tol.  Either way monotone_ok records whether every nodal move
@@ -689,14 +649,14 @@ def perron_solve(
         u = np.clip(vals, problem.sub.values, problem.sup.values)
 
     ascending = direction == "ascending"
-    if _newton_applies(problem, cfg, mode):
+    if _newton_applies(problem, mode):
         sweeps, converged, monotone, last = _newton_trace_1d(problem, cfg, u, ascending)
     else:
         flat = u.ravel()
         sub_flat = problem.sub.values.ravel()
         sup_flat = problem.sup.values.ravel()
         scoef = _margin_slope(problem)
-        groups = _make_groups(problem, cfg.sweep_order)
+        groups = _make_groups(problem)
         monotone = True
         converged = False
         last = math.inf

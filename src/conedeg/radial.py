@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .matcone import SymMatrix, eigen_sym
-from .operators import FieldOracle, Jet2, OperatorSpec, eval_F
+from .matcone import eigen_sym
+from .operators import FieldOracle, OperatorSpec, eval_F, eval_L, radial_jets
 
 __all__ = [
     "RadialProfile",
@@ -200,24 +200,23 @@ class RadialProfile:
 # radial eigenvalues
 
 
-def radial_F_eigs(r: float, dpsi: float, ddpsi: float, spec: OperatorSpec,
-                  s: float = 0.0, n: int = 2) -> tuple[float, float]:
-    """The two distinct eigenvalues (mu, nu) of F at a radial jet.
+def radial_F_eigs(r, dpsi, ddpsi, spec: OperatorSpec, s=0.0, n: int = 2):
+    """The two distinct eigenvalues (mu, nu) of F at radial jets.
 
     mu is the eigenvalue along the radius, nu the (n-1)-fold one across it;
-    computed by assembling the full matrix at x = r e_1 and reading the
-    diagonal, which is exact for every rotationally invariant kind.
+    computed by assembling the full matrices at x = r e_1 and reading the
+    diagonal, which is exact for every rotationally invariant kind.  Scalars
+    give two floats; arrays (broadcast together) two arrays of those floats.
     """
-    if r <= 0.0:
+    r, dpsi, ddpsi, s = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, dpsi, ddpsi, s)))
+    if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    x = np.zeros(n)
-    x[0] = r
-    p = np.zeros(n)
-    p[0] = dpsi
-    h = (dpsi / r) * np.eye(n)
-    h[0, 0] = ddpsi
-    f = eval_F(Jet2(x, s, p, SymMatrix.from_dense(h)), spec).dense()
-    return float(f[0, 0]), float(f[1, 1])
+    x, p, h = radial_jets(r, dpsi, ddpsi, n)
+    f = h + eval_L(spec, x, s, p)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("matrix entries must be finite")
+    mu, nu = f[..., 0, 0], f[..., 1, 1]
+    return (float(mu), float(nu)) if r.ndim == 0 else (mu, nu)
 
 
 def _p4(t: float, alpha: float) -> float:
@@ -674,7 +673,6 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
 
     w_right, w_left = ts[3], ts[1]
     v_right, v_left = ts[2], t0
-    op = cusp_family_operator(variant, alpha)
 
     def profile(t, r):
         c = cbrt(t)
@@ -689,10 +687,8 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     w_ok = True
     v_ok = True
     sign_ok = True
-    cross_ok = True
     min_gap_scaled = math.inf
-    interp_op = interpolated_L_operator() if kind == "nondec" else None
-    interp_agree = True
+    w_jets = []
     for r in np.linspace(r0 - delta, r0 + delta, rgrid):
         r = float(r)
         if abs(r - r0) < 1e-12:
@@ -702,7 +698,7 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
         mu_w, nu_w = lambda12_t(tw, r, r0, alpha, variant)
         mu_v, nu_v = lambda12_t(tv, r, r0, alpha, variant)
         w_val, w_d, w_dd = profile(tw, r)
-        v_val, v_d, v_dd = profile(tv, r)
+        v_val = profile(tv, r)[0]
         # w branches use root parameters: radial eigenvalue vanishes and the
         # transverse one carries the sign of t, so the matrix sits on the
         # cone boundary (right) or strictly outside (left): supersolution
@@ -716,20 +712,24 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
             branch_sign = nu_w < 0.0 and mu_v > 0.0 and nu_v > 0.0
             row_v = min(mu_v, nu_v) >= -_EIG_TOL
         sign_ok &= branch_sign
-        # cross-check closed forms against the generic jet pipeline
         scale = 1.0 + max(abs(mu_w), abs(nu_w), abs(mu_v), abs(nu_v))
-        mu_g, nu_g = radial_F_eigs(r, w_d, w_dd, op, s=w_val)
-        if abs(mu_g - mu_w) > 1e-9 * scale or abs(nu_g - nu_w) > 1e-9 * scale:
-            cross_ok = False
-        if interp_op is not None:
-            mu_i, nu_i = radial_F_eigs(r, w_d, w_dd, interp_op, s=w_val)
-            if abs(mu_i - mu_w) > 1e-9 * scale or abs(nu_i - nu_w) > 1e-9 * scale:
-                interp_agree = False
+        w_jets.append((r, w_val, w_d, w_dd, mu_w, nu_w, scale))
         gap = w_val - v_val
         min_gap_scaled = min(min_gap_scaled, gap / abs(r - r0) ** (2.0 / 3.0))
         w_ok &= row_w
         v_ok &= row_v
         cert.rows.append(GridRow(r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w and row_v))
+
+    # cross-check the closed forms against the generic jet pipeline
+    r, w_val, w_d, w_dd, mu_w, nu_w, scale = np.array(w_jets).T
+    tol = 1e-9 * scale
+
+    def matches(op: OperatorSpec) -> bool:
+        mu_g, nu_g = radial_F_eigs(r, w_d, w_dd, op, s=w_val)
+        return not np.any((np.abs(mu_g - mu_w) > tol) | (np.abs(nu_g - nu_w) > tol))
+
+    cross_ok = matches(cusp_family_operator(variant, alpha))
+    interp_agree = kind == "nondec" and matches(interpolated_L_operator())
 
     cert.clauses["w_supersolution"] = w_ok and sign_ok
     cert.clauses["v_subsolution"] = v_ok and sign_ok
@@ -751,6 +751,15 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     return cert
 
 
+def _radial_rows(prof: RadialProfile, op: OperatorSpec, radii: np.ndarray):
+    """(r, mu_w, nu_w, mu_v, nu_v) per radius, w the profile and v = 0, as floats."""
+    radii = radii.tolist()
+    mu_w, nu_w = radial_F_eigs(radii, [prof.dpsi(r) for r in radii],
+                               [prof.ddpsi(r) for r in radii], op)
+    mu_v, nu_v = radial_F_eigs(radii, 0.0, 0.0, op)
+    return zip(radii, mu_w.tolist(), nu_w.tolist(), mu_v.tolist(), nu_v.tolist())
+
+
 def _build_bprime(rgrid: int, r0: float, delta: float) -> CtexCertificate:
     cert = CtexCertificate(
         kind="bprime",
@@ -769,11 +778,8 @@ def _build_bprime(rgrid: int, r0: float, delta: float) -> CtexCertificate:
 
     all_ok = True
     touching = []
-    for r in np.linspace(r0 - 1.0, r0 + 1.0, rgrid):
-        r = float(r)
+    for r, mu_w, nu_w, mu_v, nu_v in _radial_rows(prof, op, np.linspace(r0 - 1.0, r0 + 1.0, rgrid)):
         w_val = prof.psi(r)
-        mu_w, nu_w = radial_F_eigs(r, prof.dpsi(r), prof.ddpsi(r), op)
-        mu_v, nu_v = radial_F_eigs(r, 0.0, 0.0, op)
         scale = 1.0 + max(abs(mu_w), abs(nu_w))
         row_ok = nu_w <= _EIG_TOL * scale  # supersolution: smallest eigenvalue <= 0
         row_ok &= abs(mu_v) <= _EIG_TOL and abs(nu_v) <= _EIG_TOL  # v = 0 solves exactly
@@ -801,11 +807,8 @@ def _build_holder(rgrid: int, gamma: float, n: int) -> CtexCertificate:
         name=f"rotinv:zero:pow({-1.0/n:g},{gamma:g})",
     )
     all_ok = True
-    for r in np.geomspace(1e-6, 1.0, rgrid):
-        r = float(r)
+    for r, mu_w, nu_w, mu_v, nu_v in _radial_rows(prof, op, np.geomspace(1e-6, 1.0, rgrid)):
         w_val = prof.psi(r)
-        mu_w, nu_w = radial_F_eigs(r, prof.dpsi(r), prof.ddpsi(r), op)
-        mu_v, nu_v = radial_F_eigs(r, 0.0, 0.0, op)
         trace_res = mu_w + (n - 1) * nu_w
         scale = 1.0 + abs(mu_w) + abs(nu_w)
         row_ok = abs(trace_res) <= 1e-10 * scale and abs(mu_v) <= 1e-14 and abs(nu_v) <= 1e-14

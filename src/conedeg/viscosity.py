@@ -11,9 +11,10 @@ touching points, and the moving-sphere comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,18 +25,22 @@ from .matcone import (
     SymMatrix,
     classify,
     cone_margin,
-    eigen_sym,
     format_cone,
+    margin_class,
+    sym_eigvals,
 )
 from .operators import (
     FieldOracle,
     Jet2,
     OperatorSpec,
     eval_F,
+    eval_L,
     format_operator,
     kelvin,
     moving_sphere_radius,
     probe_L_conditions,
+    radial_jets,
+    sq_norm,
 )
 
 __all__ = [
@@ -74,72 +79,46 @@ def jet_classify(j: Jet2, F: OperatorSpec, U: ConeSpec, tol: float = 1e-8):
 # discrete jets on grids
 
 
-def _radial_jet(r: float, s: float, d: float, dd: float, ambient_n: int) -> Jet2:
-    # rotationally symmetric field: Hessian eigenvalues are dd radially and
-    # d/r on the tangent space
-    x = np.zeros(ambient_n)
-    x[0] = r
-    p = np.zeros(ambient_n)
-    p[0] = d
-    diag = np.full(ambient_n, d / r)
-    diag[0] = dd
-    return Jet2(x, s, p, SymMatrix.from_dense(np.diag(diag)))
+def _interior_jets(g: GridFn, ambient_n: int | None):
+    """Centered-difference jets at every interior node, stacked.
 
-
-def _discrete_jets(g: GridFn, ambient_n: int | None) -> Iterator[tuple[int, Jet2 | None]]:
-    """Centered-difference jets at interior nodes, flat row-major indices.
-
-    A 1D grid with ambient_n >= 2 is read as a radial profile psi(r) in that
-    many dimensions (requires positive radii); otherwise the jet lives in
-    the grid's own dimension.  Yields None where the stencil touches a
-    non-finite value.
+    Returns (nodes, ok, x, s, p, H): the flat row-major index of every
+    interior node, a mask of those whose stencil is all finite, and their
+    jets, shaped (m, n), (m,), (m, n), (m, n, n).  A 1D grid with ambient_n
+    >= 2 is a radial profile psi(r) in that many dimensions (radii > 0).
     """
-    vals = g.values
-    if g.dim == 1:
-        n_amb = 1 if ambient_n is None else int(ambient_n)
-        if n_amb < 1:
-            raise ValueError("ambient_n must be >= 1")
-        xs = g.axis_nodes(0)
-        h = g.h[0]
-        if n_amb > 1 and xs[0] <= 0.0:
-            raise ValueError("radial interpretation needs radii > 0")
-        for i in range(1, len(xs) - 1):
-            if not np.all(np.isfinite(vals[i - 1 : i + 2])):
-                yield i, None
-                continue
-            d = float(vals[i + 1] - vals[i - 1]) / (2.0 * h)
-            dd = float(vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / (h * h)
-            if n_amb > 1:
-                yield i, _radial_jet(float(xs[i]), float(vals[i]), d, dd, n_amb)
-            else:
-                yield i, Jet2(
-                    np.array([xs[i]]), float(vals[i]), np.array([d]),
-                    SymMatrix.from_dense(np.array([[dd]])),
-                )
-        return
-    if ambient_n not in (None, 2):
+    n_amb = g.dim if ambient_n is None else int(ambient_n)
+    if g.dim == 2 and n_amb != 2:
         raise ValueError("2D grids carry 2D jets; ambient_n must be 2 or omitted")
+    if n_amb < 1:
+        raise ValueError("ambient_n must be >= 1")
+    nodes = np.flatnonzero(~_boundary_mask(g.shape))
+    center = np.array(np.unravel_index(nodes, g.shape))
+    fin = np.isfinite(g.values)
+    ok = np.ones(nodes.shape, dtype=bool)
+    for offset in itertools.product((-1, 0, 1), repeat=g.dim):
+        ok &= fin[tuple(center + np.array(offset)[:, None])]
+    center = center[:, ok]
+    x = g.node_coords()[nodes[ok]]
+
+    def at(*offset: int) -> np.ndarray:
+        return g.values[tuple(center + np.array(offset)[:, None])]
+
+    if g.dim == 1:
+        h = g.h[0]
+        if n_amb > 1 and g.box[0][0] <= 0.0:
+            raise ValueError("radial interpretation needs radii > 0")
+        d = (at(1) - at(-1)) / (2.0 * h)
+        dd = (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
+        x, p, H = radial_jets(x[:, 0], d, dd, n_amb)
+        return nodes, ok, x, at(0), p, H
     hx, hy = g.h
-    xs, ys = g.axis_nodes(0), g.axis_nodes(1)
-    n1, n2 = g.shape
-    for i in range(1, n1 - 1):
-        for k in range(1, n2 - 1):
-            win = vals[i - 1 : i + 2, k - 1 : k + 2]
-            if not np.all(np.isfinite(win)):
-                yield i * n2 + k, None
-                continue
-            px = float(vals[i + 1, k] - vals[i - 1, k]) / (2.0 * hx)
-            py = float(vals[i, k + 1] - vals[i, k - 1]) / (2.0 * hy)
-            hxx = float(vals[i + 1, k] - 2.0 * vals[i, k] + vals[i - 1, k]) / (hx * hx)
-            hyy = float(vals[i, k + 1] - 2.0 * vals[i, k] + vals[i, k - 1]) / (hy * hy)
-            hxy = float(
-                vals[i + 1, k + 1] - vals[i + 1, k - 1]
-                - vals[i - 1, k + 1] + vals[i - 1, k - 1]
-            ) / (4.0 * hx * hy)
-            yield i * n2 + k, Jet2(
-                np.array([xs[i], ys[k]]), float(vals[i, k]), np.array([px, py]),
-                SymMatrix.from_dense(np.array([[hxx, hxy], [hxy, hyy]])),
-            )
+    p = np.stack([(at(1, 0) - at(-1, 0)) / (2.0 * hx), (at(0, 1) - at(0, -1)) / (2.0 * hy)], axis=-1)
+    H = np.empty((len(p), 2, 2))
+    H[:, 0, 0] = (at(1, 0) - 2.0 * at(0, 0) + at(-1, 0)) / (hx * hx)
+    H[:, 1, 1] = (at(0, 1) - 2.0 * at(0, 0) + at(0, -1)) / (hy * hy)
+    H[:, 0, 1] = H[:, 1, 0] = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * hx * hy)
+    return nodes, ok, x, at(0, 0), p, H
 
 
 @dataclass(frozen=True)
@@ -221,16 +200,16 @@ def grid_verify(
     heff = max(psi.h)
     tol_eff = tol + 4.0 * heff * heff
     report = GridVerifyReport(operator=format_operator(F), cone=format_cone(U), tol=tol_eff)
-    for idx, jet in _discrete_jets(psi, ambient_n):
-        if jet is None:
-            report.skipped.append(idx)
-            continue
-        cls, margin = classify(eval_F(jet, F), U, tol_eff)
-        report.rows.append(NodeVerdict(idx, cls, margin))
-        if margin < -tol_eff:
-            report.sub_failures.append(idx)
-        if margin > tol_eff:
-            report.super_failures.append(idx)
+    nodes, ok, x, s, p, H = _interior_jets(psi, ambient_n)
+    margins = cone_margin(sym_eigvals(H + eval_L(F, x, s, p)), U)
+    checked = nodes[ok]
+    report.rows = [
+        NodeVerdict(idx, margin_class(margin, tol_eff), margin)
+        for idx, margin in zip(checked.tolist(), margins.tolist())
+    ]
+    report.skipped = nodes[~ok].tolist()
+    report.sub_failures = checked[margins < -tol_eff].tolist()
+    report.super_failures = checked[margins > tol_eff].tolist()
     return report
 
 
@@ -493,54 +472,49 @@ def envelope_error_check(
     heff = max(w.h)
     tol_eff = tol + 4.0 * heff * heff
     report = EnvelopeErrorReport(side=side, eps=eps, fitted_a=0.0, checked=0, skipped=0)
+    nodes, ok, x, s, p, H = _interior_jets(res.env, ambient_n)
+    report.skipped = int(np.count_nonzero(~ok))
+    argpt = res.argpt.ravel()
+    edge = _boundary_mask(w.shape).ravel()[argpt[nodes[ok]]]
+    report.edge_attained = int(np.count_nonzero(edge))
+    idx = nodes[ok][~edge]
+    x, s, p, H = x[~edge], s[~edge], p[~edge], H[~edge]
+    report.checked = len(idx)
     coords = res.env.node_coords()
-    argc = coords[res.argpt.ravel()]
-    on_edge = _boundary_mask(w.shape).ravel()
+    dist = np.sqrt(sq_norm(coords[argpt[idx]] - coords[idx])).tolist()
+    pn = np.sqrt(sq_norm(p)).tolist()
+    cof = np.array([d * (1.0 + d / eps) * q**F.m for d, q in zip(dist, pn)])
+    lam = sym_eigvals(H + eval_L(F, x, s, p))
     want_out = side == "super"
-    for idx, jet in _discrete_jets(res.env, ambient_n):
-        if jet is None:
-            report.skipped += 1
-            continue
-        if on_edge[int(res.argpt.ravel()[idx])]:
-            report.edge_attained += 1
-            continue
-        report.checked += 1
-        d = float(np.linalg.norm(argc[idx] - coords[idx]))
-        pn = float(np.linalg.norm(jet.p))
-        cof = d * (1.0 + d / eps) * pn**F.m
-        lam = eigen_sym(eval_F(jet, F)).values
 
-        def margin_at(a: float) -> float:
-            return cone_margin(lam + (-a * cof if want_out else a * cof), U)
+    # the smallest feasible penalty per node: doubling up to _A_CAP, then 60
+    # bisection steps, all nodes at once
+    def margin_at(a: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        return cone_margin(lam[sel] + ((-a) * cof[sel] if want_out else a * cof[sel])[:, None], U)
 
-        def feasible(mg: float) -> bool:
-            return mg <= tol_eff if want_out else mg >= -tol_eff
+    def feasible(mg: np.ndarray) -> np.ndarray:
+        return mg <= tol_eff if want_out else mg >= -tol_eff
 
-        m0 = margin_at(0.0)
-        if feasible(m0):
-            a_req = 0.0
-        elif cof <= 0.0:
-            a_req = math.inf
-        else:
-            hi = 1.0
-            while hi <= _A_CAP and not feasible(margin_at(hi)):
-                hi *= 2.0
-            if hi > _A_CAP:
-                a_req = math.inf
-            else:
-                lo = 0.0
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if feasible(margin_at(mid)):
-                        hi = mid
-                    else:
-                        lo = mid
-                a_req = hi
-        if math.isinf(a_req):
-            report.violations.append(idx)
-        else:
-            report.fitted_a = max(report.fitted_a, a_req)
-        report.rows.append(EnvelopeErrorRow(idx, d, pn, m0, a_req))
+    m0 = margin_at(np.zeros(len(idx)), np.ones(len(idx), dtype=bool))
+    search = ~feasible(m0) & (cof > 0.0)
+    hi = np.ones(len(idx))
+    grow = search.copy()
+    while grow.any():
+        grow[grow] = ~feasible(margin_at(hi[grow], grow))
+        hi[grow] *= 2.0
+        grow &= hi <= _A_CAP
+    bisect = search & (hi <= _A_CAP)
+    lo = np.zeros(len(idx))
+    for _ in range(60):
+        mid = 0.5 * (lo[bisect] + hi[bisect])
+        good = feasible(margin_at(mid, bisect))
+        hi[bisect] = np.where(good, mid, hi[bisect])
+        lo[bisect] = np.where(good, lo[bisect], mid)
+    a_req = np.where(feasible(m0), 0.0, np.where(bisect, hi, math.inf))
+    bounded = np.isfinite(a_req)
+    report.violations = idx[~bounded].tolist()
+    report.fitted_a = float(a_req[bounded].max(initial=0.0))
+    report.rows = list(map(EnvelopeErrorRow, idx.tolist(), dist, pn, m0.tolist(), a_req.tolist()))
     return report
 
 

@@ -19,6 +19,7 @@ from conedeg.matcone import (
     sigma_all,
     sigma_k,
     sigma_k_bruteforce,
+    sym_eigvals,
 )
 
 
@@ -423,3 +424,26 @@ def test_margin_sign_matches_cone_definition_property(lam):
         assert (margin > 0.0) == member
         assert (verdict is ConeClass.INTERIOR) == member
         assert (verdict is ConeClass.BOUNDARY) == (margin == 0.0)
+
+
+@_PROPERTY
+@given(
+    stack=st.integers(1, 6).flatmap(
+        lambda n: hnp.arrays(
+            np.float64, st.tuples(st.integers(0, 8), st.just(n), st.just(n)),
+            elements=st.integers(-3, 3).map(float) | st.floats(-10.0, 10.0, width=32),
+        )
+    )
+)
+def test_stacked_margins_match_lone_calls_property(stack):
+    # integer entries give exact zeros and ties among eigenvalues and sigma_j
+    m = stack + np.swapaxes(stack, -1, -2)
+    lam = sym_eigvals(m)
+    assert lam.shape == m.shape[:-1]
+    for row, mat in zip(lam, m):
+        assert row.tobytes() == eigen_sym(mat).values.tobytes()
+    for spec in _bundled_cones(m.shape[-1]):
+        margins = cone_margin(lam, spec)
+        assert margins.shape == lam.shape[:-1]
+        lone = np.array([cone_margin(row, spec) for row in lam])
+        assert margins.tobytes() == lone.tobytes()  # bitwise, signed zeros included

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
@@ -264,6 +267,47 @@ def test_general_l_shape_guard():
     bad = OperatorSpec.general_l(lambda x, s, p: np.zeros((2, 3)), m=2.0)
     with pytest.raises(ValueError):
         eval_L(bad, np.zeros(2), 0.0, np.ones(2))
+
+
+def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
+    """L at one node, written out with np.outer and the vector dot p @ p."""
+    n = len(p)
+    pp = np.outer(p, p)
+    p2 = float(p @ p)
+    if spec.kind == "conformal":
+        return pp - 0.5 * p2 * np.eye(n)
+    if spec.kind == "quad_const":
+        return spec.alpha * pp - spec.beta * p2 * np.eye(n)
+    if spec.kind == "quad_var":
+        return spec.alpha_fn(x, s) * pp - spec.beta_fn(x, s) * p2 * np.eye(n)
+    if spec.kind == "rot_inv":
+        t = math.sqrt(p2)
+        return spec.a_fn(t) * pp + spec.b_fn(t) * np.eye(n)
+    out = np.asarray(spec.L_fn(x, s, p), dtype=float)
+    return 0.5 * (out + out.T)
+
+
+_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(
+    shape=st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(1, 5)),
+    data=st.data(),
+)
+def test_stacked_eval_L_matches_lone_nodes_property(shape, data):
+    # two leading axes, and gradients spanning six decades of |p|
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    p = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    s = data.draw(hnp.arrays(np.float64, shape[:-1], elements=st.floats(-2.0, 2.0)))
+    skew = OperatorSpec.general_l(lambda x, s, p: np.outer(x, p) + s * np.eye(len(p)), m=2.0)
+    texts = ("conformal", "quad:1.5:-0.25", "genL:tanh_quad", "rotinv:pow(0.5,1.5):neg_t")
+    for spec in [parse_operator(t) for t in texts] + [skew]:
+        got = eval_L(spec, x, s, p)
+        assert got.shape == shape + (shape[-1],)
+        for idx in np.ndindex(*shape[:-1]):
+            want = _lone_L(spec, x[idx], float(s[idx]), p[idx])
+            assert got[idx].tobytes() == want.tobytes(), (spec.kind, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_sweeps=0)
-    with pytest.raises(ValueError):
-        SolverConfig(sweep_order="sorted")
-    with pytest.raises(ValueError):
-        SolverConfig(bisection_depth=2)
 
 
 def test_problem_validation():
@@ -195,14 +191,6 @@ def test_solve_ascending_matches():
         perron_solve(P, cfg, direction="down")
 
 
-def test_solve_lexicographic_small():
-    P, xs = _interval_problem(11, 0.0, 1.0)
-    cfg = SolverConfig(tol=1e-9, max_sweeps=20_000, sweep_order="lexicographic")
-    res = perron_solve(P, cfg)
-    assert res.converged
-    assert np.abs(res.u.values - xs).max() <= 1e-9
-
-
 def test_numpy_path_matches_compiled(monkeypatch):
     # the Newton path against the reference red-black sweeps, b = alpha - n beta
     # positive (radial) and negative (interval), so both step rules run
@@ -218,6 +206,30 @@ def test_numpy_path_matches_compiled(monkeypatch):
         assert newton.monotone_ok and sweep.monotone_ok
         assert newton.sweeps < sweep.sweeps  # the Newton path did run
         assert np.abs(newton.u.values - sweep.u.values).max() <= 10 * cfg.tol
+
+
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+@pytest.mark.parametrize("which", ["radial", "interval"])
+def test_newton_nodes_are_pointwise_crossings(which, direction):
+    # each interior node of a converged Newton run is the crossing of its own
+    # two neighbours, found independently by bisection over the sandwich;
+    # b = alpha - n beta is 1 on the radial problem and -1 on the interval
+    if which == "radial":
+        P, _ = radial_sandwich_problem(101)
+    else:
+        P, _ = _interval_problem(41, 0, 1, F=OperatorSpec.quad_const(0.0, 1.0))
+    cfg = SolverConfig(tol=1e-8, max_sweeps=200_000)
+    assert perron_mod._newton_applies(P, "trace")
+    res = perron_solve(P, cfg, direction=direction)
+    assert res.converged
+    u, xs, h = res.u.values, P.sub.axis_nodes(0), P.sub.h[0]
+    bound = cfg.tol / perron_mod._margin_slope(P) + 1e-12
+    for i in range(1, len(u) - 1):
+        root = pointwise_root(
+            (u[i - 1], u[i + 1]), P.F, P.U, (P.sub.values[i], P.sup.values[i]),
+            x=xs[i], spacing=h, ambient_n=P.ambient_n,
+        )
+        assert abs(u[i] - root) <= bound, i
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])

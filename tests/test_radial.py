@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conedeg.operators import OperatorSpec
+from conedeg.operators import OperatorSpec, parse_operator
 from conedeg.radial import (
     CtexCertificate,
     QuarticSpec,
@@ -487,3 +490,39 @@ def test_certificate_csv_deterministic():
     a = certificate_rows_csv(build_counterexample("bprime", rgrid=101))
     b = certificate_rows_csv(build_counterexample("bprime", rgrid=101))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# stacked radial eigenvalues (hypothesis): 50 derandomized examples
+
+_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+# one of each operator kind, the callable ones included
+_KIND_OPERATORS = {
+    "conformal": OperatorSpec.conformal(),
+    "quad_const": OperatorSpec.quad_const(1.5, -0.25),
+    "quad_var": parse_operator("genL:tanh_quad"),
+    "rot_inv": parse_operator("rotinv:pow(0.5,1.5):neg_t"),
+    "general_l": cusp_family_operator("P4", -3.0),
+}
+
+
+@_PROPERTY
+@given(
+    jets=st.integers(0, 12).flatmap(
+        lambda m: st.tuples(*(
+            hnp.arrays(np.float64, m, elements=st.floats(lo, hi))
+            for lo, hi in ((1e-3, 3.0), (-2.0, 2.0), (-5.0, 5.0), (-1.5, 1.5))
+        ))
+    ),
+    n=st.integers(2, 4),
+)
+def test_stacked_radial_F_eigs_match_per_radius_calls_property(jets, n):
+    r, d, dd, s = jets
+    for kind, op in _KIND_OPERATORS.items():
+        mu, nu = radial_F_eigs(r, d, dd, op, s=s, n=n)
+        assert mu.shape == nu.shape == r.shape, kind
+        lone = [radial_F_eigs(*args, op, s=si, n=n) for *args, si in zip(r, d, dd, s)]
+        assert mu.tobytes() == np.array([pair[0] for pair in lone]).tobytes(), kind
+        assert nu.tobytes() == np.array([pair[1] for pair in lone]).tobytes(), kind
+        assert all(type(v) is float for pair in lone for v in pair)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conedeg.envelopes import GridFn, dyadic_w
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, eigen_sym, parse_cone
@@ -12,6 +15,7 @@ from conedeg.operators import (
     Jet2,
     OperatorSpec,
     example_varying_quad,
+    parse_operator,
 )
 from conedeg.radial import RadialProfile, build_counterexample, cusp_family_operator, cusp_pair_values
 from conedeg.viscosity import (
@@ -159,6 +163,96 @@ def test_grid_verify_radial_needs_positive_radii():
     g = GridFn.constant(0.0, ((-0.5, 1.0),), (11,))
     with pytest.raises(ValueError):
         grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), ambient_n=3)
+
+
+def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, ambient_n):
+    """grid_verify one node at a time: a Jet2 per interior node, jet_classify each."""
+    heff = max(g.h)
+    tol_eff = tol + 4.0 * heff * heff
+    vals = g.values
+    jets = []
+    if g.dim == 1:
+        xs, h = g.axis_nodes(0), g.h[0]
+        for i in range(1, len(xs) - 1):
+            if not np.all(np.isfinite(vals[i - 1 : i + 2])):
+                jets.append((i, None))
+                continue
+            d = float(vals[i + 1] - vals[i - 1]) / (2.0 * h)
+            dd = float(vals[i + 1] - 2.0 * vals[i] + vals[i - 1]) / (h * h)
+            if ambient_n:
+                jets.append((i, _radial_jet(float(xs[i]), float(vals[i]), d, dd, ambient_n)))
+            else:
+                jets.append((i, _jet([xs[i]], float(vals[i]), [d], [[dd]])))
+    else:
+        (hx, hy), (n1, n2) = g.h, g.shape
+        xs, ys = g.axis_nodes(0), g.axis_nodes(1)
+        for i in range(1, n1 - 1):
+            for k in range(1, n2 - 1):
+                if not np.all(np.isfinite(vals[i - 1 : i + 2, k - 1 : k + 2])):
+                    jets.append((i * n2 + k, None))
+                    continue
+                px = float(vals[i + 1, k] - vals[i - 1, k]) / (2.0 * hx)
+                py = float(vals[i, k + 1] - vals[i, k - 1]) / (2.0 * hy)
+                hxx = float(vals[i + 1, k] - 2.0 * vals[i, k] + vals[i - 1, k]) / (hx * hx)
+                hyy = float(vals[i, k + 1] - 2.0 * vals[i, k] + vals[i, k - 1]) / (hy * hy)
+                hxy = float(
+                    vals[i + 1, k + 1] - vals[i + 1, k - 1] - vals[i - 1, k + 1] + vals[i - 1, k - 1]
+                ) / (4.0 * hx * hy)
+                jets.append((i * n2 + k, _jet([xs[i], ys[k]], float(vals[i, k]), [px, py],
+                                              [[hxx, hxy], [hxy, hyy]])))
+    rows, skipped, sub, sup = [], [], [], []
+    for idx, jet in jets:
+        if jet is None:
+            skipped.append(idx)
+            continue
+        cls, margin = jet_classify(jet, F, U, tol_eff)
+        rows.append((idx, cls, margin))
+        if margin < -tol_eff:
+            sub.append(idx)
+        if margin > tol_eff:
+            sup.append(idx)
+    return rows, skipped, sub, sup
+
+
+_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+_REPLAY_OPERATORS = ("quad:1:0", "quad:-0.5:0.75", "conformal", "genL:tanh_quad",
+                     "genL:cubic_mix", "rotinv:pow(0.5,1.5):neg_t")
+
+
+@st.composite
+def _sampled_fields(draw, layout: str):
+    """A 1D, radial (read in 3 dimensions) or 2D grid with unequal spacing,
+    values of mixed scale and some nodes masked by +-inf."""
+    shape = (draw(st.integers(3, 12)),) if layout != "2d" else (
+        draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    lo = draw(st.floats(0.1, 1.0))
+    box = tuple((lo, lo + draw(st.floats(0.2, 3.0))) for _ in shape)
+    vals = draw(hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0, width=32)))
+    vals = vals * draw(st.sampled_from((1e-3, 1.0, 30.0)))
+    masked = draw(hnp.arrays(np.bool_, shape, elements=st.sampled_from((False, False, False, True))))
+    masked.flat[0] = False  # a grid needs one finite value
+    vals[masked] = draw(st.sampled_from((np.inf, -np.inf)))
+    return GridFn(box, vals)
+
+
+@pytest.mark.parametrize("layout", ["1d", "radial", "2d"])
+@_PROPERTY
+@given(data=st.data(), op=st.sampled_from(_REPLAY_OPERATORS), pick=st.integers(0, 50))
+def test_stacked_grid_verify_matches_per_node_replay_property(layout, data, op, pick):
+    g = data.draw(_sampled_fields(layout))
+    ambient_n = 3 if layout == "radial" else None
+    n = ambient_n or g.dim
+    cones = ["trace", "posdef", "one_pos", "neg:trace"]
+    cones += [f"gamma_k:{k}" for k in range(1, n + 1)] + [f"neg_gamma_c:{k}" for k in range(1, n + 1)]
+    F, U = parse_operator(op), parse_cone(cones[pick % len(cones)])
+    rep = grid_verify(g, F, U, tol=1e-6, ambient_n=ambient_n)
+    rows, skipped, sub, sup = _replay_grid_verify(g, F, U, 1e-6, ambient_n)
+    # bitwise: float.hex tells -0.0 from 0.0 and every last bit
+    assert [(r.node_index, r.cls, r.margin.hex()) for r in rep.rows] == [
+        (idx, cls, margin.hex()) for idx, cls, margin in rows
+    ]
+    assert (rep.skipped, rep.sub_failures, rep.super_failures) == (skipped, sub, sup)
 
 
 def test_verify_rows_csv_shape():
