@@ -26,11 +26,9 @@ __all__ = [
     "sigma_all",
     "sigma_k_bruteforce",
     "eigen_sym",
-    "sym_eigvals",
     "in_cone",
     "cone_margin",
     "classify",
-    "margin_class",
     "axiom_check",
     "parse_cone",
     "format_cone",
@@ -38,6 +36,7 @@ __all__ = [
 
 _MIN_N = 1
 _MAX_N = 16
+_SYM_TOL = 1e-12  # relative asymmetry a matrix may have
 
 
 def _packed_size(n: int) -> int:
@@ -96,7 +95,7 @@ class SymMatrix:
         object.__setattr__(self, "tri", tri)
 
     @classmethod
-    def from_dense(cls, m: np.ndarray, *, tol: float = 1e-12) -> "SymMatrix":
+    def from_dense(cls, m: np.ndarray, *, tol: float = _SYM_TOL) -> "SymMatrix":
         m = np.asarray(m, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -301,7 +300,7 @@ def sigma_k_bruteforce(lam: np.ndarray, k: int) -> float:
 # eigenvalues
 
 
-def sym_eigvals(m: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+def _sym_eigvals(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of symmetric matrices, (..., n, n) -> (..., n).
 
     Every matrix first passes the checks of SymMatrix.from_dense, so a bad
@@ -309,14 +308,14 @@ def sym_eigvals(m: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
     which can return zeros for NaN entries without complaint.  Each matrix
     gets the values it would get alone.
     """
-    return np.linalg.eigvalsh(_symmetrized(np.asarray(m, dtype=float), tol))
+    return np.linalg.eigvalsh(_symmetrized(np.asarray(m, dtype=float), _SYM_TOL))
 
 
 def eigen_sym(m: SymMatrix | np.ndarray) -> Spectrum:
-    """Sorted eigenvalues of one symmetric matrix (see sym_eigvals)."""
+    """Sorted eigenvalues of one symmetric matrix (see _sym_eigvals)."""
     if isinstance(m, SymMatrix):  # checked when it was built
         return Spectrum(np.linalg.eigvalsh(m.dense()))
-    return Spectrum(sym_eigvals(m))
+    return Spectrum(_sym_eigvals(m))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +367,10 @@ def classify(m: SymMatrix | np.ndarray, spec: ConeSpec, tol: float = 1e-9) -> tu
     of all sigma_j are preserved under positive scaling).
     """
     margin = cone_margin(eigen_sym(m), spec)
-    return margin_class(margin, tol), margin
+    return _margin_class(margin, tol), margin
 
 
-def margin_class(margin: float, tol: float) -> ConeClass:
+def _margin_class(margin: float, tol: float) -> ConeClass:
     """The verdict for a margin: INTERIOR above tol, OUTSIDE below -tol."""
     if margin > tol:
         return ConeClass.INTERIOR

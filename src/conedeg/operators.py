@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcone import SymMatrix, eigen_sym, sym_eigvals
+from .matcone import SymMatrix, _sym_eigvals, eigen_sym
 
 __all__ = [
     "Jet2",
@@ -30,8 +30,6 @@ __all__ = [
     "u_to_w_jet",
     "eval_F",
     "eval_L",
-    "sq_norm",
-    "radial_jets",
     "consistency_check",
     "kelvin",
     "kelvin_transform",
@@ -142,7 +140,7 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
         x, p = np.broadcast_arrays(x, p)
     lead, n = p.shape[:-1], p.shape[-1]
     pp = p[..., :, None] * p[..., None, :]
-    p2 = sq_norm(p)[..., None, None]
+    p2 = _sq_norm(p)[..., None, None]
     eye = np.eye(n)
     if spec.kind == "conformal":
         return pp - 0.5 * p2 * eye
@@ -169,13 +167,13 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def sq_norm(p: np.ndarray) -> np.ndarray:
+def _sq_norm(p: np.ndarray) -> np.ndarray:
     """p . p over the last axis, by batched matmul: bitwise each row's p @ p."""
     p = np.asarray(p, dtype=float)
     return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
 
 
-def radial_jets(r, d, dd, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radial_jets(r, d, dd, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jets (x, p, H) of a radial profile psi(|x|) at x = r e_1 in n dimensions.
 
     d, dd = psi'(r), psi''(r), broadcast with r: p = d e_1 and H = diag(dd,
@@ -697,7 +695,7 @@ def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
         base = c * pp - (pm / c)[:, None, None] * eye - sign * m0_arr
         shift = np.array(thetas)[None, :] * slope[:, None]
         gap = base[:, None] - shift[:, :, None, None] * eye
-        low = sym_eigvals(gap)[..., 0]
+        low = _sym_eigvals(gap)[..., 0]
         bad = np.argwhere(low < floor[:, None])
         if len(bad) == 0:
             return None

@@ -46,7 +46,7 @@ import numpy as np
 
 from .envelopes import GridFn
 from .matcone import ConeSpec, SymMatrix, cone_margin, eigen_sym
-from .operators import Jet2, OperatorSpec, eval_F, eval_L, radial_jets
+from .operators import Jet2, OperatorSpec, _radial_jets, eval_F, eval_L
 from .viscosity import GridVerifyReport, _boundary_mask, grid_verify
 
 __all__ = [
@@ -192,7 +192,7 @@ def _stencil_jet(
         r = float(x[0])
         if ambient_n not in (None, 1) and r <= 0.0:
             raise ValueError("radial stencils need a positive radius")
-        pos, p, H = radial_jets(r, d, dd, ambient_n or 1)
+        pos, p, H = _radial_jets(r, d, dd, ambient_n or 1)
         return Jet2(pos, s, p, SymMatrix.from_dense(H))
     (w, e), (so, no) = neighbors
     hx, hy = spacing
@@ -359,7 +359,7 @@ def _sweep_group(
             rest = p / st.r - beta * p2
             return np.where(rest >= 0.0, c_e0, -np.inf)
         # callable coefficients: the value argument fixed pointwise
-        x, grad, _ = radial_jets(st.r, p, 0.0, amb)
+        x, grad, _ = _radial_jets(st.r, p, 0.0, amb)
         s_vec = u[idx].copy()
         for _ in range(3):
             L = eval_L(F, x, s_vec, grad)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matcone import eigen_sym
-from .operators import FieldOracle, OperatorSpec, eval_F, eval_L, radial_jets
+from .operators import FieldOracle, OperatorSpec, _radial_jets, eval_F, eval_L
 
 __all__ = [
     "RadialProfile",
@@ -211,7 +211,7 @@ def radial_F_eigs(r, dpsi, ddpsi, spec: OperatorSpec, s=0.0, n: int = 2):
     r, dpsi, ddpsi, s = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, dpsi, ddpsi, s)))
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    x, p, h = radial_jets(r, dpsi, ddpsi, n)
+    x, p, h = _radial_jets(r, dpsi, ddpsi, n)
     f = h + eval_L(spec, x, s, p)
     if not np.all(np.isfinite(f)):
         raise ValueError("matrix entries must be finite")

@@ -23,24 +23,24 @@ from .matcone import (
     ConeClass,
     ConeSpec,
     SymMatrix,
+    _margin_class,
+    _sym_eigvals,
     classify,
     cone_margin,
     format_cone,
-    margin_class,
-    sym_eigvals,
 )
 from .operators import (
     FieldOracle,
     Jet2,
     OperatorSpec,
+    _radial_jets,
+    _sq_norm,
     eval_F,
     eval_L,
     format_operator,
     kelvin,
     moving_sphere_radius,
     probe_L_conditions,
-    radial_jets,
-    sq_norm,
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ def _interior_jets(g: GridFn, ambient_n: int | None):
             raise ValueError("radial interpretation needs radii > 0")
         d = (at(1) - at(-1)) / (2.0 * h)
         dd = (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
-        x, p, H = radial_jets(x[:, 0], d, dd, n_amb)
+        x, p, H = _radial_jets(x[:, 0], d, dd, n_amb)
         return nodes, ok, x, at(0), p, H
     hx, hy = g.h
     p = np.stack([(at(1, 0) - at(-1, 0)) / (2.0 * hx), (at(0, 1) - at(0, -1)) / (2.0 * hy)], axis=-1)
@@ -201,10 +201,10 @@ def grid_verify(
     tol_eff = tol + 4.0 * heff * heff
     report = GridVerifyReport(operator=format_operator(F), cone=format_cone(U), tol=tol_eff)
     nodes, ok, x, s, p, H = _interior_jets(psi, ambient_n)
-    margins = cone_margin(sym_eigvals(H + eval_L(F, x, s, p)), U)
+    margins = cone_margin(_sym_eigvals(H + eval_L(F, x, s, p)), U)
     checked = nodes[ok]
     report.rows = [
-        NodeVerdict(idx, margin_class(margin, tol_eff), margin)
+        NodeVerdict(idx, _margin_class(margin, tol_eff), margin)
         for idx, margin in zip(checked.tolist(), margins.tolist())
     ]
     report.skipped = nodes[~ok].tolist()
@@ -481,10 +481,10 @@ def envelope_error_check(
     x, s, p, H = x[~edge], s[~edge], p[~edge], H[~edge]
     report.checked = len(idx)
     coords = res.env.node_coords()
-    dist = np.sqrt(sq_norm(coords[argpt[idx]] - coords[idx])).tolist()
-    pn = np.sqrt(sq_norm(p)).tolist()
+    dist = np.sqrt(_sq_norm(coords[argpt[idx]] - coords[idx])).tolist()
+    pn = np.sqrt(_sq_norm(p)).tolist()
     cof = np.array([d * (1.0 + d / eps) * q**F.m for d, q in zip(dist, pn)])
-    lam = sym_eigvals(H + eval_L(F, x, s, p))
+    lam = _sym_eigvals(H + eval_L(F, x, s, p))
     want_out = side == "super"
 
     # the smallest feasible penalty per node: doubling up to _A_CAP, then 60

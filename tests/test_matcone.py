@@ -9,6 +9,7 @@ from conedeg.matcone import (
     ConeSpec,
     Spectrum,
     SymMatrix,
+    _sym_eigvals,
     axiom_check,
     classify,
     cone_margin,
@@ -19,7 +20,6 @@ from conedeg.matcone import (
     sigma_all,
     sigma_k,
     sigma_k_bruteforce,
-    sym_eigvals,
 )
 
 
@@ -438,7 +438,7 @@ def test_margin_sign_matches_cone_definition_property(lam):
 def test_stacked_margins_match_lone_calls_property(stack):
     # integer entries give exact zeros and ties among eigenvalues and sigma_j
     m = stack + np.swapaxes(stack, -1, -2)
-    lam = sym_eigvals(m)
+    lam = _sym_eigvals(m)
     assert lam.shape == m.shape[:-1]
     for row, mat in zip(lam, m):
         assert row.tobytes() == eigen_sym(mat).values.tobytes()

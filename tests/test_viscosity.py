@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conedeg.envelopes import GridFn, dyadic_w
-from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, eigen_sym, parse_cone
+from conedeg.envelopes import GridFn, dyadic_w, lower_envelope, upper_envelope
+from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, cone_margin, eigen_sym, parse_cone
 from conedeg.operators import (
     FieldOracle,
     Jet2,
     OperatorSpec,
+    eval_F,
     example_varying_quad,
     parse_operator,
 )
@@ -22,6 +23,7 @@ from conedeg.viscosity import (
     PROPAGATION_CONSISTENT,
     PROPAGATION_VIOLATED,
     PerturbationParams,
+    _A_CAP,
     envelope_error_check,
     first_variation_constants,
     first_variation_hat,
@@ -165,10 +167,8 @@ def test_grid_verify_radial_needs_positive_radii():
         grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), ambient_n=3)
 
 
-def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, ambient_n):
-    """grid_verify one node at a time: a Jet2 per interior node, jet_classify each."""
-    heff = max(g.h)
-    tol_eff = tol + 4.0 * heff * heff
+def _replay_jets(g: GridFn, ambient_n) -> list:
+    """(node, Jet2) per interior node, one at a time; None where the stencil is masked."""
     vals = g.values
     jets = []
     if g.dim == 1:
@@ -200,8 +200,15 @@ def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, amb
                 ) / (4.0 * hx * hy)
                 jets.append((i * n2 + k, _jet([xs[i], ys[k]], float(vals[i, k]), [px, py],
                                               [[hxx, hxy], [hxy, hyy]])))
+    return jets
+
+
+def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, ambient_n):
+    """grid_verify one node at a time: a Jet2 per interior node, jet_classify each."""
+    heff = max(g.h)
+    tol_eff = tol + 4.0 * heff * heff
     rows, skipped, sub, sup = [], [], [], []
-    for idx, jet in jets:
+    for idx, jet in _replay_jets(g, ambient_n):
         if jet is None:
             skipped.append(idx)
             continue
@@ -456,6 +463,94 @@ def test_envelope_error_validation():
         envelope_error_check(g, 1e-2, F, parse_cone("trace"), 0.5)  # |w| can reach 0.84
     with pytest.raises(ValueError):
         envelope_error_check(g, 1e-2, F, parse_cone("trace"), 1.0, side="above")
+
+
+def _replay_envelope_error_check(w: GridFn, eps, F, U, M, side, tol, ambient_n):
+    """envelope_error_check one node at a time: per-node penalty doubling and
+    bisection on each node's own eval_F spectrum."""
+    res = lower_envelope(w, eps) if side == "super" else upper_envelope(w, eps)
+    heff = max(w.h)
+    tol_eff = tol + 4.0 * heff * heff
+    coords = res.env.node_coords()
+    argpt = res.argpt.ravel()
+    on_edge = np.zeros(w.shape, dtype=bool)
+    for axis in range(w.dim):
+        on_edge[(slice(None),) * axis + (0,)] = True
+        on_edge[(slice(None),) * axis + (-1,)] = True
+    on_edge = on_edge.ravel()
+    want_out = side == "super"
+    out = {"fitted_a": 0.0, "checked": 0, "skipped": 0, "edge_attained": 0,
+           "violations": [], "rows": []}
+    for idx, jet in _replay_jets(res.env, ambient_n):
+        if jet is None:
+            out["skipped"] += 1
+            continue
+        if on_edge[argpt[idx]]:
+            out["edge_attained"] += 1
+            continue
+        out["checked"] += 1
+        d = float(np.linalg.norm(coords[argpt[idx]] - coords[idx]))
+        pn = float(np.linalg.norm(jet.p))
+        cof = d * (1.0 + d / eps) * pn**F.m
+        lam = eigen_sym(eval_F(jet, F)).values
+
+        def feasible(a):
+            mg = cone_margin(lam + (-a * cof if want_out else a * cof), U)
+            return mg <= tol_eff if want_out else mg >= -tol_eff
+
+        m0 = cone_margin(lam, U)
+        if feasible(0.0):
+            a_req = 0.0
+        elif cof <= 0.0:
+            a_req = math.inf
+        else:
+            hi = 1.0
+            while hi <= _A_CAP and not feasible(hi):
+                hi *= 2.0
+            if hi > _A_CAP:
+                a_req = math.inf
+            else:
+                lo = 0.0
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if feasible(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                a_req = hi
+        if math.isinf(a_req):
+            out["violations"].append(idx)
+        else:
+            out["fitted_a"] = max(out["fitted_a"], a_req)
+        out["rows"].append((idx, d.hex(), pn.hex(), m0.hex(), a_req.hex()))
+    out["fitted_a"] = out["fitted_a"].hex()
+    return out
+
+
+@pytest.mark.parametrize("layout", ["1d", "radial", "2d"])
+@pytest.mark.parametrize("side", ["super", "sub"])
+@_PROPERTY
+@given(data=st.data(), op=st.sampled_from(_REPLAY_OPERATORS), pick=st.integers(0, 50),
+       eps=st.sampled_from((1e-3, 1e-2, 1e-1, 1.0)), flat=st.sampled_from((1.0, 1e-7)))
+def test_stacked_envelope_error_check_matches_per_node_replay_property(layout, side, data, op, pick, eps,
+                                                                       flat):
+    # flat fields have tiny gradients, so some penalties pass _A_CAP
+    w = data.draw(_sampled_fields(layout))
+    w = w.with_values(w.values * flat)
+    ambient_n = 3 if layout == "radial" else None
+    n = ambient_n or w.dim
+    cones = ["trace", "posdef", "one_pos", "neg:trace"]
+    cones += [f"gamma_k:{k}" for k in range(1, n + 1)] + [f"neg_gamma_c:{k}" for k in range(1, n + 1)]
+    F, U = parse_operator(op), parse_cone(cones[pick % len(cones)])
+    M = float(np.abs(w.values[np.isfinite(w.values)]).max())
+    rep = envelope_error_check(w, eps, F, U, M, side=side, tol=1e-6, ambient_n=ambient_n)
+    got = {
+        "fitted_a": rep.fitted_a.hex(), "checked": rep.checked, "skipped": rep.skipped,
+        "edge_attained": rep.edge_attained, "violations": rep.violations,
+        "rows": [(r.node_index, r.displacement.hex(), r.grad_norm.hex(), r.margin.hex(),
+                  r.a_required.hex()) for r in rep.rows],
+    }
+    assert got == _replay_envelope_error_check(w, eps, F, U, M, side, 1e-6, ambient_n)
 
 
 # ---------------------------------------------------------------------------
