@@ -17,7 +17,6 @@ outcomes, 64 on bad usage.  CI should treat only 1 as a regression.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,10 +31,9 @@ from .envelopes import (
     dyadic_w,
     grid_from_csv,
 )
-from .matcone import SymMatrix, axiom_check, eigen_sym, parse_cone
+from .matcone import _sym_eigvals, axiom_check, parse_cone
 from .operators import (
     FieldOracle,
-    Jet2,
     OperatorSpec,
     example_varying_quad,
     kelvin_transform,
@@ -60,9 +58,8 @@ from .radial import (
 from .viscosity import (
     PROPAGATION_CONSISTENT,
     PROPAGATION_VIOLATED,
+    _first_variation,
     first_variation_constants,
-    first_variation_hat,
-    first_variation_tilde,
     moving_sphere_check,
     touching_experiment,
 )
@@ -426,18 +423,17 @@ def _cmd_first_variation(ns) -> tuple[str, list[str], int]:
     except ValueError as exc:
         raise UsageError(str(exc))
     rng = np.random.default_rng(ns.seed)
-    worst_up = worst_down = math.inf
+    jets = []
     for _ in range(ns.jets):
         x = rng.uniform(-0.577, 0.577, 3)
         p = rng.uniform(-1.0, 1.0, 3)
         p *= rng.uniform(0.0, 10.0 * ns.p_bound) / max(1e-12, float(np.linalg.norm(p)))
         a = rng.normal(size=(3, 3))
-        j = Jet2(x, rng.uniform(-ns.s_bound, ns.s_bound), p,
-                 SymMatrix.from_dense(0.5 * (a + a.T) * rng.uniform(0.0, 5.0)))
-        _, gap_up = first_variation_tilde(j, P, F)
-        _, gap_down = first_variation_hat(j, P, F)
-        worst_up = min(worst_up, eigen_sym(gap_up).min())
-        worst_down = min(worst_down, eigen_sym(gap_down).min())
+        jets.append((x, rng.uniform(-ns.s_bound, ns.s_bound), p, 0.5 * (a + a.T) * rng.uniform(0.0, 5.0)))
+    x, s, p, H = (np.array(col, dtype=float) for col in zip(*jets))
+    worst_up, worst_down = (
+        float(_sym_eigvals(_first_variation(x, s, p, H, P, F, sign)[3])[:, 0].min()) for sign in (1, -1)
+    )
     bound = -1e-10
     consts = " ".join(f"{f.name}={getattr(P, f.name):.12g}" for f in fields(P))
     body = [

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -90,15 +89,6 @@ class GridFn:
         return GridFn(self.box, vals)
 
     @classmethod
-    def from_callable(cls, f: Callable[..., float], box, shape) -> "GridFn":
-        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
-        if len(shape) == 1:
-            vals = np.array([f(x) for x in axes[0]])
-        else:
-            vals = np.array([[f(x, y) for y in axes[1]] for x in axes[0]])
-        return cls(tuple(box), vals)
-
-    @classmethod
     def constant(cls, c: float, box, shape) -> "GridFn":
         return cls(tuple(box), np.full(shape, float(c)))
 
@@ -111,9 +101,6 @@ class EnvelopeResult:
     # first-axis index that maximizes the first pass
     argpt: np.ndarray
     eps: float
-
-    def argpt_coords(self) -> np.ndarray:
-        return self.env.node_coords()[self.argpt.ravel()].reshape(self.argpt.shape + (self.env.dim,))
 
 
 def _penalties(src: GridFn, eps: float):

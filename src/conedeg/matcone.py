@@ -10,7 +10,6 @@ of negated closed cones, and negations of any of these.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,11 +38,7 @@ _MAX_N = 16
 _SYM_TOL = 1e-12  # relative asymmetry a matrix may have
 
 
-def _packed_size(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
+def _symmetrized(m: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
     """0.5 (M + M^T) per matrix of an (..., n, n) stack; ValueError unless each
     is square, n in [_MIN_N, _MAX_N], finite and symmetric to tol (1 + max |M|)."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -62,45 +57,33 @@ def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-@functools.lru_cache(maxsize=None)
-def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense symmetric matrix with single storage per unordered index pair.
+    """Symmetric matrix, stored as its validated dense (n, n) array.
 
-    Only the upper triangle is stored (n*(n+1)/2 floats), so symmetry is
-    structural rather than a runtime property that can drift.
+    from_dense checks the input (square, n in [1, 16], finite, symmetric to
+    tol) and stores 0.5 (M + M^T), so M[i, j] == M[j, i] holds bitwise; the
+    arithmetic below keeps that.  dense() hands out the stored array, which
+    is read-only.
     """
 
-    n: int
-    tri: np.ndarray  # packed upper triangle, row-major
+    mat: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_MIN_N <= self.n <= _MAX_N):
-            raise ValueError(f"dimension must be in [{_MIN_N}, {_MAX_N}], got {self.n}")
-        tri = np.asarray(self.tri, dtype=float)
-        if tri.shape != (_packed_size(self.n),):
-            raise ValueError(
-                f"packed storage for n={self.n} needs {_packed_size(self.n)} entries, "
-                f"got shape {tri.shape}"
-            )
-        if not np.all(np.isfinite(tri)):
+        if not np.isfinite(self.mat).all():  # sums and scalings can overflow
             raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "tri", tri)
+        self.mat.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.mat.shape[0]
 
     @classmethod
     def from_dense(cls, m: np.ndarray, *, tol: float = _SYM_TOL) -> "SymMatrix":
         m = np.asarray(m, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
-        return cls(n, _symmetrized(m, tol)[_tri_indices(n)])
+        return cls(_symmetrized(m, tol))
 
     @classmethod
     def eye(cls, n: int, scale: float = 1.0) -> "SymMatrix":
@@ -112,31 +95,23 @@ class SymMatrix:
         return cls.from_dense(np.outer(p, p))
 
     def dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        iu = _tri_indices(self.n)
-        m[iu] = self.tri
-        m.T[iu] = self.tri
-        return m
+        return self.mat
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return SymMatrix(self.n, self.tri + other.tri)
+        return SymMatrix(self.mat + other.mat)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return SymMatrix(self.n, self.tri - other.tri)
+        return SymMatrix(self.mat - other.mat)
 
     def scale(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.n, c * self.tri)
+        return SymMatrix(c * self.mat)
 
     def trace(self) -> float:
-        idx = np.cumsum([0] + list(range(self.n, 1, -1)))
-        return float(self.tri[idx].sum())
-
-    def frob(self) -> float:
-        return float(np.linalg.norm(self.dense()))
+        return float(np.trace(self.mat))
 
 
 @dataclass(frozen=True)
@@ -308,7 +283,7 @@ def _sym_eigvals(m: np.ndarray) -> np.ndarray:
     which can return zeros for NaN entries without complaint.  Each matrix
     gets the values it would get alone.
     """
-    return np.linalg.eigvalsh(_symmetrized(np.asarray(m, dtype=float), _SYM_TOL))
+    return np.linalg.eigvalsh(_symmetrized(np.asarray(m, dtype=float)))
 
 
 def eigen_sym(m: SymMatrix | np.ndarray) -> Spectrum:
@@ -420,21 +395,8 @@ def axiom_check(spec: ConeSpec, samples: int = 200, seed: int = 0, n: int | None
         raise ValueError("samples must be >= 1")
     n = n or spec.n or 3
     rng = np.random.default_rng(seed)
-    report = AxiomReport(cone=format_cone(spec), n=n, samples=samples)
-
-    def record(name: str, ok: bool, witness) -> None:
-        report.results[name] = (ok, witness)
-
-    checks = {
-        "add_posdef": None,
-        "scale_pos": None,
-        "scale_sub": None,
-        "scale_super": None,
-        "trace_positive": None,
-    }
-    for name in checks:
-        checks[name] = (True, None)
-
+    checks = {name: (True, None) for name in
+              ("add_posdef", "scale_pos", "scale_sub", "scale_super", "trace_positive")}
     for _ in range(samples):
         lam = _sample_member(rng, n, spec)
         if lam is None:
@@ -458,10 +420,7 @@ def axiom_check(spec: ConeSpec, samples: int = 200, seed: int = 0, n: int | None
                 checks[name] = (False, {"lam": lam.tolist(), "c": c})
         if checks["trace_positive"][0] and not lam.sum() > 0.0:
             checks["trace_positive"] = (False, {"lam": lam.tolist(), "trace": float(lam.sum())})
-
-    for name, payload in checks.items():
-        record(name, *payload)
-    return report
+    return AxiomReport(cone=format_cone(spec), n=n, samples=samples, results=checks)
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

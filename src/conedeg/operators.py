@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcone import SymMatrix, _sym_eigvals, eigen_sym
+from .matcone import SymMatrix, _sym_eigvals
 
 __all__ = [
     "Jet2",
@@ -148,15 +148,13 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
         return spec.alpha * pp - spec.beta * p2 * eye
     s = np.asarray(s, dtype=float)
     xs, ss = x.reshape(-1, n), (s if s.shape == lead else np.broadcast_to(s, lead)).ravel().tolist()
-
-    def per_node(fn, *args) -> np.ndarray:
-        return np.array([fn(*a) for a in zip(*args)], dtype=float).reshape(lead + (1, 1))
-
+    cell = lead + (1, 1)
     if spec.kind == "quad_var":
-        return per_node(spec.alpha_fn, xs, ss) * pp - per_node(spec.beta_fn, xs, ss) * p2 * eye
+        return (_per_node(spec.alpha_fn, xs, ss).reshape(cell) * pp
+                - _per_node(spec.beta_fn, xs, ss).reshape(cell) * p2 * eye)
     if spec.kind == "rot_inv":
         ts = [math.sqrt(q) for q in p2.ravel().tolist()]
-        return per_node(spec.a_fn, ts) * pp + per_node(spec.b_fn, ts) * eye
+        return _per_node(spec.a_fn, ts).reshape(cell) * pp + _per_node(spec.b_fn, ts).reshape(cell) * eye
     if spec.kind != "general_l":
         raise AssertionError(spec.kind)
     out = [np.asarray(spec.L_fn(*node), dtype=float) for node in zip(xs, ss, p.reshape(-1, n))]
@@ -165,6 +163,11 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
             raise ValueError(f"L_fn returned shape {val.shape}, expected ({n}, {n})")
     out = np.array(out, dtype=float).reshape(pp.shape)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _per_node(fn, *args) -> np.ndarray:
+    """fn called once per node on the zipped per-node arguments, as a flat array."""
+    return np.array([fn(*a) for a in zip(*args)], dtype=float)
 
 
 def _sq_norm(p: np.ndarray) -> np.ndarray:
@@ -501,53 +504,58 @@ class LProbeReport:
 _P_CAP = 1e3
 
 
-def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """d/dx of L as an (n, n, n) array, index order (k, i, j); central differences."""
-    n = len(x)
+def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d/dx of L on (m, n), (m,), (m, n) stacks: (m, n, n, n), index order (row,
+    k, i, j); central differences with step 1e-6."""
+    m, n = x.shape
     if spec.kind in ("conformal", "quad_const", "rot_inv"):
-        return np.zeros((n, n, n))  # x-independent by construction
+        return np.zeros((m, n, n, n))  # x-independent by construction
+    h = 1e-6
     step = h * np.eye(n)  # row k moves x along e_k
-    return (eval_L(spec, x + step, s, p) - eval_L(spec, x - step, s, p)) / (2 * h)
+    xk, sk, pk = x[:, None], s[:, None], p[:, None]
+    return (eval_L(spec, xk + step, sk, pk) - eval_L(spec, xk - step, sk, pk)) / (2 * h)
 
 
-def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
-    """d/dp of L as an (n, n, n) array, index order (k, i, j).
+def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d/dp of L on (m, n), (m,), (m, n) stacks: (m, n, n, n), index order (row, k, i, j).
 
-    Exact for the quadratic and rotationally invariant kinds; central
-    differences with a relative step for general L.
+    Exact for the quadratic kinds and for the rotationally invariant kind
+    off p = 0; central differences with a relative step for general L and
+    for rot_inv at p = 0, where a(|p|) and b(|p|) may have a kink.
     """
-    n = len(p)
-    out = np.zeros((n, n, n))
+    n = p.shape[1]
     eye = np.eye(n)
+    sym = eye[:, :, None] * p[:, None, None, :] + p[:, None, :, None] * eye[:, None, :]  # e_k(x)p + p(x)e_k
     if spec.kind in ("conformal", "quad_const", "quad_var"):
         if spec.kind == "conformal":
-            al, be = 1.0, 0.5
+            al, be = np.array([1.0]), np.array([0.5])
         elif spec.kind == "quad_const":
-            al, be = spec.alpha, spec.beta
+            al, be = np.array([spec.alpha]), np.array([spec.beta])
         else:
-            al, be = spec.alpha_fn(x, s), spec.beta_fn(x, s)
-        for k in range(n):
-            out[k] = al * (np.outer(eye[k], p) + np.outer(p, eye[k])) - 2.0 * be * p[k] * eye
-        return out
-    if spec.kind == "rot_inv":
-        t = float(np.linalg.norm(p))
-        if t == 0.0:
-            # one-sided limit: a(0) (e_k (x) p + p (x) e_k) -> 0; b'(0) direction term
-            # is handled by finite differences below to avoid guessing at kinks
-            pass
-        else:
-            da = _fd1(spec.a_fn, t)
-            db = _fd1(spec.b_fn, t)
-            a = spec.a_fn(t)
-            for k in range(n):
-                out[k] = (
-                    a * (np.outer(eye[k], p) + np.outer(p, eye[k]))
-                    + da * (p[k] / t) * np.outer(p, p)
-                    + db * (p[k] / t) * eye
-                )
-            return out
-    h = 1e-6 * (1.0 + float(np.linalg.norm(p)))  # row k of h I moves p along e_k
-    return (eval_L(spec, x, s, p + h * eye) - eval_L(spec, x, s, p - h * eye)) / (2 * h)
+            ss = s.tolist()
+            al, be = _per_node(spec.alpha_fn, x, ss), _per_node(spec.beta_fn, x, ss)
+        return al[:, None, None, None] * sym - (2.0 * be[:, None] * p)[:, :, None, None] * eye
+    out = np.empty((len(p), n, n, n))
+    t = np.sqrt(_sq_norm(p))
+    live = (spec.kind == "rot_inv") & (t != 0.0)  # closed form; the rest take differences
+    if live.any():
+        tl = t[live].tolist()
+        a = _per_node(spec.a_fn, tl)
+        da = np.array([_fd1(spec.a_fn, v) for v in tl])
+        db = np.array([_fd1(spec.b_fn, v) for v in tl])
+        q, pl = p[live] / t[live][:, None], p[live]  # q_k = p_k / |p|
+        out[live] = (
+            a[:, None, None, None] * sym[live]
+            + (da[:, None] * q)[:, :, None, None] * (pl[:, None, :, None] * pl[:, None, None, :])
+            + (db[:, None] * q)[:, :, None, None] * eye
+        )
+    fd = ~live
+    if fd.any():
+        h = 1e-6 * (1.0 + t[fd])  # row k of h I moves p along e_k
+        step = h[:, None, None] * eye
+        xk, sk, pk = x[fd][:, None], s[fd][:, None], p[fd][:, None]
+        out[fd] = (eval_L(spec, xk, sk, pk + step) - eval_L(spec, xk, sk, pk - step)) / (2 * h)[:, None, None, None]
+    return out
 
 
 def _fd1(f: Callable[[float], float], t: float) -> float:
@@ -590,54 +598,47 @@ def probe_L_conditions(
         direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         mag = 10.0 ** rng.uniform(-3.0, math.log10(_P_CAP))
-        pts.append((x, float(s_lo), float(s_hi), mag * direction))
-    zero_dir = np.zeros(n)
-    pts.append((np.zeros(n), 0.0, min(R, 1.0), zero_dir))  # p = 0 corner case
+        pts.append((x, s_lo, s_hi, mag * direction))
+    pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))  # p = 0 corner case
+    xs, s_lo, s_hi, ps = (np.array(col, dtype=float) for col in zip(*pts))
+    pm = np.array([q**m for q in np.sqrt(_sq_norm(ps)).tolist()])  # Python ** per sample
 
     eps = 1e-9
 
-    # --- gradient-in-x bound ------------------------------------------
-    worst_ratio = 0.0
-    witness = None
-    for x, s, _, p in pts:
-        gx = _grad_x_L(spec, x, s, p)
-        norm = float(np.sqrt(np.sum(gx * gx)))
-        pm = float(np.linalg.norm(p)) ** m
-        if pm < 1e-300:
-            if norm > 1e-6:
-                witness = {"x": x.tolist(), "s": s, "p": p.tolist(), "grad_norm": norm}
-                break
-            continue
-        worst_ratio = max(worst_ratio, norm / pm)
-    report.grad_x_bound = (
-        ConditionResult(ok=False, witness=witness)
-        if witness
-        else ConditionResult(ok=True, fitted_C=worst_ratio)
-    )
+    # --- gradient-in-x bound: the first witness in sample order -----------
+    gx = _grad_x_L(spec, xs, s_lo, ps)
+    norm = np.sqrt(np.sum((gx * gx).reshape(len(ps), -1), axis=1))
+    tiny = pm < 1e-300
+    bad = np.flatnonzero(tiny & (norm > 1e-6))
+    if len(bad):
+        i = bad[0]
+        report.grad_x_bound = ConditionResult(ok=False, witness={
+            "x": xs[i].tolist(), "s": float(s_lo[i]), "p": ps[i].tolist(), "grad_norm": float(norm[i]),
+        })
+    else:
+        report.grad_x_bound = ConditionResult(ok=True, fitted_C=max([0.0, *(norm[~tiny] / pm[~tiny]).tolist()]))
 
-    # --- growth in s ----------------------------------------------------
-    worst_ratio = 0.0
-    witness = None
+    # --- growth in s: the first monotonicity witness, the last growth one --
+    idx = np.flatnonzero(s_hi > s_lo)
+    x, p, lo, hi = xs[idx], ps[idx], s_lo[idx], s_hi[idx]
+    diff = eval_L(spec, x, hi, p) - eval_L(spec, x, lo, p)
+    scale = 1.0 + np.abs(diff).max(axis=(1, 2))
+    eig = _sym_eigvals(diff)
+    mono = np.flatnonzero(eig[:, 0] < -eps * scale)
     mono_witness = None
-    for x, s_lo, s_hi, p in pts:
-        if s_hi <= s_lo:
-            continue
-        diff = eval_L(spec, x, s_hi, p) - eval_L(spec, x, s_lo, p)
-        scale = 1.0 + float(np.max(np.abs(diff)))
-        eig = eigen_sym(diff)
-        lo_eig = eig.min()
-        if lo_eig < -eps * scale and mono_witness is None:
-            mono_witness = {
-                "x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist(),
-                "min_eig": lo_eig,
-            }
-        pm = float(np.linalg.norm(p)) ** m
-        denom = (s_hi - s_lo) * pm
-        if denom < 1e-300:
-            if eigen_sym(np.abs(diff)).max() > 1e-6:
-                witness = {"x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist()}
-            continue
-        worst_ratio = max(worst_ratio, eig.max() / denom)
+    if len(mono):
+        i = mono[0]
+        mono_witness = {
+            "x": x[i].tolist(), "s": float(lo[i]), "s_prime": float(hi[i]), "p": p[i].tolist(),
+            "min_eig": float(eig[i, 0]),
+        }
+    denom = (hi - lo) * pm[idx]
+    tiny = denom < 1e-300
+    witness = None
+    grows = np.flatnonzero(tiny)[_sym_eigvals(np.abs(diff[tiny]))[:, -1] > 1e-6]
+    if len(grows):
+        i = grows[-1]
+        witness = {"x": x[i].tolist(), "s": float(lo[i]), "s_prime": float(hi[i]), "p": p[i].tolist()}
     report.s_monotone = (
         ConditionResult(ok=False, witness=mono_witness)
         if mono_witness
@@ -648,18 +649,19 @@ def probe_L_conditions(
     report.s_growth = (
         ConditionResult(ok=False, witness=witness)
         if witness
-        else ConditionResult(ok=True, fitted_C=worst_ratio)
+        else ConditionResult(ok=True, fitted_C=max([0.0, *(eig[~tiny, -1] / denom[~tiny]).tolist()]))
     )
 
     # --- radial coercivity: the sub-unit regime is the verdict; the
     # mirrored super-unit regime excludes it and is reported for reference
-    report.radial_coercive = _fit_radial_coercive(spec, pts, Lambda, m, sign=+1, eps=eps)
-    report.radial_coercive_sup = _fit_radial_coercive(spec, pts, Lambda, m, sign=-1, eps=eps)
+    report.radial_coercive = _fit_radial_coercive(spec, xs, s_lo, ps, Lambda, m, sign=+1, eps=eps)
+    report.radial_coercive_sup = _fit_radial_coercive(spec, xs, s_lo, ps, Lambda, m, sign=-1, eps=eps)
     return report
 
 
-def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
-    """Fit (C, theta_bar) for the radial coercivity inequality.
+def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult:
+    """Fit (C, theta_bar) for the radial coercivity inequality on (m, n),
+    (m,), (m, n) sample stacks.
 
     sign=+1: p.grad_p L - L + theta Lambda |grad_p L| I - theta I
              <= C p(x)p - (1/C)|p|^m I,  for all theta in [0, theta_bar].
@@ -671,19 +673,14 @@ def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
     reduces to the endpoints; a log grid of interior theta values is scanned
     once on the fitted pair as a guard against evaluation noise.
     """
-    ps, m0s, gs = [], [], []
-    for x, s, _, p in pts:
-        gp = _grad_p_L(spec, x, s, p)
-        m0 = np.einsum("k,kij->ij", p, gp) - eval_L(spec, x, s, p)
-        ps.append(p)
-        m0s.append(0.5 * (m0 + m0.T))
-        gs.append(float(np.sqrt(np.sum(gp * gp))))
-    p_arr, m0_arr = np.array(ps), np.array(m0s)
-    pp = p_arr[:, :, None] * p_arr[:, None, :]
-    pm = np.array([float(np.linalg.norm(p)) ** m for p in ps])
+    gp = _grad_p_L(spec, x, s, p)
+    m0 = np.einsum("rk,rkij->rij", p, gp) - eval_L(spec, x, s, p)
+    m0_arr = 0.5 * (m0 + np.swapaxes(m0, 1, 2))
+    pp = p[:, :, None] * p[:, None, :]
+    pm = np.array([q**m for q in np.sqrt(_sq_norm(p)).tolist()])
     floor = -eps * (1.0 + np.abs(pm) + np.abs(m0_arr).max(axis=(1, 2)))
-    slope = Lambda * np.array(gs) - 1.0
-    eye = np.eye(p_arr.shape[1])
+    slope = Lambda * np.sqrt(np.sum((gp * gp).reshape(len(p), -1), axis=1)) - 1.0
+    eye = np.eye(p.shape[1])
 
     c_grid = [2.0**j for j in range(-2, 22)]
     theta_grid = [2.0**-j for j in range(40, -1, -1)]  # ascending, up to 1
@@ -700,7 +697,7 @@ def _fit_radial_coercive(spec, pts, Lambda, m, sign, eps) -> ConditionResult:
         if len(bad) == 0:
             return None
         i, t = bad[0]
-        return {"p": ps[i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
+        return {"p": p[i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
 
     # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
     first_c = None

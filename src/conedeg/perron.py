@@ -166,10 +166,6 @@ class DirichletProblem:
     def boundary_mask(self) -> np.ndarray:
         return self._boundary
 
-    @property
-    def boundary_values(self) -> np.ndarray:
-        return self.sup.values[self._boundary]
-
 
 # ---------------------------------------------------------------------------
 # the scalar crossing

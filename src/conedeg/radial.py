@@ -64,29 +64,6 @@ class RadialProfile:
     ddpsi: Callable[[float], float]
     excluded: tuple[float, ...] = ()
 
-    def in_domain(self, r: float) -> bool:
-        if not (self.r_lo <= r <= self.r_hi):
-            return False
-        return all(abs(r - e) > 1e-12 for e in self.excluded)
-
-    @classmethod
-    def power_two_thirds(cls, t: float, r0: float, half_width: float = 1.0) -> "RadialProfile":
-        """psi(r) = t^{1/3} |r - r0|^{2/3}; cusp (vertical tangent) at r0."""
-        c = cbrt(t)
-
-        def psi(r):
-            return c * abs(r - r0) ** (2.0 / 3.0)
-
-        def dpsi(r):
-            rho = r - r0
-            return (2.0 / 3.0) * c * abs(rho) ** (-1.0 / 3.0) * math.copysign(1.0, rho)
-
-        def ddpsi(r):
-            return -(2.0 / 9.0) * c * abs(r - r0) ** (-4.0 / 3.0)
-
-        return cls(f"power23:t={t:g}", r0 - half_width, r0 + half_width, psi, dpsi, ddpsi,
-                   excluded=(r0,))
-
     @classmethod
     def tanh_bump(cls, delta: float, r0: float) -> "RadialProfile":
         """w(r) = (delta/2) ln cosh(r - r0); w' ranges in (-delta/2, delta/2)."""
@@ -302,11 +279,6 @@ class QuarticSpec:
         a = Fraction(alpha) if not isinstance(alpha, float) else Fraction(alpha).limit_denominator(10**9)
         return cls(Fraction(12800), 64800 * a, Fraction(1458), Fraction(164025))
 
-    @classmethod
-    def p4_tilde(cls, alpha: Fraction | float) -> "QuarticSpec":
-        a = Fraction(alpha) if not isinstance(alpha, float) else Fraction(alpha).limit_denominator(10**9)
-        return cls(Fraction(6400), 32400 * a, Fraction(729), Fraction(0))
-
 
 def quartic_eval(q: QuarticSpec, t: "Fraction | int | float"):
     """Evaluate the quartic; exact Fraction arithmetic for exact inputs.
@@ -451,10 +423,6 @@ class SlopeScanReport:
     nonpos_outside: bool
     nonpos_fraction: float
     rise_witness: dict | None
-
-    @property
-    def monotone_everywhere(self) -> bool:
-        return self.rise_witness is None
 
 
 def interp_L_slope_scan(n_s: int = 40, n_p: int = 25) -> SlopeScanReport:

@@ -25,6 +25,7 @@ from .matcone import (
     SymMatrix,
     _margin_class,
     _sym_eigvals,
+    _symmetrized,
     classify,
     cone_margin,
     format_cone,
@@ -254,11 +255,6 @@ class PerturbationParams:
         if self.mu * self.beta * math.exp(self.beta * self.M) > 0.5 * (1.0 + 1e-12):
             raise ValueError("normalization mu * beta * e^{beta M} <= 1/2 violated")
 
-    def with_mu(self, mu: float) -> "PerturbationParams":
-        return PerturbationParams(
-            mu, self.tau, self.alpha, self.beta, self.delta, self.K0, self.m, self.M
-        )
-
 
 def _dyadic_floor(x: float) -> float:
     """Largest power of two <= x."""
@@ -339,28 +335,49 @@ def first_variation_constants(
     )
 
 
-def _perturb_direction(j: Jet2, P: PerturbationParams):
-    """Exact chain-rule jet of e^{alpha|x|^2} + e^{-beta psi} - tau along j."""
-    phi = math.exp(P.alpha * float(j.x @ j.x))
-    es = math.exp(-P.beta * j.s)
+def _first_variation(
+    x: np.ndarray, s: np.ndarray, p: np.ndarray, H: np.ndarray,
+    P: PerturbationParams, F: OperatorSpec, sign: int,
+):
+    """Perturbed jets and gap matrices of a jet stack; sign=+1 raises, -1 lowers.
+
+    x, s, p, H are (m, n), (m,), (m, n), (m, n, n).  Returns the perturbed
+    (s, p, H) and the gaps, every matrix checked as SymMatrix.from_dense
+    checks it, each row bitwise what a lone first_variation_tilde/_hat call
+    gives it.  ValueError if any row leaves the working set.
+    """
+    H = _symmetrized(np.asarray(H, dtype=float))
+    # exact chain-rule jet (g, dg, ddg) of e^{alpha|x|^2} + e^{-beta psi} - tau;
+    # math.exp and Python ** per row: np.exp and np.power differ from them in
+    # the last bit on some inputs
+    phi = np.array([math.exp(P.alpha * q) for q in _sq_norm(x).tolist()])
+    es = np.array([math.exp(-P.beta * v) for v in s.tolist()])
     g = phi + es - P.tau
-    dg = 2.0 * P.alpha * phi * j.x - P.beta * es * j.p
-    ddg = (
-        phi * (2.0 * P.alpha * np.eye(j.n) + 4.0 * P.alpha**2 * np.outer(j.x, j.x))
-        - P.beta * es * j.H.dense()
-        + P.beta**2 * es * np.outer(j.p, j.p)
-    )
-    return g, dg, ddg, es
-
-
-def _check_working_set(j: Jet2, P: PerturbationParams, g: float) -> None:
-    if abs(j.s) > P.M or g < -P.delta:
+    if np.any((np.abs(s) > P.M) | (g < -P.delta)):
         raise ValueError("jet outside the working set (|s| <= M and profile >= -delta)")
+    eye = np.eye(x.shape[-1])
+    pp = p[:, :, None] * p[:, None, :]
+    dg = (2.0 * P.alpha * phi)[:, None] * x - (P.beta * es)[:, None] * p
+    ddg = (
+        phi[:, None, None] * (2.0 * P.alpha * eye + 4.0 * P.alpha**2 * (x[:, :, None] * x[:, None, :]))
+        - (P.beta * es)[:, None, None] * H
+        + (P.beta**2 * es)[:, None, None] * pp
+    )
+    step = sign * P.mu
+    s2, p2, H2 = s + step * g, p + step * dg, _symmetrized(H + step * ddg)
+    base = _symmetrized(H + eval_L(F, x, s, p))
+    moved = _symmetrized(H2 + eval_L(F, x, s2, p2))
+    # mu K0 [(1 + |p|^m) I + p (x) p]
+    pm = np.array([q**P.m for q in np.sqrt(_sq_norm(p)).tolist()])
+    bonus = P.mu * P.K0 * ((1.0 + pm)[:, None, None] * eye + pp)
+    scaled = (1.0 - step * P.beta * es)[:, None, None] * base  # (1 -+ mu beta e^{-beta s}) F[j]
+    gap = moved - scaled - bonus if sign > 0 else scaled - bonus - moved
+    return s2, p2, H2, _symmetrized(gap)
 
 
-def _bonus_matrix(j: Jet2, P: PerturbationParams) -> np.ndarray:
-    pn = float(np.linalg.norm(j.p))
-    return P.mu * P.K0 * ((1.0 + pn**P.m) * np.eye(j.n) + np.outer(j.p, j.p))
+def _one_jet(j: Jet2, P: PerturbationParams, F: OperatorSpec, sign: int):
+    s, p, H, gap = _first_variation(j.x[None], np.array([j.s]), j.p[None], j.H.dense()[None], P, F, sign)
+    return Jet2(j.x, s[0], p[0], SymMatrix(H[0])), SymMatrix(gap[0])
 
 
 def first_variation_tilde(j: Jet2, P: PerturbationParams, F: OperatorSpec):
@@ -375,15 +392,7 @@ def first_variation_tilde(j: Jet2, P: PerturbationParams, F: OperatorSpec):
     The claimed inequality holds at this jet iff the gap is PSD up to
     tolerance.  Raises when the jet leaves the working set.
     """
-    g, dg, ddg, es = _perturb_direction(j, P)
-    _check_working_set(j, P, g)
-    jt = Jet2(
-        j.x, j.s + P.mu * g, j.p + P.mu * dg,
-        SymMatrix.from_dense(j.H.dense() + P.mu * ddg),
-    )
-    base = eval_F(j, F).dense()
-    gap = eval_F(jt, F).dense() - (1.0 - P.mu * P.beta * es) * base - _bonus_matrix(j, P)
-    return jt, SymMatrix.from_dense(gap)
+    return _one_jet(j, P, F, +1)
 
 
 def first_variation_hat(j: Jet2, P: PerturbationParams, F: OperatorSpec):
@@ -392,15 +401,7 @@ def first_variation_hat(j: Jet2, P: PerturbationParams, F: OperatorSpec):
     gap = (1 + mu beta e^{-beta s}) F[j] - mu K0 [(1 + |p|^m) I + p (x) p]
           - F[perturbed], PSD iff the mirrored inequality holds here.
     """
-    g, dg, ddg, es = _perturb_direction(j, P)
-    _check_working_set(j, P, g)
-    jh = Jet2(
-        j.x, j.s - P.mu * g, j.p - P.mu * dg,
-        SymMatrix.from_dense(j.H.dense() - P.mu * ddg),
-    )
-    base = eval_F(j, F).dense()
-    gap = (1.0 + P.mu * P.beta * es) * base - _bonus_matrix(j, P) - eval_F(jh, F).dense()
-    return jh, SymMatrix.from_dense(gap)
+    return _one_jet(j, P, F, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def _random_jet(rng: np.random.Generator, s_bound: float, p_bound: float) -> Jet
 
 def test_criterion_1_exact_rational_reproduction():
     t0 = time.perf_counter()
-    q = QuarticSpec.p4_tilde(Fraction(-36, 25))
+    # 6400 t^4 + 32400 alpha t^2 + 729 t at alpha = -36/25
+    q = QuarticSpec(Fraction(6400), 32400 * Fraction(-36, 25), Fraction(729), Fraction(0))
     checks = {
         "value_at_-2": quartic_eval(q, -2) == -85682,
         "value_at_-3": quartic_eval(q, -3) == 96309,

@@ -2,9 +2,15 @@
 command-line surface.  Heavy numerical behavior is covered by the module
 suites; here the subject is the plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import conedeg
 from conedeg.cli import (
     EXIT_EXPECTED_VIOLATION,
     EXIT_FAIL,
@@ -267,3 +273,18 @@ def test_probe_l_non_monotone_operator_exits_one(tmp_path):
                                         "--samples", "120"])
     assert code == EXIT_FAIL
     assert "s_monotone,false" in text
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_cli_import_loads_no_scipy_or_numba():
+    # the package needs numpy only; importing scipy.sparse.linalg alone costs
+    # about 0.26 s and 32 MB of peak RSS on every command
+    src = str(Path(conedeg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, conedeg.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -26,6 +26,14 @@ from conedeg.envelopes import (
 RNG = np.random.default_rng(7)
 
 
+def _sampled(f, box, shape) -> GridFn:
+    """f on the linspace grid of box, one call per node (f(x) or f(x, y))."""
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
+    if len(shape) == 1:
+        return GridFn(tuple(box), np.array([f(x) for x in axes[0]]))
+    return GridFn(tuple(box), np.array([[f(x, y) for y in axes[1]] for x in axes[0]]))
+
+
 def _random_piecewise(rng, n=None) -> GridFn:
     n = n or int(rng.integers(60, 160))
     xs = np.linspace(-1.0, 1.0, n)
@@ -84,7 +92,7 @@ def test_constant_envelope_is_identity():
 def test_upper_envelope_of_negative_abs():
     # closed form: env(0) = 0 and env(x) = -|x| + eps/4 away from the kink
     n = 2001
-    g = GridFn.from_callable(lambda x: -abs(x), ((-1.0, 1.0),), (n,))
+    g = _sampled(lambda x: -abs(x), ((-1.0, 1.0),), (n,))
     eps = 0.2
     res = upper_envelope(g, eps)
     xs = g.axis_nodes(0)
@@ -131,7 +139,7 @@ def test_envelope_contact_nodes():
 def test_semiconcavity_tight_at_kink():
     # near the kink the envelope is the parabola cap with curvature -2/eps
     n = 2001
-    g = GridFn.from_callable(lambda x: -abs(x), ((-1.0, 1.0),), (n,))
+    g = _sampled(lambda x: -abs(x), ((-1.0, 1.0),), (n,))
     eps = 0.2
     env = upper_envelope(g, eps).env.values
     h = g.h[0]
@@ -283,7 +291,7 @@ def test_two_pass_matches_exhaustive_property(g, eps):
 
 
 def test_properties_smooth_gaussian():
-    g = GridFn.from_callable(lambda x: math.exp(-8 * x * x), ((-1.0, 1.0),), (2001,))
+    g = _sampled(lambda x: math.exp(-8 * x * x), ((-1.0, 1.0),), (2001,))
     rep = check_envelope_properties(g, [0.1, 0.01], side="upper", lipschitz_K=4.0)
     assert rep.all_ok
     assert rep.rows[0].lipschitz_ok
@@ -291,7 +299,7 @@ def test_properties_smooth_gaussian():
 
 
 def test_properties_step_function():
-    g = GridFn.from_callable(lambda x: 1.0 if x > 0 else 0.0, ((-1.0, 1.0),), (801,))
+    g = _sampled(lambda x: 1.0 if x > 0 else 0.0, ((-1.0, 1.0),), (801,))
     for side in ("upper", "lower"):
         rep = check_envelope_properties(g, [0.2, 0.05, 0.01], side=side)
         assert rep.all_ok, [r for r in rep.rows if not r.ok]
@@ -352,7 +360,7 @@ def test_dyadic_sharpness_bounds():
 
 
 def test_stability_continuous_source():
-    g = GridFn.from_callable(lambda x: math.sin(3 * x), ((-1.0, 1.0),), (401,))
+    g = _sampled(lambda x: math.sin(3 * x), ((-1.0, 1.0),), (401,))
     rep = stability_check(g, "upper", trials=8, seed=3)
     assert rep.all_ok
     # on-node trials converge exactly
@@ -360,7 +368,7 @@ def test_stability_continuous_source():
 
 
 def test_stability_step_source():
-    g = GridFn.from_callable(lambda x: 1.0 if x <= 0 else 0.0, ((-1.0, 1.0),), (401,))
+    g = _sampled(lambda x: 1.0 if x <= 0 else 0.0, ((-1.0, 1.0),), (401,))
     rep = stability_check(g, "upper", trials=5, seed=1)
     assert rep.all_ok
     assert all(r.slack >= -rep.tolerance for r in rep.rows)

@@ -33,7 +33,7 @@ def test_symmatrix_roundtrip():
         m = rng.normal(size=(n, n))
         m = m + m.T
         sm = SymMatrix.from_dense(m)
-        assert sm.tri.shape == (n * (n + 1) // 2,)
+        assert sm.n == n and sm.dense().shape == (n, n)
         np.testing.assert_allclose(sm.dense(), m, atol=1e-15)
         assert sm.trace() == pytest.approx(np.trace(m), rel=1e-14)
 
@@ -51,6 +51,10 @@ def test_symmatrix_rejects_bad_input():
         for build in (SymMatrix.from_dense, eigen_sym):
             with pytest.raises(ValueError):
                 build(m)
+    # arithmetic that overflows is refused like an infinite entry
+    big = SymMatrix.eye(2, 1e307)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big.scale(1e2)
     # 1x1 is allowed: it carries the scalar case of the grid checks
     assert SymMatrix.from_dense(np.array([[2.0]])).trace() == 2.0
 
@@ -60,6 +64,21 @@ def test_symmatrix_arithmetic():
     b = SymMatrix.outer(np.array([1.0, 0.0, -1.0]))
     np.testing.assert_allclose((a + b).dense(), 2 * np.eye(3) + np.outer([1, 0, -1], [1, 0, -1]))
     np.testing.assert_allclose((a - b).scale(0.5).dense(), np.eye(3) - 0.5 * np.outer([1, 0, -1], [1, 0, -1]))
+
+
+def test_symmatrix_storage_is_read_only_and_exactly_symmetric():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 16):
+        a, b = rng.normal(size=(2, n, n))
+        # within the symmetry tolerance but not symmetric bitwise
+        a = a + a.T + 1e-14 * rng.normal(size=(n, n))
+        sa, sb = SymMatrix.from_dense(a), SymMatrix.from_dense(b + b.T)
+        for sm in (sa, sb, sa + sb, sa - sb, sa.scale(-0.3), (sa - sb).scale(1e3)):
+            d = sm.dense()
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0, 0] = 1.0
+            assert np.array_equal(d.view(np.int64), d.T.view(np.int64))  # zero signs too
 
 
 def test_spectrum_sorts():

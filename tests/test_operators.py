@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
+    _fd1,
     _fit_radial_coercive,
-    _grad_p_L,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -432,11 +432,17 @@ def _probe_points(seed: int, samples: int, n: int = 3, R: float = 1.0) -> list:
     return pts
 
 
+def _stack(pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, s, p) sample stacks of a point list, s the lower value."""
+    x, s, _, p = (np.array(col, dtype=float) for col in zip(*pts))
+    return x, s, p
+
+
 def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
     """The same (C, theta_bar) search with one eigen_sym call per gap matrix."""
     prepared = []
     for x, s, _, p in pts:
-        gp = _grad_p_L(spec, x, s, p)
+        gp = _loop_grad_p_L(spec, x, s, p)
         m0 = np.einsum("k,kij->ij", p, gp) - eval_L(spec, x, s, p)
         prepared.append((p, 0.5 * (m0 + m0.T), float(np.sqrt(np.sum(gp * gp)))))
 
@@ -475,7 +481,7 @@ def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
 def test_stacked_coercivity_fit_matches_per_matrix_loop(text, sign):
     spec = parse_operator(text)
     pts = _probe_points(seed=5, samples=60, R=2.0)
-    got = _fit_radial_coercive(spec, pts, 8.0, 2.0, sign=sign, eps=1e-9)
+    got = _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
     ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
     assert got.ok == ok
     assert got.fitted_C == c and got.fitted_theta_bar == theta_bar
@@ -485,6 +491,192 @@ def test_stacked_coercivity_fit_matches_per_matrix_loop(text, sign):
         for key in ("p", "theta", "C"):
             assert got.witness[key] == witness[key], key
         assert got.witness["violation"] == pytest.approx(witness["violation"], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-sample replay of probe_L_conditions: the loops the stacked passes
+# replaced, kept as their reference
+
+
+def _loop_grad_x_L(spec, x, s, p, h=1e-6):
+    n = len(x)
+    if spec.kind in ("conformal", "quad_const", "rot_inv"):
+        return np.zeros((n, n, n))
+    step = h * np.eye(n)
+    return (eval_L(spec, x + step, s, p) - eval_L(spec, x - step, s, p)) / (2 * h)
+
+
+def _loop_grad_p_L(spec, x, s, p):
+    n = len(p)
+    out = np.zeros((n, n, n))
+    eye = np.eye(n)
+    if spec.kind in ("conformal", "quad_const", "quad_var"):
+        if spec.kind == "conformal":
+            al, be = 1.0, 0.5
+        elif spec.kind == "quad_const":
+            al, be = spec.alpha, spec.beta
+        else:
+            al, be = spec.alpha_fn(x, s), spec.beta_fn(x, s)
+        for k in range(n):
+            out[k] = al * (np.outer(eye[k], p) + np.outer(p, eye[k])) - 2.0 * be * p[k] * eye
+        return out
+    t = float(np.linalg.norm(p))
+    if spec.kind == "rot_inv" and t != 0.0:
+        da, db, a = _fd1(spec.a_fn, t), _fd1(spec.b_fn, t), spec.a_fn(t)
+        for k in range(n):
+            out[k] = (
+                a * (np.outer(eye[k], p) + np.outer(p, eye[k]))
+                + da * (p[k] / t) * np.outer(p, p)
+                + db * (p[k] / t) * eye
+            )
+        return out
+    h = 1e-6 * (1.0 + t)
+    return (eval_L(spec, x, s, p + h * eye) - eval_L(spec, x, s, p - h * eye)) / (2 * h)
+
+
+def _loop_fit_radial_coercive(spec, pts, Lambda, m, sign, eps):
+    """The coercivity fit with its m0 pass one sample at a time."""
+    ps, m0s, gs = [], [], []
+    for x, s, _, p in pts:
+        gp = _loop_grad_p_L(spec, x, s, p)
+        m0 = np.einsum("k,kij->ij", p, gp) - eval_L(spec, x, s, p)
+        ps.append(p)
+        m0s.append(0.5 * (m0 + m0.T))
+        gs.append(float(np.sqrt(np.sum(gp * gp))))
+    p_arr, m0_arr = np.array(ps), np.array(m0s)
+    pp = p_arr[:, :, None] * p_arr[:, None, :]
+    pm = np.array([float(np.linalg.norm(p)) ** m for p in ps])
+    floor = -eps * (1.0 + np.abs(pm) + np.abs(m0_arr).max(axis=(1, 2)))
+    slope = Lambda * np.array(gs) - 1.0
+    eye = np.eye(p_arr.shape[1])
+
+    def feasible(c, thetas):
+        base = c * pp - (pm / c)[:, None, None] * eye - sign * m0_arr
+        shift = np.array(thetas)[None, :] * slope[:, None]
+        low = np.linalg.eigvalsh(base[:, None] - shift[:, :, None, None] * eye)[..., 0]
+        bad = np.argwhere(low < floor[:, None])
+        if len(bad) == 0:
+            return None
+        i, t = bad[0]
+        return {"p": ps[i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
+
+    thetas = [2.0**-j for j in range(40, -1, -1)]
+    witness = None
+    for c in [2.0**j for j in range(-2, 22)]:
+        witness = feasible(c, [0.0, thetas[0]])
+        if witness is None:
+            break
+    else:
+        return (False, None, None, witness)
+    best = thetas[0]
+    for t in thetas[1:]:
+        if feasible(c, [t]) is not None:
+            break
+        best = t
+    guard = feasible(c, [0.0, best] + [t for t in thetas if t < best])
+    if guard is not None:
+        return (False, None, None, guard)
+    return (True, c, best, None)
+
+
+def _loop_probe(spec, R, Lambda, m, samples, seed, n=3) -> dict:
+    """probe_L_conditions one sample at a time: condition -> (ok, C, theta_bar, witness)."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(samples):
+        x = rng.uniform(-1.0, 1.0, size=n)
+        s_lo, s_hi = np.sort(rng.uniform(-R, R, size=2))
+        direction = rng.normal(size=n)
+        direction /= np.linalg.norm(direction)
+        mag = 10.0 ** rng.uniform(-3.0, 3.0)
+        pts.append((x, float(s_lo), float(s_hi), mag * direction))
+    pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))
+    eps = 1e-9
+    out = {}
+
+    worst, witness = 0.0, None
+    for x, s, _, p in pts:
+        gx = _loop_grad_x_L(spec, x, s, p)
+        norm = float(np.sqrt(np.sum(gx * gx)))
+        pm = float(np.linalg.norm(p)) ** m
+        if pm < 1e-300:
+            if norm > 1e-6:
+                witness = {"x": x.tolist(), "s": s, "p": p.tolist(), "grad_norm": norm}
+                break
+            continue
+        worst = max(worst, norm / pm)
+    out["grad_x_bound"] = (False, None, None, witness) if witness else (True, worst, None, None)
+
+    worst, witness, mono = 0.0, None, None
+    for x, s_lo, s_hi, p in pts:
+        if s_hi <= s_lo:
+            continue
+        diff = eval_L(spec, x, s_hi, p) - eval_L(spec, x, s_lo, p)
+        scale = 1.0 + float(np.max(np.abs(diff)))
+        eig = eigen_sym(diff)
+        if eig.min() < -eps * scale and mono is None:
+            mono = {"x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist(), "min_eig": eig.min()}
+        denom = (s_hi - s_lo) * float(np.linalg.norm(p)) ** m
+        if denom < 1e-300:
+            if eigen_sym(np.abs(diff)).max() > 1e-6:
+                witness = {"x": x.tolist(), "s": s_lo, "s_prime": s_hi, "p": p.tolist()}
+            continue
+        worst = max(worst, eig.max() / denom)
+    out["s_monotone"] = (False, None, None, mono) if mono else (True, None, None, None)
+    witness = (witness or mono) if mono is not None else witness
+    out["s_growth"] = (False, None, None, witness) if witness else (True, worst, None, None)
+    out["radial_coercive"] = _loop_fit_radial_coercive(spec, pts, Lambda, m, +1, eps)
+    out["radial_coercive_sup"] = _loop_fit_radial_coercive(spec, pts, Lambda, m, -1, eps)
+    return out
+
+
+def _hexed(v):
+    """Floats as hex strings, through witness dicts and lists: bitwise comparison."""
+    if isinstance(v, dict):
+        return {k: _hexed(u) for k, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_hexed(u) for u in v]
+    return float(v).hex() if isinstance(v, float) else v
+
+
+def _x_dependent_quad():
+    return OperatorSpec.quad_var(lambda x, s: 1.0 + 0.3 * math.sin(x[0] + s),
+                                 lambda x, s: 0.5 + 0.2 * x[1] * x[2], name="x_quad")
+
+
+def _x_dependent_general():
+    # grad_x L = I != 0 at p = 0, and L grows in s at p = 0: both witnesses fire
+    return OperatorSpec.general_l(lambda x, s, p: (x[0] + s) * np.eye(len(p)) + np.outer(p, p),
+                                  m=2.0, name="x_general")
+
+
+_PROBE_SPECS = {
+    "conformal": OperatorSpec.conformal,
+    "quad:1:1": lambda: parse_operator("quad:1:1"),
+    "quad:1:-1": lambda: parse_operator("quad:1:-1"),
+    "genL:tanh_quad": lambda: parse_operator("genL:tanh_quad"),
+    "x_quad": _x_dependent_quad,
+    "rotinv:pow(1,2):neg_t": lambda: parse_operator("rotinv:pow(1,2):neg_t"),
+    "rotinv:zero:pow(-1,1.5)": lambda: parse_operator("rotinv:zero:pow(-1,1.5)"),
+    "genL:cubic_mix": lambda: parse_operator("genL:cubic_mix"),
+    "x_general": _x_dependent_general,
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed, samples, R, m",
+    [(name, *case) for name in sorted(_PROBE_SPECS) for case in ((0, 30, 2.0, 2.0), (7, 45, 3.0, 10.0))]
+    # five samples with |p|^m < 1e-300 besides p = 0: the grad-x witness is the
+    # first of them, the s-growth witness the last
+    + [("x_general", 2, 400, 1.0, 102.0)],
+)
+def test_stacked_probe_matches_per_sample_replay(name, seed, samples, R, m):
+    spec = _PROBE_SPECS[name]()
+    got = probe_L_conditions(spec, R=R, Lambda=8.0, m=m, samples=samples, seed=seed)
+    want = _loop_probe(spec, R, 8.0, m, samples, seed)
+    for cond, expect in want.items():
+        res = getattr(got, cond)
+        assert _hexed((res.ok, res.fitted_C, res.fitted_theta_bar, res.witness)) == _hexed(expect), cond
 
 
 def test_probe_rejects_non_finite_L():
@@ -501,7 +693,7 @@ def test_probe_rejects_non_finite_L():
     pts = _probe_points(seed=0, samples=40)
     assert any(np.linalg.norm(p) > 100.0 for *_, p in pts)
     with pytest.raises(ValueError, match="finite"):
-        _fit_radial_coercive(spec, pts, 8.0, 2.0, sign=1, eps=1e-9)
+        _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=1, eps=1e-9)
 
 
 def test_probe_rejects_zero_samples():

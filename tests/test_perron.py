@@ -165,7 +165,7 @@ def test_problem_roles_with_mask():
     assert not P.interior_mask[3, 3]
     assert P.boundary_mask[3, 2] and P.boundary_mask[2, 3]
     assert P.interior_mask[1, 1]
-    assert P.boundary_values.shape[0] == 24 + 4
+    assert P.sup.values[P.boundary_mask].shape[0] == 24 + 4
 
 
 # ---------------------------------------------------------------------------

