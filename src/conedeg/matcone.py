@@ -54,7 +54,8 @@ def _symmetrized(m: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
         bad = skew > tol * (1.0 + np.abs(m).max(axis=(-2, -1)))
         if bad.any():
             raise ValueError(f"matrix is not symmetric (asymmetry {np.max(skew * bad):.3e})")
-    return 0.5 * (m + mt)
+    # halve before adding: M + M^T overflows for finite entries above ~8.99e307
+    return 0.5 * m + 0.5 * mt
 
 
 @dataclass(frozen=True)

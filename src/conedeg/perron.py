@@ -11,16 +11,21 @@ clamped into the sandwich, red nodes (odd coordinate sum) then black ones,
 each group one array operation (callable operators: one stacked eval_L).
 Raising the center value lowers the discrete Hessian, so the crossing is
 monotone and each descending sweep maps a discrete supersolution to a smaller
-one.  The sweep count grows like the square of the node count.
+one.  The sweep count grows like the square of the node count.  Sweeps run
+for the positive cone, callable operators and masked grids.
 
-Monotone Newton (1D trace cone, conformal or constant-coefficient quadratic
-operator, no masked nodes): the crossing is
-c(u) = 1/2 (u- + u+) + 1/2 h^2 ((n - 1) p / r + b p^2) with b = alpha - n beta,
-and the run solves G(u) = u - c(u) = 0 by Newton steps on the tridiagonal
-Jacobian (an M-matrix for small h).  G is concave for b > 0 and convex for
-b < 0, and G(u + t d) = (1 - t) G(u) - 1/2 h^2 b t^2 p(d)^2 holds exactly along
-a Newton direction d.  So the full step keeps the sign of G on the side where
-the quadratic term helps (ascending for b >= 0, descending for b <= 0); on the
+Monotone Newton (trace cone on 1D, radial or 2D grids, conformal or
+constant-coefficient quadratic operator, no masked nodes): the crossing is
+c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with w_a = 1 / h_a^2,
+S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on radial grids
+(0 otherwise), and the run solves G(u) = u - c(u) = 0 by Newton steps.  The
+Jacobian couples each node to its two neighbours per axis (an M-matrix for
+small h): a tridiagonal system in 1D (Thomas algorithm), a block-tridiagonal
+one in 2D, eliminated line by line with one LAPACK solve per axis-0 line.
+G is concave for b > 0 and convex for b < 0, and
+G(u + t d) = (1 - t) G(u) - b t^2 |p(d)|^2 / S holds exactly along a Newton
+direction d.  So the full step keeps the sign of G on the side where the
+quadratic term helps (ascending for b >= 0, descending for b <= 0); on the
 other side the step is shortened in closed form until every node keeps half
 its margin.  A node already on the cone boundary admits no shortened step;
 when the step would be that short (below _MIN_NEWTON_STEP), the iteration
@@ -75,10 +80,11 @@ class SolverConfig:
     tol is a margin tolerance, so converged means every interior node
     classifies BOUNDARY within roughly tol.  The crossing sweeps stop once
     the sweep's largest crossing move, scaled by the center-value slope of
-    the margin, drops below it; the Newton path stops once the largest
-    margin itself does.  max_sweeps caps the iterations: red-black crossing
-    sweeps, or Newton iterations on the Newton path (each a margin check
-    followed, if it fails, by one step).
+    the margin, drops below it; the Newton path (trace cone, 1D and 2D)
+    stops once the largest margin itself does.  max_sweeps caps the
+    iterations: red-black crossing sweeps, or Newton iterations on the
+    Newton path (each a margin check followed, if it fails, by one step: a
+    tridiagonal solve in 1D, a block-tridiagonal one in 2D).
     """
 
     tol: float = 1e-8
@@ -449,7 +455,7 @@ def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
 
 
 # ---------------------------------------------------------------------------
-# monotone Newton solve of the 1D trace crossing
+# monotone Newton solve of the trace crossing
 
 # below this fraction of the full Newton step the iteration takes a crossing
 # sweep instead: the shortened step stalls next to nodes on the cone boundary
@@ -458,8 +464,7 @@ _MIN_NEWTON_STEP = 1e-2
 
 def _newton_applies(problem: DirichletProblem, mode: str) -> bool:
     return (
-        problem.sub.dim == 1
-        and mode == "trace"
+        mode == "trace"
         and problem.F.kind in _QUAD_KINDS
         and bool(np.isfinite(problem.sub.values).all())
     )
@@ -488,64 +493,132 @@ def _solve_tridiagonal(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) ->
     return np.array(x)
 
 
-class _TraceCrossing:
-    """G(u) = u - c(u) on the interior of a 1D grid, trace cone, quadratic F.
+def _solve_block_tridiagonal(
+    lower: Sequence[np.ndarray], upper: Sequence[np.ndarray], rhs: np.ndarray
+) -> np.ndarray:
+    """x with x + sum_a (lower[a] x_-a + upper[a] x_+a) = rhs on an (m0, m1) grid.
 
-    c(u) = 1/2 (u- + u+) + 1/2 h^2 (a p + b p^2), with a = (n - 1) / r on
-    radial grids (0 otherwise), b = alpha - n beta and p the centered slope;
-    the same crossing as _sweep_group.  G = -1/2 h^2 (trace margin), so
-    G >= 0 marks a discrete supersolution and G <= 0 a subsolution.
+    x_-a and x_+a are the neighbours along axis a; couplings that reach past
+    the grid multiply nothing.  Block Thomas elimination over the axis-0
+    lines: each diagonal block is tridiagonal (the axis-1 couplings), each
+    off-diagonal block is diagonal (the axis-0 couplings), and each line is
+    one LAPACK solve with m1 + 1 right-hand sides.  A singular block yields
+    NaN.
+    """
+    (lo0, lo1), (up0, up1) = lower, upper
+    m0, m1 = rhs.shape
+    # after the forward pass line i reads x_i + ratio[i] x_(i+1) = x[i]
+    ratio = np.empty((m0, m1, m1))
+    x = np.empty((m0, m1))
+    k = np.arange(m1)
+    block_rhs = np.zeros((m1, m1 + 1))
+    for i in range(m0):
+        if i:
+            block = lo0[i][:, None] * -ratio[i - 1]
+            block_rhs[:, m1] = rhs[i] - lo0[i] * x[i - 1]
+        else:
+            block = np.zeros((m1, m1))
+            block_rhs[:, m1] = rhs[0]
+        block[k, k] += 1.0
+        block[k[1:], k[:-1]] += lo1[i, 1:]
+        block[k[:-1], k[1:]] += up1[i, :-1]
+        block_rhs[k, k] = up0[i]
+        try:
+            sol = np.linalg.solve(block, block_rhs)
+        except np.linalg.LinAlgError:
+            return np.full((m0, m1), np.nan)
+        ratio[i] = sol[:, :m1]
+        x[i] = sol[:, m1]
+    for i in range(m0 - 2, -1, -1):
+        x[i] -= ratio[i] @ x[i + 1]
+    return x
+
+
+class _TraceCrossing:
+    """G(u) = u - c(u) on the interior of an unmasked grid, trace cone, quadratic F.
+
+    c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S, with w_a = 1 / h_a^2,
+    S = sum_a 2 w_a, b = alpha - n beta, p the centered gradient and
+    a = (n - 1) / r on radial grids (0 otherwise); the same crossing as
+    _sweep_group.  G = -(trace margin) / S, so G >= 0 marks a discrete
+    supersolution and G <= 0 a subsolution.
     """
 
     def __init__(self, problem: DirichletProblem):
         g = problem.sub
         amb = problem.matrix_dim
         alpha, beta = _quad_coeffs(problem.F)
-        self.h = g.h[0]
+        self.h = g.h
+        w = [1.0 / (h * h) for h in g.h]
+        total = 2.0 * sum(w)
+        self.weight = [wa / total for wa in w]
+        # 1 / S as (w_0 / S) h_0^2: in 1D the factor is 0.5 h^2 bit for bit
+        self.scale = self.weight[0] * g.h[0] * g.h[0]
         self.b = alpha - amb * beta
-        r = g.axis_nodes(0)[1:-1]
-        self.a = (amb - 1.0) / r if amb >= 2 else np.zeros(r.size)
+        radial = g.dim == 1 and amb >= 2
+        self.a = (amb - 1.0) / g.axis_nodes(0)[1:-1] if radial else 0.0
+        self.inner = (slice(1, -1),) * g.dim
 
-    def slope(self, u: np.ndarray) -> np.ndarray:
-        return (u[2:] - u[:-2]) * (0.5 / self.h)
+    def _neighbors(self, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(u_-a, u_+a) on the interior, one pair per axis."""
+        pairs = []
+        for ax in range(u.ndim):
+            lo, hi = list(self.inner), list(self.inner)
+            lo[ax], hi[ax] = slice(None, -2), slice(2, None)
+            pairs.append((u[tuple(lo)], u[tuple(hi)]))
+        return pairs
+
+    def slopes(self, u: np.ndarray) -> list[np.ndarray]:
+        return [(hi - lo) * (0.5 / h) for (lo, hi), h in zip(self._neighbors(u), self.h)]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        p = self.slope(u)
-        c = 0.5 * (u[:-2] + u[2:]) + 0.5 * self.h * self.h * (self.a * p + self.b * p * p)
-        return u[1:-1] - c
+        p = self.slopes(u)
+        c = sum(wt * (lo + hi) for wt, (lo, hi) in zip(self.weight, self._neighbors(u)))
+        c = c + self.scale * (self.a * p[0] + sum(self.b * pa * pa for pa in p))
+        return u[self.inner] - c
 
     def newton_direction(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """d with G'(u) d = -g on the interior and d = 0 on the two ends."""
-        k = 0.25 * self.h * (self.a + 2.0 * self.b * self.slope(u))
+        """d with G'(u) d = -g on the interior and d = 0 on the grid edge."""
+        lower, upper = [], []
+        for ax, (pa, h, wt) in enumerate(zip(self.slopes(u), self.h, self.weight)):
+            # (w_a / S) / (2 h_a) = 1 / (2 h_a S), which is 0.25 h in 1D
+            k = 0.5 * h * wt * ((self.a if ax == 0 else 0.0) + 2.0 * self.b * pa)
+            lower.append(k - wt)
+            upper.append(-wt - k)
         d = np.zeros_like(u)
-        d[1:-1] = _solve_tridiagonal(k - 0.5, -0.5 - k, -g)
+        if u.ndim == 1:
+            d[self.inner] = _solve_tridiagonal(lower[0], upper[0], -g)
+        else:
+            d[self.inner] = _solve_block_tridiagonal(lower, upper, -g)
         return d
 
     def damped_step(self, d: np.ndarray, slack: np.ndarray) -> float:
-        """Largest t in [0, 1] with (1 - t) slack / 2 >= 1/2 h^2 |b| t^2 p(d)^2.
+        """Largest t in [0, 1] with (1 - t) slack / 2 >= |b| t^2 |p(d)|^2 / S.
 
         slack is the margin on the run's own side, s G(u) >= 0.  Along d,
-        s G(u + t d) = (1 - t) slack - 1/2 h^2 |b| t^2 p(d)^2 exactly when
+        s G(u + t d) = (1 - t) slack - |b| t^2 |p(d)|^2 / S exactly when
         s b > 0, so the step keeps at least half of every node's slack.
         """
-        quad = 0.5 * self.h * self.h * abs(self.b) * self.slope(d) ** 2
+        quad = self.scale * abs(self.b) * sum(pa * pa for pa in self.slopes(d))
         half = 0.5 * slack
         root = half + np.sqrt(half * half + 4.0 * quad * half)
         t = np.where(quad > 0.0, 2.0 * half / np.where(root > 0.0, root, 1.0), 1.0)
         return float(min(1.0, t.min(initial=1.0)))
 
 
-def _newton_trace_1d(
+def _newton_trace(
     problem: DirichletProblem, cfg: SolverConfig, u: np.ndarray, ascending: bool
-) -> tuple[int, bool, bool, float]:
-    """Monotone Newton iterations on u in place; (iterations, converged, monotone, last move).
+) -> tuple[int, bool, bool, float, str]:
+    """Monotone Newton iterations on u in place.
 
-    Each iteration checks the largest margin against cfg.tol and, if it is
+    Returns (iterations, converged, monotone, last move, path).  Each
+    iteration checks the largest margin against cfg.tol and, if it is
     larger, takes one step: the full Newton step where the quadratic term
     keeps the run's side (s b <= 0, s = +1 descending, -1 ascending), the
     closed-form shortened step otherwise, or, when that is shorter than
     _MIN_NEWTON_STEP or the Jacobian solve fails, one crossing sweep whose
-    last group moves halfway.  Every step is clamped into the sandwich.
+    last group moves halfway; path is "newton+sweep" once such a sweep ran.
+    Every step is clamped into the sandwich.
     """
     tc = _TraceCrossing(problem)
     lo = problem.sub.values
@@ -554,6 +627,7 @@ def _newton_trace_1d(
     damped = side * tc.b > 0.0
     scoef = _margin_slope(problem)
     groups = None
+    swept = False
     iterations, converged, monotone, last = 0, False, True, 0.0
     while iterations < cfg.max_sweeps:
         iterations += 1
@@ -567,10 +641,14 @@ def _newton_trace_1d(
             new = np.clip(u + t * d, lo, hi)
         else:
             groups = groups or _make_groups(problem)
+            lo_flat, hi_flat = lo.ravel(), hi.ravel()
             new = u.copy()
+            flat = new.reshape(-1)
             for weight, st in zip((1.0, 0.5), groups):
-                c = np.clip(_sweep_group(new, st, problem, "trace"), lo[st.idx], hi[st.idx])
-                new[st.idx] += weight * (c - new[st.idx])
+                c = _sweep_group(flat, st, problem, "trace")
+                c = np.clip(c, lo_flat[st.idx], hi_flat[st.idx])
+                flat[st.idx] += weight * (c - flat[st.idx])
+            swept = True
         move = new - u
         if ascending:
             if move.min() < -_MONOTONE_SLACK:
@@ -579,7 +657,7 @@ def _newton_trace_1d(
             monotone = False
         last = float(np.abs(move).max())
         u[:] = new
-    return iterations, converged, monotone, last
+    return iterations, converged, monotone, last, "newton+sweep" if swept else "newton"
 
 
 @dataclass(frozen=True)
@@ -587,7 +665,10 @@ class PerronResult:
     """One solver run: the final field plus convergence bookkeeping.
 
     sweeps counts crossing sweeps, or Newton iterations on the Newton path;
-    last_update is the largest nodal move of the last step taken.
+    last_update is the largest nodal move of the last step taken.  path
+    names what the run did: "newton" (Newton steps only), "newton+sweep"
+    (Newton iterations of which at least one fell back to a crossing
+    sweep) or "sweep" (the crossing-sweep engine).
     """
 
     u: GridFn
@@ -598,6 +679,7 @@ class PerronResult:
     sandwich_ok: bool
     last_update: float
     residual: GridVerifyReport
+    path: str
 
     @property
     def solved(self) -> bool:
@@ -613,16 +695,19 @@ def perron_solve(
 ) -> PerronResult:
     """Monotone iteration from the upper field (or lower, ascending).
 
-    On a 1D grid with the trace cone, a conformal or constant-coefficient
-    quadratic operator and no masked nodes, the run takes
-    monotone Newton steps (module docstring) and `sweeps` counts Newton
-    iterations; it stops once the largest margin falls below cfg.tol.
-    Everywhere else each red-black sweep replaces every interior node by the
-    cone-boundary crossing of its discrete jet, clamped into [sub, sup], and
-    the run stops once the largest move, scaled by the margin slope, falls
-    below cfg.tol.  Either way monotone_ok records whether every nodal move
-    went the run's way within _MONOTONE_SLACK, and the residual report then
-    re-classifies every interior node with the same centered stencils.
+    With the trace cone, a conformal or constant-coefficient quadratic
+    operator and no masked nodes, on a 1D, radial or 2D grid, the run takes
+    monotone Newton steps (module docstring): each solves the Jacobian
+    system, tridiagonal in 1D and block-tridiagonal over the axis-0 lines
+    in 2D, and `sweeps` counts Newton iterations; it stops once the largest
+    margin falls below cfg.tol.  Everywhere else each red-black sweep
+    replaces every interior node by the cone-boundary crossing of its
+    discrete jet, clamped into [sub, sup], and the run stops once the
+    largest move, scaled by the margin slope, falls below cfg.tol.  The
+    result's path names which of the two ran, and whether a Newton run fell
+    back to a sweep.  Either way monotone_ok records whether every nodal
+    move went the run's way within _MONOTONE_SLACK, and the residual report
+    then re-classifies every interior node with the same centered stencils.
     """
     if direction not in ("descending", "ascending"):
         raise ValueError("direction must be 'descending' or 'ascending'")
@@ -646,8 +731,9 @@ def perron_solve(
 
     ascending = direction == "ascending"
     if _newton_applies(problem, mode):
-        sweeps, converged, monotone, last = _newton_trace_1d(problem, cfg, u, ascending)
+        sweeps, converged, monotone, last, path = _newton_trace(problem, cfg, u, ascending)
     else:
+        path = "sweep"
         flat = u.ravel()
         sub_flat = problem.sub.values.ravel()
         sup_flat = problem.sup.values.ravel()
@@ -694,6 +780,7 @@ def perron_solve(
         sandwich_ok=sandwich,
         last_update=last,
         residual=residual,
+        path=path,
     )
 
 

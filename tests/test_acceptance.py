@@ -242,7 +242,7 @@ def test_criterion_5_first_variation_gaps():
 def test_criterion_6_perron_solver():
     t0 = time.perf_counter()
     grids = (250, 500, 1000)
-    errors, hs, flags = [], [], []
+    errors, hs, flags, paths = [], [], [], []
     reference = None
     problems = {}
     for npts in grids:
@@ -256,6 +256,7 @@ def test_criterion_6_perron_solver():
         errors.append(float(np.max(np.abs(result.u.values - exact))))
         hs.append(h)
         flags.append(result.solved and result.monotone_ok and result.sandwich_ok)
+        paths.append(result.path)
     bounds = [2e-2 * h * reference for h in hs]
     orders = [math.log(errors[i] / errors[i + 1]) / math.log(hs[i] / hs[i + 1])
               for i in range(len(grids) - 1)]
@@ -273,7 +274,8 @@ def test_criterion_6_perron_solver():
         "runtime_under_20s": elapsed < 20.0,
     }
     detail = (f"{elapsed:.1f}s errors " + "/".join(f"{e:.1e}" for e in errors)
-              + " orders " + "/".join(f"{o:.2f}" for o in orders))
+              + " orders " + "/".join(f"{o:.2f}" for o in orders)
+              + " paths " + "/".join(paths + [r.path for r in uni.runs]))
     _report(6, "desk-scale solver", checks, detail)
 
 

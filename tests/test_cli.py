@@ -279,12 +279,31 @@ def test_probe_l_non_monotone_operator_exits_one(tmp_path):
 # dependencies
 
 
+def _fresh_interpreter(code: str) -> str:
+    src = str(Path(conedeg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return out.stdout.strip()
+
+
+HEAVY = "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'})"
+
+
 def test_cli_import_loads_no_scipy_or_numba():
     # the package needs numpy only; importing scipy.sparse.linalg alone costs
     # about 0.26 s and 32 MB of peak RSS on every command
-    src = str(Path(conedeg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, conedeg.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(f"import sys, conedeg.cli; print({HEAVY})") == "[]"
+
+
+def test_cli_box_solve_loads_no_scipy_or_numba():
+    # the 2D Newton steps solve their block-tridiagonal Jacobian with numpy
+    # alone: running the box solve must not pull in a sparse solver either
+    code = (
+        "import contextlib, io, sys\n"
+        "from conedeg import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.dispatch(['perron', '--problem', 'box-log', '--grid', '33'])\n"
+        f"print(code, {HEAVY})"
+    )
+    assert _fresh_interpreter(code) == "0 []"

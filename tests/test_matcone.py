@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conedeg.matcone import (
     Spectrum,
     SymMatrix,
     _sym_eigvals,
+    _symmetrized,
     axiom_check,
     classify,
     cone_margin,
@@ -57,6 +60,24 @@ def test_symmatrix_rejects_bad_input():
         big.scale(1e2)
     # 1x1 is allowed: it carries the scalar case of the grid checks
     assert SymMatrix.from_dense(np.array([[2.0]])).trace() == 2.0
+
+
+def test_symmatrix_near_float_max_builds_without_overflow():
+    # entries above half the largest double: 0.5 (M + M^T) must halve before
+    # adding, or the sum overflows and a finite matrix is refused
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        big = SymMatrix.eye(2, 1e308)
+        spec = eigen_sym(np.diag([1e308, -1e308]))
+    assert not caught
+    assert np.array_equal(big.dense(), np.diag([1e308, 1e308]))
+    assert np.array_equal(spec.values, [-1e308, 1e308])
+    # for normal magnitudes the halved sum is bitwise the summed half
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-100, 100)
+        m = m + m.T + 1e-14 * np.abs(m).max() * rng.normal(size=(3, 3))
+        assert np.array_equal(_symmetrized(m), 0.5 * (m + m.T))
 
 
 def test_symmatrix_arithmetic():

@@ -36,6 +36,35 @@ def _interval_problem(npts, lo_val, hi_val, F=LAPLACE, U=TRACE, fill=None):
     return DirichletProblem(F, U, GridFn(((0.0, 1.0),), lower), GridFn(((0.0, 1.0),), upper)), xs
 
 
+def _box_problem(F, exact_fn, shape=(17, 17), box=((0.55, 0.95), (0.55, 0.95))):
+    # exact field on the box with the product bump of box_sandwich_problem
+    (x0, x1), (y0, y1) = box
+    X, Y = np.meshgrid(np.linspace(x0, x1, shape[0]), np.linspace(y0, y1, shape[1]),
+                       indexing="ij")
+    exact = exact_fn(X, Y)
+    bump = 2.0 * (X - x0) * (x1 - X) * (Y - y0) * (y1 - Y)
+    return DirichletProblem(F, ConeSpec.gamma(1), GridFn(box, exact - bump),
+                            GridFn(box, exact + bump), ambient_n=2)
+
+
+def _fill_box_problem(npts, F):
+    # boundary data x + y/2 on the unit square, constant fills inside: the
+    # fill nodes away from the edge sit on the cone boundary, so the damped
+    # side has no slack there and falls back to a crossing sweep
+    xs = np.linspace(0.0, 1.0, npts)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    edge = np.zeros(X.shape, dtype=bool)
+    edge[[0, -1], :] = edge[:, [0, -1]] = True
+    lower = np.where(edge, X + 0.5 * Y, -1.0)
+    upper = np.where(edge, X + 0.5 * Y, 2.5)
+    box = ((0.0, 1.0), (0.0, 1.0))
+    return DirichletProblem(F, ConeSpec.gamma(1), GridFn(box, lower), GridFn(box, upper))
+
+
+def _log_box_field(X, Y):
+    return np.log(1.0 - np.log(np.hypot(X, Y)))
+
+
 # ---------------------------------------------------------------------------
 # pointwise crossing
 
@@ -191,17 +220,27 @@ def test_solve_ascending_matches():
         perron_solve(P, cfg, direction="down")
 
 
-def test_numpy_path_matches_compiled(monkeypatch):
+def test_newton_matches_sweeps(monkeypatch):
     # the Newton path against the reference red-black sweeps, b = alpha - n beta
-    # positive (radial) and negative (interval), so both step rules run
+    # positive (radial, 2D boxes) and negative (interval), so both step rules
+    # run, and on 2D fills whose damped side falls back to a sweep; the
+    # second box has unequal sides, node counts and spacings
     radial, _ = radial_sandwich_problem(101)
     interval, _ = _interval_problem(41, 0, 1, F=OperatorSpec.quad_const(0.0, 1.0))
-    cfg = SolverConfig(tol=1e-6, max_sweeps=200_000)
-    runs = [(P, d) for P in (radial, interval) for d in ("descending", "ascending")]
+    box, _ = box_sandwich_problem(33)
+    oblong = _box_problem(OperatorSpec.quad_const(1.0, 0.0), _log_box_field,
+                          shape=(21, 13), box=((0.55, 0.95), (0.6, 0.8)))
+    fill_up = _fill_box_problem(17, OperatorSpec.quad_const(1.0, 0.0))
+    fill_down = _fill_box_problem(17, OperatorSpec.quad_const(0.0, 0.5))
+    cfg = SolverConfig(tol=1e-6, max_sweeps=20_000)
+    runs = [(P, d) for P in (radial, interval, box, oblong) for d in ("descending", "ascending")]
+    runs += [(fill_up, "descending"), (fill_down, "ascending")]
     fast = [perron_solve(P, cfg, direction=d) for P, d in runs]
+    assert [r.path for r in fast[4:]] == ["newton"] * 4 + ["newton+sweep"] * 2
     monkeypatch.setattr(perron_mod, "_newton_applies", lambda *args: False)
     for (P, d), newton in zip(runs, fast):
         sweep = perron_solve(P, cfg, direction=d)
+        assert sweep.path == "sweep"
         assert newton.converged and sweep.converged
         assert newton.monotone_ok and sweep.monotone_ok
         assert newton.sweeps < sweep.sweeps  # the Newton path did run
@@ -250,6 +289,109 @@ def test_newton_iterates_stay_on_their_side(alpha, beta, direction, side):
         if res.converged:
             break
     assert res.converged
+
+
+NEWTON_2D_PROBLEMS = {
+    # b = alpha - 2 beta: exp(u) and exp(-2 u) are log-harmonic, u is harmonic
+    "b_pos": lambda: box_sandwich_problem(17)[0],
+    "b_neg": lambda: _box_problem(OperatorSpec.quad_const(0.0, 1.0),
+                                  lambda X, Y: -0.5 * _log_box_field(X, Y)),
+    "b_zero": lambda: _box_problem(LAPLACE, lambda X, Y: X * X - Y * Y),
+    "fill_b_pos": lambda: _fill_box_problem(17, OperatorSpec.quad_const(1.0, 0.0)),
+    "fill_b_neg": lambda: _fill_box_problem(17, OperatorSpec.quad_const(0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("which", sorted(NEWTON_2D_PROBLEMS))
+@pytest.mark.parametrize("direction, side", [("descending", 1.0), ("ascending", -1.0)])
+def test_newton_iterates_stay_on_their_side_2d(which, direction, side):
+    # the 2D replay: every capped iterate is a discrete supersolution
+    # (descending) or subsolution (ascending) and lies on the run's side of
+    # the previous one; the fills take the sweep fallback on the damped side
+    P = NEWTON_2D_PROBLEMS[which]()
+    assert grid_verify(P.sup, P.F, P.U).consistent_super
+    assert grid_verify(P.sub, P.F, P.U).consistent_sub
+    assert perron_mod._newton_applies(P, "trace")
+    prev = P.sup.values if direction == "descending" else P.sub.values
+    for cap in range(1, 200):
+        res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=cap), direction=direction)
+        margins = np.array([row.margin for row in grid_verify(res.u, P.F, P.U).rows])
+        assert (side * margins).max() <= 2e-12
+        assert (side * (res.u.values - prev)).max() <= perron_mod._MONOTONE_SLACK
+        prev = res.u.values
+        if res.converged:
+            break
+    assert res.converged and res.path in ("newton", "newton+sweep")
+
+
+@pytest.mark.parametrize("which", ["b_pos", "b_neg"])
+def test_trace_crossing_step_identity_2d(which):
+    # along a Newton direction d, G(u + t d) = (1 - t) G(u) - b t^2 |p(d)|^2 / S
+    # holds exactly on the 5-point stencil; the damped step is the largest t
+    # that keeps half of every node's slack, checked against the curvature of
+    # G measured by a second difference along d and along a random direction
+    P = NEWTON_2D_PROBLEMS[which]()
+    tc = perron_mod._TraceCrossing(P)
+    S = perron_mod._margin_slope(P)
+    rng = np.random.default_rng(0)
+    for u, side in ((P.sup.values, 1.0), (P.sub.values, -1.0)):
+        g = tc.residual(u)
+        d = tc.newton_direction(u, g)
+        pd2 = sum(pa * pa for pa in tc.slopes(d))
+        for t in (0.25, 0.5, 1.0):
+            want = (1.0 - t) * g - tc.b * t * t * pd2 / S
+            np.testing.assert_allclose(tc.residual(u + t * d), want, rtol=0, atol=1e-13)
+        slack = np.maximum(side * g, 0.0)
+        noise = np.zeros_like(u)
+        noise[1:-1, 1:-1] = rng.normal(size=g.shape) * np.abs(d).max()
+        for e in (d, noise):
+            quad = np.abs(tc.residual(u + e) + tc.residual(u - e) - 2.0 * g) / 2.0
+            # the positive root of quad t^2 + slack t / 2 - slack / 2 per node
+            roots = slack / (0.5 * slack + np.sqrt(0.25 * slack * slack + 2.0 * quad * slack))
+            assert tc.damped_step(e, slack) == pytest.approx(min(1.0, roots.min()), rel=1e-9)
+
+
+def test_block_tridiagonal_solve_matches_dense():
+    # the 2D Jacobian solve against a dense LAPACK solve of the same 5-point
+    # system on a non-square grid; a singular line block yields NaN
+    rng = np.random.default_rng(3)
+    m0, m1 = 6, 4
+    lo0, lo1, up0, up1 = (rng.uniform(-0.3, 0.3, (m0, m1)) for _ in range(4))
+    rhs = rng.normal(size=(m0, m1))
+    dense = np.eye(m0 * m1)
+    for i in range(m0):
+        for j in range(m1):
+            row = i * m1 + j
+            for (di, dj), coef in (((-1, 0), lo0), ((1, 0), up0), ((0, -1), lo1), ((0, 1), up1)):
+                if 0 <= i + di < m0 and 0 <= j + dj < m1:
+                    dense[row, (i + di) * m1 + j + dj] = coef[i, j]
+    want = np.linalg.solve(dense, rhs.ravel()).reshape(m0, m1)
+    got = perron_mod._solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    lo1[0, 1], up1[0, 0] = 1.0, 1.0  # first line block [[1, 1], [1, 1], ...]
+    lo1[0, 2:], up1[0, 1:] = 0.0, 0.0
+    lo0[0] = 0.0
+    singular = perron_mod._solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
+    assert np.isnan(singular).all()
+
+
+def test_box_log_33_takes_newton_steps():
+    # the `perron --problem box-log --grid 33` solve: a few Newton steps, no
+    # crossing sweep (the sweep engine took 635)
+    P, exact = box_sandwich_problem(33)
+    res = perron_solve(P, SolverConfig(tol=0.15 * P.sub.h[0], max_sweeps=2_000_000))
+    assert res.path == "newton" and res.sweeps <= 5
+    assert res.solved and res.monotone_ok and res.sandwich_ok
+
+
+def test_solve_2d_box_129():
+    # the 2D layer at 129^2: a 16 s sweep solve, now a few Newton steps
+    P, exact = box_sandwich_problem(129)
+    h = P.sub.h[0]
+    res = perron_solve(P, SolverConfig(tol=0.15 * h, max_sweeps=2_000_000))
+    assert res.path == "newton"
+    assert res.solved and res.monotone_ok and res.sandwich_ok
+    assert np.abs(res.u.values - exact).max() <= 2e-2 * h * np.abs(exact).max()
 
 
 def test_solve_radial_annulus_benchmark():
@@ -321,7 +463,7 @@ def test_solve_2d_posdef():
         GridFn(((0, 1), (0, 1)), exact - bump), GridFn(((0, 1), (0, 1)), exact + bump),
     )
     res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=100_000))
-    assert res.converged
+    assert res.converged and res.path == "sweep"
     assert np.abs(res.u.values - exact).max() <= 1e-7
     assert res.residual.consistent_solution
 
