@@ -644,9 +644,9 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
         gaps = []
         consistent = True
         for rmin in (1e-1, 1e-2, 1e-3):
-            rs = np.linspace(rmin, 1.0, ns.grid)
-            wv = np.array([w_o.value(np.array([r, 0.0, 0.0])) for r in rs])
-            vv = np.array([v_o.value(np.array([r, 0.0, 0.0])) for r in rs])
+            pts = np.zeros((ns.grid, 3))
+            pts[:, 0] = np.linspace(rmin, 1.0, ns.grid)
+            wv, vv = w_o.value(pts), v_o.value(pts)
             rep = touching_experiment(
                 GridFn(((rmin, 1.0),), wv), GridFn(((rmin, 1.0),), vv), F, U, 1e-9
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -170,10 +171,27 @@ def _per_node(fn, *args) -> np.ndarray:
     return np.array([fn(*a) for a in zip(*args)], dtype=float)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis (broadcast), by batched matmul: bitwise each row's a @ b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _sq_norm(p: np.ndarray) -> np.ndarray:
     """p . p over the last axis, by batched matmul: bitwise each row's p @ p."""
-    p = np.asarray(p, dtype=float)
-    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
+    return _dot(p, p)
+
+
+def _libm(fn: Callable[..., float], a, *args: float) -> np.ndarray:
+    """fn(entry, *args) for every entry of a, same shape, through libm.
+
+    fn is math.pow or math.log.  Array np.power can differ from libm pow by
+    an ulp (SIMD kernels), so the stacked closed forms map the scalar
+    function instead: each entry is bitwise the float a lone call gives.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel().tolist()
+    return np.fromiter(map(fn, flat, *map(repeat, args)), float, len(flat)).reshape(a.shape)
 
 
 def _radial_jets(r, d, dd, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,10 +311,17 @@ def consistency_check(u_oracle: "FieldOracle", x: np.ndarray, n: int, tol: float
 
 
 def kelvin(u_value: "FieldOracle | Callable[[np.ndarray], float]", x: np.ndarray,
-           lam: float, y: np.ndarray, n: int) -> float:
-    """Kelvin transform of u about the sphere of radius lam at x, at point y.
+           lam: float, y: np.ndarray, n: int) -> "float | np.ndarray":
+    """Kelvin transform of u about the sphere of radius lam at x, at the points y.
 
     u_{x,lam}(y) = (lam/|y-x|)^{n-2} u(x + lam^2 (y-x)/|y-x|^2).
+
+    y holds points on its last axis, (..., n) -> (...); a lone (n,) point
+    gives a float.  A FieldOracle's value is called once on the whole stack
+    of inverted points, a plain callable once per point.  Every entry is
+    bitwise what a lone point gives: |y-x|^2 is a per-row dot product
+    (_sq_norm) and the power goes through libm pow, not array np.power
+    (see _libm).
     """
     if n < 3:
         raise ValueError("Kelvin transform needs n >= 3")
@@ -305,12 +330,24 @@ def kelvin(u_value: "FieldOracle | Callable[[np.ndarray], float]", x: np.ndarray
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = y - x
-    r2 = float(d @ d)
-    if r2 == 0.0:
+    r2 = _sq_norm(d)
+    if np.any(r2 == 0.0):
         raise ValueError("Kelvin transform undefined at y = x")
-    val = u_value.value if isinstance(u_value, FieldOracle) else u_value
-    z = x + lam**2 * d / r2
-    return float((lam**2 / r2) ** ((n - 2) / 2.0) * val(z))
+    z = x + lam**2 * d / r2[..., None]
+    out = _libm(math.pow, lam**2 / r2, (n - 2) / 2.0) * _point_values(u_value, z)
+    return float(out) if y.ndim == 1 else out
+
+
+def _point_values(u: "FieldOracle | Callable[[np.ndarray], float]", y: np.ndarray) -> np.ndarray:
+    """u at the points y, (..., n) -> (...).
+
+    A FieldOracle evaluates the whole stack in one value call; a plain
+    callable keeps its per-point contract and is called once per point, in
+    row order.
+    """
+    if isinstance(u, FieldOracle):
+        return np.asarray(u.value(y), dtype=float)
+    return _per_node(u, y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
 
 
 def kelvin_transform(u_value: "FieldOracle | Callable[[np.ndarray], float]",
@@ -332,18 +369,35 @@ def moving_sphere_radius(sup_u: float, inf_u: float, n: int) -> float:
 # analytic field oracles
 
 
+def _stacked(closed_form: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A FieldOracle value from a closed form on (..., n) point stacks: the
+    points become a float array, and a lone (n,) point gives a float."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        out = closed_form(x)
+        return float(out) if x.ndim == 1 else out
+
+    return value
+
+
 @dataclass(frozen=True)
 class FieldOracle:
     """Closed-form scalar field with exact jets.
 
-    value/grad/hess are plain callables; jets come from hand differentiation
-    of the named families, never from finite differences (those are kept as
-    an independent cross-check in the tests).
+    value takes points on its last axis, (..., n) -> (...), and gives a float
+    for a lone (n,) point; every entry of a stack is bitwise the float its
+    point gives alone.  The named families evaluate whole stacks: dot
+    products are per-row (_sq_norm) and non-integer powers and logs go
+    through libm (math.pow, math.log), because array np.power can differ
+    from libm pow by an ulp.  grad and hess take one point.  Jets come from
+    hand differentiation of the named families, never from finite
+    differences (those are kept as an independent cross-check in the tests).
     """
 
     name: str
     n: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], "float | np.ndarray"]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
@@ -358,17 +412,21 @@ class FieldOracle:
         return cls(
             name=f"const:{c}",
             n=n,
-            value=lambda x: float(c),
+            value=_stacked(lambda x: np.full(x.shape[:-1], float(c))),
             grad=lambda x: np.zeros(n),
             hess=lambda x: np.zeros((n, n)),
         )
 
     @classmethod
     def harmonic_power(cls, n: int) -> "FieldOracle":
-        """u(x) = |x|^{2-n}, the fundamental singularity; u > 0 away from 0."""
+        """u(x) = |x|^{2-n}, the fundamental singularity; u > 0 away from 0.
 
+        value raises ValueError at the pole x = 0 (a libm domain error).
+        """
+
+        @_stacked
         def value(x):
-            return float(np.linalg.norm(x) ** (2 - n))
+            return _libm(math.pow, np.sqrt(_sq_norm(x)), 2 - n)
 
         def grad(x):
             r2 = float(x @ x)
@@ -384,8 +442,9 @@ class FieldOracle:
     def bubble(cls, n: int) -> "FieldOracle":
         """u(x) = (1+|x|^2)^{-(n-2)/2}; its conformal Hessian is 2I everywhere."""
 
+        @_stacked
         def value(x):
-            return float((1.0 + x @ x) ** (-(n - 2) / 2.0))
+            return _libm(math.pow, 1.0 + _sq_norm(x), -(n - 2) / 2.0)
 
         def grad(x):
             return -(n - 2) * (1.0 + x @ x) ** (-n / 2.0) * x
@@ -398,7 +457,10 @@ class FieldOracle:
 
     @classmethod
     def log_singular(cls, alpha: float, beta: float, mu: float, n: int) -> "FieldOracle":
-        """psi(x) = ln(|x|^{2-n} + mu) / (alpha - n beta), singular at 0 for mu >= 0."""
+        """psi(x) = ln(|x|^{2-n} + mu) / (alpha - n beta), singular at 0 for mu >= 0.
+
+        value raises ValueError at x = 0 (a libm domain error).
+        """
         k = 1.0 / (alpha - n * beta)
 
         def parts(x):
@@ -408,8 +470,9 @@ class FieldOracle:
             hg = (2 - n) * (r2 ** (-n / 2.0) * np.eye(n) - n * r2 ** (-n / 2.0 - 1) * np.outer(x, x))
             return g, dg, hg
 
+        @_stacked
         def value(x):
-            return k * math.log(parts(x)[0])
+            return k * _libm(math.log, _libm(math.pow, _sq_norm(x), (2 - n) / 2.0) + mu)
 
         def grad(x):
             g, dg, _ = parts(x)
@@ -428,8 +491,10 @@ class FieldOracle:
             if len(expo) != n or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for n={n}")
 
+        @_stacked
         def value(x):
-            return float(sum(c * np.prod(x**np.array(e)) for e, c in monomials.items()))
+            return sum((c * np.prod(x ** np.array(e), axis=-1) for e, c in monomials.items()),
+                       np.zeros(x.shape[:-1]))
 
         def grad(x):
             g = np.zeros(n)

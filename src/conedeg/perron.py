@@ -84,7 +84,9 @@ class SolverConfig:
     stops once the largest margin itself does.  max_sweeps caps the
     iterations: red-black crossing sweeps, or Newton iterations on the
     Newton path (each a margin check followed, if it fails, by one step: a
-    tridiagonal solve in 1D, a block-tridiagonal one in 2D).
+    tridiagonal solve in 1D, a block-tridiagonal one in 2D).  A Newton step
+    that moves no node ends the run unconverged before the cap: every later
+    step would repeat it.
     """
 
     tol: float = 1e-8
@@ -618,7 +620,9 @@ def _newton_trace(
     closed-form shortened step otherwise, or, when that is shorter than
     _MIN_NEWTON_STEP or the Jacobian solve fails, one crossing sweep whose
     last group moves halfway; path is "newton+sweep" once such a sweep ran.
-    Every step is clamped into the sandwich.
+    Every step is clamped into the sandwich.  A step that moves no node is a
+    fixed point (every later step repeats it), so the run ends there,
+    unconverged.
     """
     tc = _TraceCrossing(problem)
     lo = problem.sub.values
@@ -656,6 +660,8 @@ def _newton_trace(
         elif move.max() > _MONOTONE_SLACK:
             monotone = False
         last = float(np.abs(move).max())
+        if last == 0.0:
+            break
         u[:] = new
     return iterations, converged, monotone, last, "newton+sweep" if swept else "newton"
 
@@ -811,7 +817,8 @@ def uniqueness_experiment(
 
     All converged runs should land on the same field; the report carries the
     maximum pairwise sup-distance and passes at 10 * cfg.tol.  Any run that
-    exhausts max_sweeps makes the experiment inconclusive.
+    does not converge (it exhausts max_sweeps, or a Newton run stalls) makes
+    the experiment inconclusive.
     """
     runs = [
         perron_solve(problem, cfg, direction="descending"),

@@ -34,6 +34,8 @@ from .operators import (
     FieldOracle,
     Jet2,
     OperatorSpec,
+    _dot,
+    _point_values,
     _radial_jets,
     _sq_norm,
     eval_F,
@@ -656,13 +658,24 @@ class MovingSphereReport:
         return bool(self.trials) and all(t.ok for t in self.trials)
 
 
-def _unit_directions(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
-    dirs = []
+_SPHERE_DIRS = 48  # rays per (center, lam) trial
+_SPHERE_SHELLS = 16  # points per ray, from the inversion sphere to the 3/4-ball's edge
+_CLOUD = 2048  # uniform sample of the ball for sup u, inf u and the Lipschitz quotient
+_PAIRS = 4096  # sample pairs for the Lipschitz quotient
+
+
+def _unit_directions(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """count unit vectors, (count, n), from normal draws.
+
+    A draw of norm <= 1e-8 is rejected and the deficit redrawn, in order, so
+    the vectors and the RNG stream are those of one draw at a time.
+    """
+    dirs = np.empty((0, n))
     while len(dirs) < count:
-        z = rng.normal(size=n)
-        nz = float(np.linalg.norm(z))
-        if nz > 1e-8:
-            dirs.append(z / nz)
+        z = rng.normal(size=(count - len(dirs), n))
+        nz = np.sqrt(_sq_norm(z))
+        keep = nz > 1e-8
+        dirs = np.concatenate([dirs, z[keep] / nz[keep, None]])
     return dirs
 
 
@@ -682,8 +695,6 @@ def moving_sphere_check(
     lambdas,
     *,
     tol: float = 1e-8,
-    n_dirs: int = 48,
-    n_shells: int = 16,
     seed: int = 0,
 ) -> MovingSphereReport:
     """Inversion comparison on the ball of radius 3/4.
@@ -691,18 +702,23 @@ def moving_sphere_check(
     u is evaluated through its closed form (callable or oracle), keeping the
     check about the inequality itself rather than interpolation error.  For
     each admissible center x (|x| <= 1/2) and radius lam, the transformed
-    function is compared with u on radial shells from the inversion sphere
-    out to the shell |y| = 3/4: it must not exceed u anywhere, must agree on
-    the inversion sphere (the transform is the identity there), and must
-    stay below inf u on the outer shell.  lambdas is one list per center,
-    or a single flat list reused for every center.  Also reports an
-    empirical Lipschitz quotient of u over well-separated sample pairs.
+    function is compared with u on 16 radial shells along 48 random rays,
+    from the inversion sphere out to the shell |y| = 3/4: it must not
+    exceed u anywhere, must agree on the inversion sphere (the transform is
+    the identity there), and must stay below inf u on the outer shell.
+    lambdas is one list per center, or a single flat list reused for every
+    center.  Also reports an empirical Lipschitz quotient of u over
+    well-separated sample pairs.
+
+    Each trial evaluates its whole (rays, shells, n) point stack at once: a
+    FieldOracle sees one value call for the sample cloud and three per
+    trial, a plain callable is called once per point.  The report is
+    bitwise that of a point-by-point scan (the tests keep one).
     """
     if n < 3:
         raise ValueError("the inversion comparison needs n >= 3")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    val = u.value if isinstance(u, FieldOracle) else u
     centers = [np.asarray(x, dtype=float) for x in xs]
     for x in centers:
         if x.shape != (n,):
@@ -711,57 +727,47 @@ def moving_sphere_check(
             raise ValueError("centers must lie in the closed half-radius ball")
     lam_lists = _normalize_lambdas(centers, lambdas)
     rng = np.random.default_rng(seed)
-    dirs = _unit_directions(rng, n, n_dirs)
+    dirs = _unit_directions(rng, n, _SPHERE_DIRS)
+    outer = 0.75 * dirs  # the outer shell |y| = 3/4
     # sup/inf sample: origin, the outer shell (where radial profiles bottom
     # out), and a uniform cloud in the ball
-    m_cloud = 2048
-    cloud_dirs = _unit_directions(rng, n, m_cloud)
-    radii = 0.75 * rng.random(m_cloud) ** (1.0 / n)
-    cloud = [np.zeros(n)] + [0.75 * d for d in dirs] + [
-        r * d for r, d in zip(radii, cloud_dirs)
-    ]
-    vals = np.array([val(y) for y in cloud])
+    cloud_dirs = _unit_directions(rng, n, _CLOUD)
+    radii = 0.75 * rng.random(_CLOUD) ** (1.0 / n)
+    pts = np.concatenate([np.zeros((1, n)), outer, radii[:, None] * cloud_dirs])
+    vals = _point_values(u, pts)
     if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
         raise ValueError("u must be positive and finite on the comparison ball")
     sup_u, inf_u = float(np.max(vals)), float(np.min(vals))
     R = moving_sphere_radius(sup_u, inf_u, n)
-    quot = 0.0
-    pts = np.array(cloud)
-    for _ in range(4096):
-        i, k = rng.integers(0, len(pts), size=2)
-        dist = float(np.linalg.norm(pts[i] - pts[k]))
-        if dist >= 1e-3:
-            quot = max(quot, abs(float(vals[i] - vals[k])) / dist)
+    i, k = rng.integers(0, len(pts), size=(_PAIRS, 2)).T
+    dist = np.sqrt(_sq_norm(pts[i] - pts[k]))
+    apart = dist >= 1e-3
+    quot = float(np.max(np.abs(vals[i[apart]] - vals[k[apart]]) / dist[apart], initial=0.0))
     report = MovingSphereReport(
         n=n, sup_u=sup_u, inf_u=inf_u, start_radius=R,
         lipschitz_quotient=quot, tol=tol,
     )
+    shells = np.arange(_SPHERE_SHELLS, dtype=float)
     for x, lams in zip(centers, lam_lists):
-        xx = float(x @ x)
+        b = _dot(dirs, x)
+        reach = -b + np.sqrt(b * b + 0.5625 - float(x @ x))  # exit of the 3/4-ball
+        clear = np.sqrt(_sq_norm(outer - x))
         for lam in lams:
             if lam <= 0.0:
                 raise ValueError("lam must be positive")
             if lam > R * (1.0 + 1e-12):
                 raise ValueError(f"lam={lam:g} exceeds the admissible start radius {R:g}")
-            max_excess = -math.inf
-            sphere_gap = 0.0
-            boundary_excess = -math.inf
-            for wdir in dirs:
-                b = float(x @ wdir)
-                reach = -b + math.sqrt(b * b + 0.5625 - xx)  # exit of the 3/4-ball
-                if reach < lam:
-                    continue
-                for rho in np.linspace(lam, reach, n_shells):
-                    y = x + float(rho) * wdir
-                    excess = kelvin(val, x, lam, y, n) - val(y)
-                    max_excess = max(max_excess, excess)
-                    if rho == lam:
-                        sphere_gap = max(sphere_gap, abs(excess))
-                yb = 0.75 * wdir
-                if float(np.linalg.norm(yb - x)) >= lam:
-                    boundary_excess = max(
-                        boundary_excess, kelvin(val, x, lam, yb, n) - inf_u
-                    )
+            live = reach >= lam
+            # np.linspace(lam, reach, _SPHERE_SHELLS) on each live ray
+            rho = lam + shells * ((reach[live] - lam) / (_SPHERE_SHELLS - 1))[:, None]
+            rho[:, -1] = reach[live]
+            y = x + rho[..., None] * dirs[live, None, :]
+            excess = kelvin(u, x, lam, y, n) - _point_values(u, y)
+            rim = kelvin(u, x, lam, outer[live & (clear >= lam)], n) - inf_u
+            # fmax skips a NaN, as max() does in the point-by-point scan
+            max_excess = float(np.fmax.reduce(excess, axis=None, initial=-math.inf))
+            sphere_gap = float(np.fmax.reduce(np.abs(excess[rho == lam]), initial=0.0))
+            boundary_excess = float(np.fmax.reduce(rim, initial=-math.inf))
             ok = max_excess <= tol and sphere_gap <= tol and boundary_excess <= tol
             report.trials.append(
                 SphereTrial(

@@ -2,6 +2,7 @@
 command-line surface.  Heavy numerical behavior is covered by the module
 suites; here the subject is the plumbing."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -224,6 +225,23 @@ def test_kelvin_constant_field(tmp_path):
                                         "--lambdas", "0.1"])
     assert code == EXIT_PASS
     assert "sphere_identity" in text
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["kelvin", "--field", "bubble"],
+     "a259fb9718a17ecb03cec486142e6a8e7471522cb7a9482341586ae03d40f276"),
+    (["kelvin", "--field", "bubble", "--n", "4"],
+     "827e99cb87dd9f6a24d6c3d1b8313f186535bf97df91bcc7ff29247b8b33d5f3"),
+    (["kelvin", "--field", "constant"],
+     "c3efab9269e77d6fb43be5f668e374546d0d7c0ff16bf5940a554f240d5ac424"),
+    (["touching", "--pair", "logpair"],
+     "3fbd4b46f34071429dc9cbcbe10624df3e8005dc6513b68c7694498c4d2a2da3"),
+])
+def test_default_stdout_is_pinned(args, digest, capsys):
+    # sha256 of the stdout of the per-point evaluation these commands used
+    # before their values were stacked: default stdout stays byte-identical
+    assert dispatch(args) == EXIT_PASS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_kelvin_harmonic_is_involution_only(tmp_path):

@@ -362,6 +362,83 @@ def test_kelvin_domain_errors():
         kelvin(one, np.zeros(3), -1.0, np.ones(3), 3)
 
 
+# ---------------------------------------------------------------------------
+# stacked values and Kelvin transforms against lone points
+
+
+def _families(n: int) -> dict:
+    """Each FieldOracle family with its lone-point closed form as it was
+    written before value took stacks: the bitwise reference."""
+    mono = {(2, 0, 0) + (0,) * (n - 3): 1.0, (0, 1, 1) + (0,) * (n - 3): -2.0,
+            (1, 0, 0) + (1,) * (n - 3): 0.5, (0,) * n: 3.0}
+    k = 1.0 / (1.3 - n * 0.1)
+    return {
+        "constant": (FieldOracle.constant(2.5, n), lambda x: float(2.5)),
+        "bubble": (FieldOracle.bubble(n), lambda x: float((1.0 + x @ x) ** (-(n - 2) / 2.0))),
+        "harmonic_power": (FieldOracle.harmonic_power(n),
+                           lambda x: float(np.linalg.norm(x) ** (2 - n))),
+        "log_singular": (FieldOracle.log_singular(1.3, 0.1, 0.7, n),
+                         lambda x: k * math.log(float(x @ x) ** ((2 - n) / 2.0) + 0.7)),
+        "polynomial": (FieldOracle.polynomial(mono, n),
+                       lambda x: float(sum(c * np.prod(x ** np.array(e)) for e, c in mono.items()))),
+    }
+
+
+def _loop_kelvin(val, x, lam, y, n):
+    """The Kelvin transform at one point, as a per-point loop computes it."""
+    d = y - x
+    r2 = float(d @ d)
+    return float((lam**2 / r2) ** ((n - 2) / 2.0) * val(x + lam**2 * d / r2))
+
+
+def _points(seed: int, n: int) -> np.ndarray:
+    """(4, 9, n) points over five decades of |x|, none at the origin."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(4, 9, n)) * rng.choice([1e-3, 0.1, 0.5, 2.0, 50.0], size=(4, 9, 1))
+
+
+@pytest.mark.parametrize("family", ["constant", "bubble", "harmonic_power", "log_singular", "polynomial"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_value_and_kelvin_match_lone_points(family, n, seed):
+    oracle, lone = _families(n)[family]
+    pts = _points(seed, n)
+    x = 0.4 * np.random.default_rng(seed + 10).normal(size=n)
+    # lone points return the same float as the closed form always did
+    want = [lone(y) for y in pts.reshape(-1, n)]
+    got = [oracle.value(y) for y in pts.reshape(-1, n)]
+    assert all(type(v) is float for v in got)
+    assert _hexed(got) == _hexed(want)
+    # a stack returns its shape, each entry bitwise its lone point's value
+    for stack in (pts, pts[0], pts[:, :0]):
+        out = oracle.value(stack)
+        assert out.shape == stack.shape[:-1]
+        assert _hexed(out.ravel().tolist()) == _hexed([oracle.value(y) for y in stack.reshape(-1, n)])
+    for lam in (0.05, 0.3, 1.7):
+        out = kelvin(oracle, x, lam, pts, n)
+        assert out.shape == pts.shape[:-1]
+        want = [_loop_kelvin(lone, x, lam, y, n) for y in pts.reshape(-1, n)]
+        assert _hexed(out.ravel().tolist()) == _hexed(want)
+        assert type(kelvin(oracle, x, lam, pts[0, 0], n)) is float
+
+
+def test_stacked_kelvin_calls_a_plain_callable_per_point():
+    seen = []
+
+    def u(y):
+        seen.append(y.shape)
+        return 2.0 + math.sin(3.0 * y[0])
+
+    pts = _points(5, 3)
+    out = kelvin(u, np.array([0.1, 0.0, -0.2]), 0.4, pts, 3)
+    assert out.shape == (4, 9)
+    assert seen == [(3,)] * 36
+    want = [_loop_kelvin(u, np.array([0.1, 0.0, -0.2]), 0.4, y, 3) for y in pts.reshape(-1, 3)]
+    assert _hexed(out.ravel().tolist()) == _hexed(want)
+    with pytest.raises(ValueError, match="undefined at y = x"):
+        kelvin(u, np.zeros(3), 0.4, np.stack([np.ones(3), np.zeros(3)]), 3)
+
+
 def test_moving_sphere_radius():
     assert moving_sphere_radius(3.0, 3.0, 5) == pytest.approx(0.25)
     assert moving_sphere_radius(16.0, 1.0, 4) == pytest.approx(1.0 / 16.0)

@@ -405,6 +405,17 @@ def test_solve_radial_annulus_benchmark():
     assert res.solved
 
 
+def test_newton_stall_ends_unconverged():
+    # at N = 1000 a 1e-9 margin sits below the rounding floor: from about
+    # the tenth iteration the descending step moves no node, a fixed point
+    # that used to repeat until max_sweeps (200,000 iterations, 103 s)
+    P, _ = radial_sandwich_problem(1000)
+    res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=200_000))
+    assert not res.converged and not res.solved
+    assert res.sweeps < 100
+    assert res.last_update == 0.0
+
+
 def test_radial_sandwich_is_certified():
     P, _ = radial_sandwich_problem(250)
     sup_rep = grid_verify(P.sup, P.F, P.U, ambient_n=3)

@@ -23,7 +23,9 @@ from conedeg.radial import RadialProfile, build_counterexample, cusp_family_oper
 from conedeg.viscosity import (
     PROPAGATION_CONSISTENT,
     PROPAGATION_VIOLATED,
+    MovingSphereReport,
     PerturbationParams,
+    SphereTrial,
     _A_CAP,
     _first_variation,
     envelope_error_check,
@@ -818,3 +820,163 @@ def test_moving_sphere_validation():
         moving_sphere_check(bub, 3, [np.zeros(3)], [-0.1])
     with pytest.raises(ValueError):
         moving_sphere_check(lambda y: -1.0, 3, [np.zeros(3)], [0.1])  # not positive
+
+
+# per-point replay of moving_sphere_check: the scan the stacked trials replace
+
+
+def _loop_unit_directions(rng, n, count):
+    dirs = []
+    while len(dirs) < count:
+        z = rng.normal(size=n)
+        nz = float(np.linalg.norm(z))
+        if nz > 1e-8:
+            dirs.append(z / nz)
+    return dirs
+
+
+def _loop_kelvin(val, x, lam, y, n):
+    d = y - x
+    r2 = float(d @ d)
+    return float((lam**2 / r2) ** ((n - 2) / 2.0) * val(x + lam**2 * d / r2))
+
+
+def _loop_moving_sphere_check(u, n, xs, lambdas, tol=1e-8, seed=0):
+    """One kelvin and one value call per point, one direction and shell at a time."""
+    if n < 3:
+        raise ValueError("the inversion comparison needs n >= 3")
+    val = u.value if isinstance(u, FieldOracle) else u
+    centers = [np.asarray(x, dtype=float) for x in xs]
+    for x in centers:
+        if x.shape != (n,):
+            raise ValueError("centers must be n-vectors")
+        if float(np.linalg.norm(x)) > 0.5 + 1e-12:
+            raise ValueError("centers must lie in the closed half-radius ball")
+    if len(lambdas) == len(centers) and all(isinstance(ls, (list, tuple, np.ndarray)) for ls in lambdas):
+        lam_lists = [[float(l) for l in ls] for ls in lambdas]
+    else:
+        lam_lists = [[float(l) for l in lambdas] for _ in centers]
+    rng = np.random.default_rng(seed)
+    dirs = _loop_unit_directions(rng, n, 48)
+    cloud_dirs = _loop_unit_directions(rng, n, 2048)
+    radii = 0.75 * rng.random(2048) ** (1.0 / n)
+    cloud = [np.zeros(n)] + [0.75 * d for d in dirs] + [r * d for r, d in zip(radii, cloud_dirs)]
+    vals = np.array([val(y) for y in cloud])
+    if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
+        raise ValueError("u must be positive and finite on the comparison ball")
+    sup_u, inf_u = float(np.max(vals)), float(np.min(vals))
+    R = 0.25 * (sup_u / inf_u) ** (-1.0 / (n - 2))
+    quot = 0.0
+    pts = np.array(cloud)
+    for _ in range(4096):
+        i, k = rng.integers(0, len(pts), size=2)
+        dist = float(np.linalg.norm(pts[i] - pts[k]))
+        if dist >= 1e-3:
+            quot = max(quot, abs(float(vals[i] - vals[k])) / dist)
+    report = MovingSphereReport(n=n, sup_u=sup_u, inf_u=inf_u, start_radius=R,
+                                lipschitz_quotient=quot, tol=tol)
+    for x, lams in zip(centers, lam_lists):
+        xx = float(x @ x)
+        for lam in lams:
+            if lam <= 0.0:
+                raise ValueError("lam must be positive")
+            if lam > R * (1.0 + 1e-12):
+                raise ValueError(f"lam={lam:g} exceeds the admissible start radius {R:g}")
+            max_excess, sphere_gap, boundary_excess = -math.inf, 0.0, -math.inf
+            for wdir in dirs:
+                b = float(x @ wdir)
+                reach = -b + math.sqrt(b * b + 0.5625 - xx)
+                if reach < lam:
+                    continue
+                for rho in np.linspace(lam, reach, 16):
+                    y = x + float(rho) * wdir
+                    excess = _loop_kelvin(val, x, lam, y, n) - val(y)
+                    max_excess = max(max_excess, excess)
+                    if rho == lam:
+                        sphere_gap = max(sphere_gap, abs(excess))
+                yb = 0.75 * wdir
+                if float(np.linalg.norm(yb - x)) >= lam:
+                    boundary_excess = max(boundary_excess, _loop_kelvin(val, x, lam, yb, n) - inf_u)
+            ok = max_excess <= tol and sphere_gap <= tol and boundary_excess <= tol
+            report.trials.append(SphereTrial(tuple(float(c) for c in x), float(lam),
+                                             max_excess, sphere_gap, boundary_excess, ok))
+    return report
+
+
+def _wavy(n):
+    """A positive, non-radial plain callable, evaluated one point at a time."""
+    return lambda y: 2.0 + 0.5 * math.sin(3.0 * float(y[0]) - float(y[n - 1]))
+
+
+def _sphere_outcome(check, u, n, xs, lambdas, seed):
+    """The report with every float as hex, or the ValueError's message."""
+    try:
+        rep = check(u, n, xs, lambdas, seed=seed)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    rows = [[rep.n, rep.sup_u, rep.inf_u, rep.start_radius, rep.lipschitz_quotient, rep.tol]]
+    rows += [[*t.center, t.lam, t.max_excess, t.sphere_gap, t.boundary_excess, t.ok]
+             for t in rep.trials]
+    return [[float(v).hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
+_SPHERE_FIELDS = {"bubble": FieldOracle.bubble, "constant": lambda n: FieldOracle.constant(1.5, n),
+                  "callable": _wavy}
+
+
+@pytest.mark.parametrize("field_name", sorted(_SPHERE_FIELDS))
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("per_center,seed", [(False, 0), (True, 1)])
+def test_stacked_moving_sphere_matches_per_point_replay_property(field_name, n, per_center, seed):
+    # seeded draws: 1-2 centers in the half-radius ball, 1-3 radii, some of
+    # which exceed the start radius of some fields (0.16 for the callable
+    # at n = 3, whose start radius is 0.15) and must raise
+    rng = np.random.default_rng([seed, n, per_center])
+    xs = []
+    for _ in range(rng.integers(1, 3)):
+        z = rng.normal(size=n)
+        xs.append(0.5 * rng.random() * z / np.linalg.norm(z))
+    pool = np.array([0.01, 0.02, 0.05, 0.1, 0.13, 0.16])
+    lams = [rng.choice(pool, size=rng.integers(1, 4)).tolist() for _ in xs]
+    lambdas = lams if per_center else lams[0]
+    u = _SPHERE_FIELDS[field_name](n)
+    got = _sphere_outcome(moving_sphere_check, u, n, xs, lambdas, seed)
+    assert got == _sphere_outcome(_loop_moving_sphere_check, u, n, xs, lambdas, seed)
+
+
+@pytest.mark.parametrize("field_name", sorted(_SPHERE_FIELDS))
+@pytest.mark.parametrize("fault", ["far center", "bad shape", "negative field", 0.0, -0.05, 0.4])
+def test_stacked_moving_sphere_raises_as_per_point_replay(field_name, fault):
+    n = 3
+    u = _SPHERE_FIELDS[field_name](n)
+    xs = [np.zeros(n), np.array([0.2, -0.1, 0.3])]
+    lambdas = [0.05, 0.1]
+    if fault == "far center":
+        xs.append(np.array([0.3, 0.3, 0.3]))
+    elif fault == "bad shape":
+        xs.append(np.zeros(n + 1))
+    elif fault == "negative field":
+        u = (dataclasses.replace(u, value=lambda x, f=u.value: -f(x)) if isinstance(u, FieldOracle)
+             else lambda y, f=u: -f(y))
+    else:
+        lambdas = [[0.05], [0.1, fault]]
+    got = _sphere_outcome(moving_sphere_check, u, n, xs, lambdas, 7)
+    assert got[0] == "raises"
+    assert got == _sphere_outcome(_loop_moving_sphere_check, u, n, xs, lambdas, 7)
+
+
+def test_moving_sphere_evaluates_whole_stacks():
+    # a return to per-point evaluation would make thousands of value calls
+    # a trial: the check makes one for its sample cloud and three per trial
+    bub = FieldOracle.bubble(3)
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return bub.value(x)
+
+    xs = [np.zeros(3), np.array([0.3, 0.0, 0.0]), np.array([-0.25, 0.25, 0.25])]
+    rep = moving_sphere_check(dataclasses.replace(bub, value=counted), 3, xs, [0.05, 0.1])
+    assert len(rep.trials) == 6
+    assert len(calls) <= 1 + 3 * len(rep.trials)
+    assert rep == moving_sphere_check(bub, 3, xs, [0.05, 0.1])
