@@ -86,7 +86,8 @@ class SolverConfig:
     Newton path (each a margin check followed, if it fails, by one step: a
     tridiagonal solve in 1D, a block-tridiagonal one in 2D).  A Newton step
     that moves no node ends the run unconverged before the cap: every later
-    step would repeat it.
+    step would repeat it.  So do 8 iterations in a row whose margin sets no
+    new minimum: the run creeps at the rounding floor.
     """
 
     tol: float = 1e-8
@@ -463,6 +464,10 @@ def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
 # sweep instead: the shortened step stalls next to nodes on the cone boundary
 _MIN_NEWTON_STEP = 1e-2
 
+# a Newton run ends, unconverged, after this many iterations in a row whose
+# scaled margin set no new minimum: it creeps at the rounding floor
+_NEWTON_STALL = 8
+
 
 def _newton_applies(problem: DirichletProblem, mode: str) -> bool:
     return (
@@ -622,7 +627,8 @@ def _newton_trace(
     last group moves halfway; path is "newton+sweep" once such a sweep ran.
     Every step is clamped into the sandwich.  A step that moves no node is a
     fixed point (every later step repeats it), so the run ends there,
-    unconverged.
+    unconverged; so does a run whose scaled margin sets no new minimum for
+    _NEWTON_STALL iterations in a row (a fallback sweep restarts that count).
     """
     tc = _TraceCrossing(problem)
     lo = problem.sub.values
@@ -633,12 +639,20 @@ def _newton_trace(
     groups = None
     swept = False
     iterations, converged, monotone, last = 0, False, True, 0.0
+    best, stalled = math.inf, 0
     while iterations < cfg.max_sweeps:
         iterations += 1
         g = tc.residual(u)
-        if float(np.abs(g).max()) * scoef <= cfg.tol:
+        margin = float(np.abs(g).max()) * scoef
+        if margin <= cfg.tol:
             converged = True
             break
+        if margin < best:
+            best, stalled = margin, 0
+        else:
+            stalled += 1
+            if stalled >= _NEWTON_STALL:
+                break
         d = tc.newton_direction(u, g)
         t = tc.damped_step(d, np.maximum(side * g, 0.0)) if damped else 1.0
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
@@ -652,7 +666,7 @@ def _newton_trace(
                 c = _sweep_group(flat, st, problem, "trace")
                 c = np.clip(c, lo_flat[st.idx], hi_flat[st.idx])
                 flat[st.idx] += weight * (c - flat[st.idx])
-            swept = True
+            swept, stalled = True, 0
         move = new - u
         if ascending:
             if move.min() < -_MONOTONE_SLACK:

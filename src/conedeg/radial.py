@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .matcone import eigen_sym
-from .operators import FieldOracle, OperatorSpec, _radial_jets, eval_F, eval_L
+from .operators import FieldOracle, OperatorSpec, _libm, _radial_jets, eval_F, eval_L
 
 __all__ = [
     "RadialProfile",
@@ -204,7 +204,7 @@ def _p4_tilde(t: float, alpha: float) -> float:
     return 6400.0 * t**4 + 32400.0 * alpha * t**2 + 729.0 * t
 
 
-def lambda12_t(t: float, r: float, r0: float, alpha: float, variant: str) -> tuple[float, float]:
+def lambda12_t(t: float, r, r0: float, alpha: float, variant: str):
     """Closed-form eigenvalues of the cusp-profile family at radius r.
 
     variant "P4":     operator Hess - (s^3|p|^10 + alpha s|p|^6 + |p|^4) I
@@ -213,11 +213,16 @@ def lambda12_t(t: float, r: float, r0: float, alpha: float, variant: str) -> tup
         lambda1 = -(2/D) t^{1/3} (K P(t) + B) / |r-r0|^{4/3}
         lambda2 = -(2/D) t^{1/3} (K P(t) - T (r-r0)/r) / |r-r0|^{4/3}
     with (D, K, B, T) = (59049, 8, 6561, 19683) resp. (1476225, 2, 164025, 492075).
+
+    t is one parameter; r is a radius (two floats back) or an array of radii
+    (two arrays, each entry bitwise the float a lone call gives).  Any r <= 0
+    or r == r0 raises.  |r-r0|^{4/3} goes through libm pow (see _libm).
     """
-    if r <= 0.0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
     rho = r - r0
-    if rho == 0.0:
+    if np.any(rho == 0.0):
         raise ValueError("profile is not twice differentiable at r = r0")
     if variant == "P4":
         d, k, b, tt = 59049.0, 8.0, 6561.0, 19683.0
@@ -228,10 +233,10 @@ def lambda12_t(t: float, r: float, r0: float, alpha: float, variant: str) -> tup
     else:
         raise ValueError(f"unknown variant {variant!r}")
     t13 = cbrt(t)
-    denom = abs(rho) ** (4.0 / 3.0)
+    denom = _libm(math.pow, np.abs(rho), 4.0 / 3.0)
     lam1 = -(2.0 / d) * t13 * (k * p + b) / denom
     lam2 = -(2.0 / d) * t13 * (k * p - tt * rho / r) / denom
-    return lam1, lam2
+    return (float(lam1), float(lam2)) if r.ndim == 0 else (lam1, lam2)
 
 
 def cusp_family_operator(variant: str, alpha: float) -> OperatorSpec:
@@ -284,12 +289,13 @@ def quartic_eval(q: QuarticSpec, t: "Fraction | int | float"):
     """Evaluate the quartic; exact Fraction arithmetic for exact inputs.
 
     Rational inputs stay rational (no rounding anywhere); floats use plain
-    Horner evaluation, which is adequate at the moderate magnitudes here.
+    Horner evaluation, which is adequate at the moderate magnitudes here.  A
+    float array is evaluated entrywise in the same operation order.
     """
     if isinstance(t, (Fraction, int)):
         tq = Fraction(t)
         return ((q.c4 * tq * tq + q.c2) * tq + q.c1) * tq + q.c0
-    tf = float(t)
+    tf = t.astype(float) if isinstance(t, np.ndarray) else float(t)
     return ((float(q.c4) * tf * tf + float(q.c2)) * tf + float(q.c1)) * tf + float(q.c0)
 
 
@@ -322,7 +328,7 @@ def quartic_roots(q: QuarticSpec, lo: float = -10.0, hi: float = 10.0,
     treat a shortfall as "unresolved" rather than inventing roots.
     """
     ts = np.linspace(lo, hi, probes + 1)
-    vals = [float(quartic_eval(q, float(t))) for t in ts]
+    vals = quartic_eval(q, ts).tolist()
     roots: list[RootBracket] = []
     for i in range(probes):
         a, b = float(ts[i]), float(ts[i + 1])
@@ -386,7 +392,7 @@ def monotone_interp_L(p_norm, s, alpha=_ALPHA_FIXED):
     monotone in s there; interp_L_slope_scan reports the actual sign
     pattern.
     """
-    if Fraction(alpha).limit_denominator(10**6) != _ALPHA_FIXED:
+    if alpha is not _ALPHA_FIXED and Fraction(alpha).limit_denominator(10**6) != _ALPHA_FIXED:
         raise ValueError("the interpolated family is defined only for alpha = -36/25")
     exact = isinstance(p_norm, (Fraction, int)) and isinstance(s, (Fraction, int))
     if exact:
@@ -535,26 +541,14 @@ def build_counterexample(kind: str, rgrid: int = 2001, **params) -> CtexCertific
 def _sign_scan_delta(variant: str, alpha: float, roots: list[float], t0: float,
                      r0: float) -> float | None:
     """Largest dyadic delta <= 1/4 whose coarse sign scan passes."""
-    t2, t3, t4 = roots[1], roots[2], roots[3]
     for j in range(2, 10):
         delta = 2.0**-j
-        ok = True
-        for r in np.linspace(r0 - delta, r0 + delta, 257):
-            r = float(r)
-            if abs(r - r0) < 1e-12:
-                continue
-            for t in (t2, t3, t4):
-                _, lam2 = lambda12_t(t, r, r0, alpha, variant)
-                if t * lam2 <= 0.0:
-                    ok = False
-                    break
-            if not ok:
-                break
-            lam1, lam2 = lambda12_t(t0, r, r0, alpha, variant)
-            if lam1 <= 0.0 or lam2 <= 0.0:
-                ok = False
-                break
-        if ok:
+        r = np.linspace(r0 - delta, r0 + delta, 257)
+        r = r[~(np.abs(r - r0) < 1e-12)]
+        # t lambda2 > 0 on the root profiles, both eigenvalues > 0 at t0
+        signs = [t * lambda12_t(t, r, r0, alpha, variant)[1] for t in roots[1:4]]
+        signs += lambda12_t(t0, r, r0, alpha, variant)
+        if not any(np.any(x <= 0.0) for x in signs):
             return delta
     return None
 
@@ -639,57 +633,40 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
         delta = min(delta, scan_delta)
     cert.params.update({"t0": t0, "delta": delta})
 
-    w_right, w_left = ts[3], ts[1]
-    v_right, v_left = ts[2], t0
-
-    def profile(t, r):
-        c = cbrt(t)
-        rho = r - r0
-        arho = abs(rho)
-        return (
-            c * arho ** (2.0 / 3.0),
-            (2.0 / 3.0) * c * arho ** (-1.0 / 3.0) * math.copysign(1.0, rho),
-            -(2.0 / 9.0) * c * arho ** (-4.0 / 3.0),
-        )
-
-    w_ok = True
-    v_ok = True
-    sign_ok = True
-    min_gap_scaled = math.inf
-    w_jets = []
-    for r in np.linspace(r0 - delta, r0 + delta, rgrid):
-        r = float(r)
-        if abs(r - r0) < 1e-12:
-            continue
-        tw = w_right if r > r0 else w_left
-        tv = v_right if r > r0 else v_left
-        mu_w, nu_w = lambda12_t(tw, r, r0, alpha, variant)
-        mu_v, nu_v = lambda12_t(tv, r, r0, alpha, variant)
-        w_val, w_d, w_dd = profile(tw, r)
-        v_val = profile(tv, r)[0]
-        # w branches use root parameters: radial eigenvalue vanishes and the
-        # transverse one carries the sign of t, so the matrix sits on the
-        # cone boundary (right) or strictly outside (left): supersolution
-        row_w = abs(mu_w) <= _EIG_TOL and min(mu_w, nu_w) <= _EIG_TOL
-        if r > r0:
-            branch_sign = nu_w > 0.0 and nu_v > 0.0  # both params positive
-            row_v = abs(mu_v) <= _EIG_TOL and min(mu_v, nu_v) >= -_EIG_TOL
-        else:
-            # left w param is negative (transverse eigenvalue negative);
-            # left v param gives a strictly positive-definite matrix
-            branch_sign = nu_w < 0.0 and mu_v > 0.0 and nu_v > 0.0
-            row_v = min(mu_v, nu_v) >= -_EIG_TOL
-        sign_ok &= branch_sign
-        scale = 1.0 + max(abs(mu_w), abs(nu_w), abs(mu_v), abs(nu_v))
-        w_jets.append((r, w_val, w_d, w_dd, mu_w, nu_w, scale))
-        gap = w_val - v_val
-        min_gap_scaled = min(min_gap_scaled, gap / abs(r - r0) ** (2.0 / 3.0))
-        w_ok &= row_w
-        v_ok &= row_v
-        cert.rows.append(GridRow(r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w and row_v))
+    r = np.linspace(r0 - delta, r0 + delta, rgrid)
+    r = r[~(np.abs(r - r0) < 1e-12)]
+    right = r > r0
+    arho = np.abs(r - r0)
+    rho23 = _libm(math.pow, arho, 2.0 / 3.0)
+    w_val, w_d, w_dd, v_val, mu_w, nu_w, mu_v, nu_v = np.empty((8, len(r)))
+    # right branch: parameters ts[3] (w) and ts[2] (v); left: ts[1] and t0
+    for sel, tw, tv, sign in ((right, ts[3], ts[2], 1.0), (~right, ts[1], t0, -1.0)):
+        cw = cbrt(tw)
+        w_val[sel] = cw * rho23[sel]
+        w_d[sel] = (2.0 / 3.0) * cw * _libm(math.pow, arho[sel], -1.0 / 3.0) * sign
+        w_dd[sel] = -(2.0 / 9.0) * cw * _libm(math.pow, arho[sel], -4.0 / 3.0)
+        v_val[sel] = cbrt(tv) * rho23[sel]
+        mu_w[sel], nu_w[sel] = lambda12_t(tw, r[sel], r0, alpha, variant)
+        mu_v[sel], nu_v[sel] = lambda12_t(tv, r[sel], r0, alpha, variant)
+    # w branches use root parameters: radial eigenvalue vanishes and the
+    # transverse one carries the sign of t, so the matrix sits on the cone
+    # boundary (right) or strictly outside (left): supersolution.  Right,
+    # both v and w params are positive; left, the w param is negative
+    # (transverse eigenvalue negative) and the v param gives a strictly
+    # positive-definite matrix
+    row_w = (np.abs(mu_w) <= _EIG_TOL) & (np.minimum(mu_w, nu_w) <= _EIG_TOL)
+    row_v = (np.minimum(mu_v, nu_v) >= -_EIG_TOL) & (~right | (np.abs(mu_v) <= _EIG_TOL))
+    branch_sign = np.where(right, (nu_w > 0.0) & (nu_v > 0.0),
+                           (nu_w < 0.0) & (mu_v > 0.0) & (nu_v > 0.0))
+    sign_ok = bool(branch_sign.all())
+    w_ok, v_ok = bool(row_w.all()), bool(row_v.all())
+    gap = w_val - v_val
+    min_gap_scaled = float(np.fmin.reduce(gap / rho23, initial=math.inf))
+    cert.rows = list(map(GridRow, r.tolist(), w_val.tolist(), v_val.tolist(), mu_w.tolist(),
+                         nu_w.tolist(), mu_v.tolist(), nu_v.tolist(), (row_w & row_v).tolist()))
 
     # cross-check the closed forms against the generic jet pipeline
-    r, w_val, w_d, w_dd, mu_w, nu_w, scale = np.array(w_jets).T
+    scale = 1.0 + np.maximum.reduce([np.abs(mu_w), np.abs(nu_w), np.abs(mu_v), np.abs(nu_v)])
     tol = 1e-9 * scale
 
     def matches(op: OperatorSpec) -> bool:
@@ -706,10 +683,8 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     if kind == "nondec":
         cert.clauses["interp_L_matches_on_profiles"] = interp_agree
     cert.clauses["ordering"] = min_gap_scaled > 0.0
-    cert.clauses["touching_only_at_r0"] = all(row.w - row.v > _EIG_TOL for row in cert.rows)
-    cert.clauses["boundary_gap"] = (
-        cert.rows[0].w - cert.rows[0].v > 0.0 and cert.rows[-1].w - cert.rows[-1].v > 0.0
-    )
+    cert.clauses["touching_only_at_r0"] = bool(np.all(gap > _EIG_TOL))
+    cert.clauses["boundary_gap"] = bool(gap[0] > 0.0 and gap[-1] > 0.0)
     cert.touching = [r0]
     cert.params["min_gap_over_rho23"] = min_gap_scaled
     cert.notes.append(
@@ -813,14 +788,10 @@ def cusp_pair_values(cert: CtexCertificate, rgrid: int | None = None):
     if rgrid is None:
         rgrid = len(cert.rows) + 1
     radii = np.linspace(r0 - delta, r0 + delta, rgrid)
-    w = np.empty(rgrid)
-    v = np.empty(rgrid)
-    for i, r in enumerate(radii):
-        rho = abs(float(r) - r0)
-        tw = ts[3] if r > r0 else ts[1]
-        tv = ts[2] if r > r0 else t0
-        w[i] = cbrt(tw) * rho ** (2.0 / 3.0)
-        v[i] = cbrt(tv) * rho ** (2.0 / 3.0)
+    right = radii > r0
+    rho23 = _libm(math.pow, np.abs(radii - r0), 2.0 / 3.0)
+    w = np.where(right, cbrt(ts[3]), cbrt(ts[1])) * rho23
+    v = np.where(right, cbrt(ts[2]), cbrt(t0)) * rho23
     return radii, w, v
 
 

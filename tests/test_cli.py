@@ -244,6 +244,25 @@ def test_default_stdout_is_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,code,digest", [
+    (["ctex", "--kind", "beta-sign"], EXIT_PASS,
+     "725284e0cb0128da1f446e7e7df8716b78840cf9eb1943aab1caabb53bc6c4da"),
+    (["ctex", "--kind", "nondec"], EXIT_PASS,
+     "281002e2088bb657336add3db786dc7a5436a8aa647dc69992c089f1903c1ba2"),
+    (["ctex", "--kind", "bprime"], EXIT_PASS,
+     "3ad1a51ad73e7f8c847e65a9168e036085c58e94cc6d4edec4dbc6dab850177c"),
+    (["ctex", "--kind", "holder"], EXIT_PASS,
+     "e993b1b0c902457e2f5420c82964153c521087e972ef711913bd8882eae35896"),
+    (["touching", "--pair", "cusp"], EXIT_EXPECTED_VIOLATION,
+     "4a7b2546ef43ea7adb48d866bbefabbe6e2ce562102b67c93107af1fcf644ef3"),
+])
+def test_certificate_stdout_is_pinned(args, code, digest, capsys):
+    # sha256 of the stdout of the per-radius scans these certificates used
+    # before their radius scans became array operations
+    assert dispatch(args) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_kelvin_harmonic_is_involution_only(tmp_path):
     code, text = run_to_file(tmp_path, ["kelvin", "--field", "harmonic",
                                         "--samples", "10"])

@@ -416,6 +416,18 @@ def test_newton_stall_ends_unconverged():
     assert res.last_update == 0.0
 
 
+def test_newton_creep_ends_unconverged():
+    # ascending, every step still moves some node by about 3e-13, but the
+    # scaled margin sits at 1.77e-9 from the fifth iteration on: the run
+    # ends once it has set no new minimum for _NEWTON_STALL iterations,
+    # where it used to creep to max_sweeps
+    P, _ = radial_sandwich_problem(1000)
+    res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=200_000), direction="ascending")
+    assert not res.converged and not res.solved
+    assert res.sweeps < 20
+    assert res.path == "newton" and res.last_update > 0.0
+
+
 def test_radial_sandwich_is_certified():
     P, _ = radial_sandwich_problem(250)
     sup_rep = grid_verify(P.sup, P.F, P.U, ambient_n=3)

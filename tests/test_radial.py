@@ -1,14 +1,16 @@
 """Radial reduction, quartic certificates, and the counterexample gallery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conedeg import radial
 from conedeg.operators import OperatorSpec, parse_operator
 from conedeg.radial import (
     CtexCertificate,
@@ -19,6 +21,7 @@ from conedeg.radial import (
     certificate_roots_csv,
     certificate_rows_csv,
     cusp_family_operator,
+    cusp_pair_values,
     interp_L_slope_scan,
     interpolated_L_operator,
     lambda12_t,
@@ -544,3 +547,400 @@ def test_stacked_radial_F_eigs_match_per_radius_calls_property(jets, n):
         assert mu.tobytes() == np.array([pair[0] for pair in lone]).tobytes(), kind
         assert nu.tobytes() == np.array([pair[1] for pair in lone]).tobytes(), kind
         assert all(type(v) is float for pair in lone for v in pair)
+
+
+# ---------------------------------------------------------------------------
+# stacked cusp-pair certificates against the per-radius replay
+#
+# The functions below are the per-radius evaluation the certificates used
+# before their radius scans became array operations, kept as the bitwise
+# reference: each lambda12_t call takes one radius through Python's pow.
+
+
+def _replay_lambda12_t(t, r, r0, alpha, variant):
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    rho = r - r0
+    if rho == 0.0:
+        raise ValueError("profile is not twice differentiable at r = r0")
+    if variant == "P4":
+        d, k, b, tt = 59049.0, 8.0, 6561.0, 19683.0
+        p = radial._p4(t, alpha)
+    elif variant == "P4tilde":
+        d, k, b, tt = 1476225.0, 2.0, 164025.0, 492075.0
+        p = radial._p4_tilde(t, alpha)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    t13 = cbrt(t)
+    denom = abs(rho) ** (4.0 / 3.0)
+    lam1 = -(2.0 / d) * t13 * (k * p + b) / denom
+    lam2 = -(2.0 / d) * t13 * (k * p - tt * rho / r) / denom
+    return lam1, lam2
+
+
+def _replay_quartic_roots(q, lo=-10.0, hi=10.0, probes=1024, width=1e-12):
+    ts = np.linspace(lo, hi, probes + 1)
+    vals = [float(quartic_eval(q, float(t))) for t in ts]
+    roots = []
+    for i in range(probes):
+        a, b = float(ts[i]), float(ts[i + 1])
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0:
+            roots.append(radial.RootBracket(len(roots), a, a, a))
+            continue
+        if fa * fb >= 0.0:
+            continue
+        while b - a > width:
+            mid = 0.5 * (a + b)
+            fm = float(quartic_eval(q, mid))
+            if fm == 0.0:
+                a = b = mid
+                break
+            if fa * fm < 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        t_hat = 0.5 * (a + b)
+        for _ in range(4):
+            f = float(quartic_eval(q, t_hat))
+            df = float(4 * q.c4) * t_hat**3 + float(2 * q.c2) * t_hat + float(q.c1)
+            if df == 0.0 or not math.isfinite(f / df):
+                break
+            t_new = t_hat - f / df
+            if not (ts[i] <= t_new <= ts[i + 1]):
+                break
+            t_hat = t_new
+        roots.append(radial.RootBracket(len(roots), t_hat, a, b))
+    if vals[-1] == 0.0:
+        roots.append(radial.RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
+    return radial.RootReport(roots=roots, probe_lo=lo, probe_hi=hi, probe_points=probes + 1)
+
+
+def _replay_sign_scan_delta(variant, alpha, roots, t0, r0):
+    t2, t3, t4 = roots[1], roots[2], roots[3]
+    for j in range(2, 10):
+        delta = 2.0**-j
+        ok = True
+        for r in np.linspace(r0 - delta, r0 + delta, 257):
+            r = float(r)
+            if abs(r - r0) < 1e-12:
+                continue
+            for t in (t2, t3, t4):
+                _, lam2 = _replay_lambda12_t(t, r, r0, alpha, variant)
+                if t * lam2 <= 0.0:
+                    ok = False
+                    break
+            if not ok:
+                break
+            lam1, lam2 = _replay_lambda12_t(t0, r, r0, alpha, variant)
+            if lam1 <= 0.0 or lam2 <= 0.0:
+                ok = False
+                break
+        if ok:
+            return delta
+    return None
+
+
+def _replay_build_cusp_pair(kind, alpha, rgrid):
+    variant = "P4" if kind == "beta_sign" else "P4tilde"
+    r0 = 2.0
+    if kind == "beta_sign":
+        q = QuarticSpec.p4_shifted(Fraction(alpha).limit_denominator(10**9))
+        fences = [-2.0, 0.0, 9.0 / 4.0]
+    else:
+        q = QuarticSpec.p4_tilde_shifted(radial._ALPHA_FIXED)
+        fences = [-2.0, -8.0 / 5.0, 8.0 / 5.0, 2.0]
+    cert = CtexCertificate(kind=kind, params={"alpha": alpha, "r0": r0, "variant": variant})
+
+    report = _replay_quartic_roots(q)
+    cert.roots = report.roots
+    if report.count != 4:
+        cert.clauses["roots_resolved"] = False
+        cert.notes.append(f"expected 4 simple roots, found {report.count} at probe resolution")
+        return cert
+    cert.clauses["roots_resolved"] = True
+    ts = [rb.t for rb in report.roots]
+    if kind == "beta_sign":
+        interlace = ts[0] < -2.0 < ts[1] < 0.0 < ts[2] < 9.0 / 4.0 < ts[3]
+    else:
+        interlace = ts[0] < -2.0 < ts[1] < -8.0 / 5.0 and 8.0 / 5.0 < ts[2] < 2.0 < ts[3]
+    cert.clauses["interlacing"] = bool(interlace)
+    cert.params["fences"] = fences
+    cert.params["roots"] = ts
+    if kind == "nondec":
+        in_n = all(abs(t) >= 8.0 / 5.0 for t in (ts[1], ts[2], ts[3]))
+        cert.clauses["profiles_in_interp_region"] = in_n
+
+    t0_seed = -3.0 if kind == "nondec" else None
+    delta = None
+    t0 = None
+    for attempt_delta in (0.25, 0.125, 0.0625):
+        t0 = t0_seed if t0_seed is not None else radial._search_t0(
+            q, variant, alpha, ts[0], r0, attempt_delta)
+        if t0 is None:
+            continue
+        q_val = float(quartic_eval(q, t0))
+        k, tt = (8.0, 19683.0) if variant == "P4" else (2.0, 492075.0)
+        p_val = radial._p4(t0, alpha) if variant == "P4" else radial._p4_tilde(t0, alpha)
+        if q_val > 0.0 and k * p_val > tt * attempt_delta / (r0 + attempt_delta):
+            delta = attempt_delta
+            break
+    if t0 is None or delta is None:
+        cert.clauses["t0_found"] = False
+        cert.notes.append("no valid interior-positive profile parameter below t1")
+        return cert
+    cert.clauses["t0_found"] = True
+    scan_delta = _replay_sign_scan_delta(variant, alpha, [ts[0], ts[1], ts[2], ts[3]], t0, r0)
+    if scan_delta is not None:
+        delta = min(delta, scan_delta)
+    cert.params.update({"t0": t0, "delta": delta})
+
+    w_right, w_left = ts[3], ts[1]
+    v_right, v_left = ts[2], t0
+
+    def profile(t, r):
+        c = cbrt(t)
+        rho = r - r0
+        arho = abs(rho)
+        return (
+            c * arho ** (2.0 / 3.0),
+            (2.0 / 3.0) * c * arho ** (-1.0 / 3.0) * math.copysign(1.0, rho),
+            -(2.0 / 9.0) * c * arho ** (-4.0 / 3.0),
+        )
+
+    w_ok = True
+    v_ok = True
+    sign_ok = True
+    min_gap_scaled = math.inf
+    w_jets = []
+    for r in np.linspace(r0 - delta, r0 + delta, rgrid):
+        r = float(r)
+        if abs(r - r0) < 1e-12:
+            continue
+        tw = w_right if r > r0 else w_left
+        tv = v_right if r > r0 else v_left
+        mu_w, nu_w = _replay_lambda12_t(tw, r, r0, alpha, variant)
+        mu_v, nu_v = _replay_lambda12_t(tv, r, r0, alpha, variant)
+        w_val, w_d, w_dd = profile(tw, r)
+        v_val = profile(tv, r)[0]
+        row_w = abs(mu_w) <= radial._EIG_TOL and min(mu_w, nu_w) <= radial._EIG_TOL
+        if r > r0:
+            branch_sign = nu_w > 0.0 and nu_v > 0.0
+            row_v = abs(mu_v) <= radial._EIG_TOL and min(mu_v, nu_v) >= -radial._EIG_TOL
+        else:
+            branch_sign = nu_w < 0.0 and mu_v > 0.0 and nu_v > 0.0
+            row_v = min(mu_v, nu_v) >= -radial._EIG_TOL
+        sign_ok &= branch_sign
+        scale = 1.0 + max(abs(mu_w), abs(nu_w), abs(mu_v), abs(nu_v))
+        w_jets.append((r, w_val, w_d, w_dd, mu_w, nu_w, scale))
+        gap = w_val - v_val
+        min_gap_scaled = min(min_gap_scaled, gap / abs(r - r0) ** (2.0 / 3.0))
+        w_ok &= row_w
+        v_ok &= row_v
+        cert.rows.append(radial.GridRow(r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w and row_v))
+
+    r, w_val, w_d, w_dd, mu_w, nu_w, scale = np.array(w_jets).T
+    tol = 1e-9 * scale
+
+    def matches(op):
+        mu_g, nu_g = radial_F_eigs(r, w_d, w_dd, op, s=w_val)
+        return not np.any((np.abs(mu_g - mu_w) > tol) | (np.abs(nu_g - nu_w) > tol))
+
+    cross_ok = matches(cusp_family_operator(variant, alpha))
+    interp_agree = kind == "nondec" and matches(interpolated_L_operator())
+    cert.clauses["w_supersolution"] = w_ok and sign_ok
+    cert.clauses["v_subsolution"] = v_ok and sign_ok
+    cert.clauses["eig_sign_pattern"] = sign_ok
+    cert.clauses["closed_form_matches_jets"] = cross_ok
+    if kind == "nondec":
+        cert.clauses["interp_L_matches_on_profiles"] = interp_agree
+    cert.clauses["ordering"] = min_gap_scaled > 0.0
+    cert.clauses["touching_only_at_r0"] = all(row.w - row.v > radial._EIG_TOL for row in cert.rows)
+    cert.clauses["boundary_gap"] = (
+        cert.rows[0].w - cert.rows[0].v > 0.0 and cert.rows[-1].w - cert.rows[-1].v > 0.0
+    )
+    cert.touching = [r0]
+    cert.params["min_gap_over_rho23"] = min_gap_scaled
+    cert.notes.append(
+        "profiles meet with value 0 at r0 with vertical tangents; the cusp makes "
+        "touching test functions impossible there, so the grid is punctured at r0"
+    )
+    return cert
+
+
+def _replay_build_counterexample(kind, rgrid=2001, **params):
+    if rgrid < 9:
+        raise ValueError("rgrid too small to certify anything")
+    if kind == "beta_sign":
+        return _replay_build_cusp_pair("beta_sign", params.get("alpha", -3.0), rgrid)
+    if "alpha" in params and Fraction(params["alpha"]).limit_denominator(10**6) != radial._ALPHA_FIXED:
+        raise ValueError("the non-monotone-free family is fixed at alpha = -36/25")
+    return _replay_build_cusp_pair("nondec", float(radial._ALPHA_FIXED), rgrid)
+
+
+def _replay_cusp_pair_values(cert, rgrid=None):
+    if cert.kind not in ("beta_sign", "nondec"):
+        raise ValueError("only the cusp-profile certificates carry a (w, v) pair")
+    if not cert.clauses.get("roots_resolved") or "t0" not in cert.params:
+        raise ValueError("certificate is unresolved; no profile pair available")
+    ts = cert.params["roots"]
+    t0 = float(cert.params["t0"])
+    r0 = float(cert.params["r0"])
+    delta = float(cert.params["delta"])
+    if rgrid is None:
+        rgrid = len(cert.rows) + 1
+    radii = np.linspace(r0 - delta, r0 + delta, rgrid)
+    w = np.empty(rgrid)
+    v = np.empty(rgrid)
+    for i, r in enumerate(radii):
+        rho = abs(float(r) - r0)
+        tw = ts[3] if r > r0 else ts[1]
+        tv = ts[2] if r > r0 else t0
+        w[i] = cbrt(tw) * rho ** (2.0 / 3.0)
+        v[i] = cbrt(tv) * rho ** (2.0 / 3.0)
+    return radii, w, v
+
+
+def _bits(obj):
+    """obj with every float as (type, hex) and every container unfolded."""
+    if isinstance(obj, float):
+        return (type(obj).__name__, obj.hex())
+    if isinstance(obj, (bool, int, str, type(None))):
+        return (type(obj).__name__, obj)
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, dict):
+        return ("dict", tuple((k, _bits(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, tuple(_bits(v) for v in obj))
+    fields = dataclasses.fields(obj)
+    return (type(obj).__name__, tuple((f.name, _bits(getattr(obj, f.name))) for f in fields))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("ok", _bits(fn(*args, **kwargs)))
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# alphas with a passing certificate, unresolved ones (too few roots in
+# [-10, 10]), one whose w rows fail (-19.45) and values at the transitions
+_CUSP_ALPHAS = (-3.0, -2.5, -4.0, -3.7, -1.0, 0.0, -2.5001, -2.9, -12.5, -19.45, -20.0, -7.25)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("beta_sign", "nondec")),
+    alpha=st.one_of(st.sampled_from(_CUSP_ALPHAS), st.floats(-21.0, 1.0)),
+    rgrid=st.one_of(st.sampled_from((9, 10, 11, 101, 500, 501, 2001, 4001)), st.integers(9, 700)),
+    values_grid=st.one_of(st.none(), st.integers(0, 300)),
+)
+@example(kind="beta_sign", alpha=-19.45, rgrid=2001, values_grid=None)  # verdict fail
+@example(kind="beta_sign", alpha=-3.0, rgrid=4001, values_grid=2001)
+@example(kind="nondec", alpha=-3.0, rgrid=4001, values_grid=None)
+@example(kind="beta_sign", alpha=-2.5, rgrid=10, values_grid=11)  # unresolved
+@example(kind="nondec", alpha=-3.0, rgrid=10, values_grid=0)
+def test_stacked_cusp_certificate_matches_per_radius_replay_property(kind, alpha, rgrid,
+                                                                     values_grid):
+    params = {"alpha": alpha} if kind == "beta_sign" else {}
+    cert = build_counterexample(kind, rgrid=rgrid, **params)
+    ref = _replay_build_counterexample(kind, rgrid=rgrid, **params)
+    assert _bits(cert) == _bits(ref)
+    assert cert.verdict == ref.verdict
+    assert (_outcome(cusp_pair_values, cert, values_grid)
+            == _outcome(_replay_cusp_pair_values, ref, values_grid))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("beta_sign", {"alpha": -3.0}), ("beta_sign", {"alpha": -2.5}),
+    ("nondec", {}), ("nondec", {"alpha": -1.44}), ("nondec", {"alpha": -2.0}),
+    ("beta_sign", {"alpha": float("nan")}), ("beta_sign", {"alpha": float("inf")}),
+])
+@pytest.mark.parametrize("rgrid", [8, 9, 10])
+def test_stacked_cusp_certificate_raises_as_per_radius_replay(kind, params, rgrid):
+    assert (_outcome(build_counterexample, kind, rgrid=rgrid, **params)
+            == _outcome(_replay_build_counterexample, kind, rgrid=rgrid, **params))
+
+
+def test_cusp_pair_values_raise_as_per_radius_replay():
+    bad = [build_counterexample("bprime", rgrid=11), build_counterexample("beta_sign", alpha=-2.5)]
+    good = build_counterexample("beta_sign", rgrid=11)
+    for cert, grid in [(c, None) for c in bad] + [(good, -1), (good, 2.5), (good, 0)]:
+        assert _outcome(cusp_pair_values, cert, grid) == _outcome(_replay_cusp_pair_values, cert, grid)
+
+
+@_PROPERTY
+@given(
+    t=st.floats(-10.0, 10.0),
+    r=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(1e-6, 6.0)),
+    alpha=st.floats(-10.0, 2.0),
+    variant=st.sampled_from(("P4", "P4tilde")),
+)
+def test_stacked_lambda12_t_matches_per_radius_calls_property(t, r, alpha, variant):
+    r0 = 2.0
+    r = r[r != r0]
+    lam1, lam2 = lambda12_t(t, r, r0, alpha, variant)
+    lone = [_replay_lambda12_t(t, float(ri), r0, alpha, variant) for ri in r]
+    assert lam1.tobytes() == np.array([pair[0] for pair in lone]).tobytes()
+    assert lam2.tobytes() == np.array([pair[1] for pair in lone]).tobytes()
+    for ri, pair in zip(r.tolist(), lone):
+        one = lambda12_t(t, ri, r0, alpha, variant)
+        assert all(type(v) is float for v in one)
+        assert _bits(one) == _bits(pair)
+
+
+def test_stacked_lambda12_t_raises_as_per_radius_calls():
+    for r in ([3.0, 0.0], [3.0, -1.0], [2.5, 2.0], [[1.5, 2.0], [-1.0, 3.0]]):
+        with pytest.raises(ValueError) as stacked:
+            lambda12_t(1.0, np.array(r), 2.0, -3.0, "P4")
+        # one of the errors the per-radius calls raise
+        lone = [_outcome(_replay_lambda12_t, 1.0, ri, 2.0, -3.0, "P4")
+                for ri in np.ravel(r).tolist()]
+        assert ("ValueError", str(stacked.value)) in lone
+    for r in (2.0, 0.0, -1.0, 3.0):
+        for variant in ("P4", "P5"):
+            assert (_outcome(lambda12_t, 1.0, r, 2.0, -3.0, variant)
+                    == _outcome(_replay_lambda12_t, 1.0, r, 2.0, -3.0, variant))
+    with pytest.raises(ValueError, match="unknown variant"):
+        lambda12_t(1.0, np.array([3.0]), 2.0, -3.0, "P5")
+
+
+def test_stacked_sign_scan_matches_per_radius_replay():
+    # roots spread around the fences reach most dyadic deltas and the
+    # no-delta outcome
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(150):
+        roots = [rng.uniform(lo, hi) for lo, hi in ((-6, -2), (-2, 0), (0, 2.25), (2.25, 6))]
+        alpha, t0 = rng.uniform(-8.0, -2.6), rng.uniform(-8.0, -2.0)
+        variant = ("P4", "P4tilde")[int(rng.integers(2))]
+        delta = radial._sign_scan_delta(variant, alpha, roots, t0, 2.0)
+        assert delta == _replay_sign_scan_delta(variant, alpha, roots, t0, 2.0)
+        outcomes.add(delta)
+    assert None in outcomes and len(outcomes) >= 5
+
+
+@pytest.mark.parametrize("q", [
+    QuarticSpec.p4_shifted(Fraction(-3)), QuarticSpec.p4_shifted(Fraction(-2)),
+    QuarticSpec.p4_tilde_shifted(Fraction(-36, 25)), QuarticSpec(1, 0, 0, -10000),
+    QuarticSpec(Fraction(1, 3), Fraction(-7, 2), 1, Fraction(5, 7)), QuarticSpec(1, -5, 0, 4),
+])
+def test_stacked_quartic_probes_match_per_probe_replay(q):
+    assert _bits(quartic_roots(q)) == _bits(_replay_quartic_roots(q))
+    ts = np.linspace(-10.0, 10.0, 1025)
+    assert _bits(quartic_eval(q, ts).tolist()) == _bits([quartic_eval(q, float(t)) for t in ts])
+
+
+def test_cusp_certificate_evaluates_whole_radius_arrays(monkeypatch):
+    # the certificate makes a handful of lambda12_t calls, not one per radius
+    calls = []
+    inner = radial.lambda12_t
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(radial, "lambda12_t", counting)
+    assert build_counterexample("beta_sign").verdict == "pass"
+    assert 0 < len(calls) <= 64
