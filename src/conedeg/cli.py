@@ -17,6 +17,7 @@ outcomes, 64 on bad usage.  CI should treat only 1 as a regression.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -141,7 +142,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for every random draw")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The argument parser and each subcommand's actions, built once per process.
+
+    Parsing never writes to the parser: config-file values go onto the
+    namespace, so one parser serves every dispatch call.
+    """
     parser = _Parser(prog="conedeg", allow_abbrev=False,
                      description="certification runs, envelope studies, and solver benchmarks")
     subs = parser.add_subparsers(dest="command", metavar="command")

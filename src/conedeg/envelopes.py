@@ -93,6 +93,18 @@ class GridFn:
         return cls(tuple(box), np.full(shape, float(c)))
 
 
+def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
+    """The grid-edge nodes: first or last index on some axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for axis in range(len(shape)):
+        sl = [slice(None)] * len(shape)
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+        sl[axis] = shape[axis] - 1
+        mask[tuple(sl)] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class EnvelopeResult:
     env: GridFn
@@ -237,15 +249,6 @@ def _first_differences(env: np.ndarray, h: tuple[float, ...]):
     return out
 
 
-def _interior_mask(shape) -> np.ndarray:
-    m = np.zeros(shape, dtype=bool)
-    if len(shape) == 1:
-        m[1:-1] = True
-    else:
-        m[1:-1, 1:-1] = True
-    return m
-
-
 def check_envelope_properties(src: GridFn, eps_list: list, side: str,
                               lipschitz_K: float | None = None) -> PropertyReport:
     """Executable versions of the envelope properties at fixed (h, eps).
@@ -268,7 +271,7 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
     finite = np.isfinite(src.values)
     vmax = float(np.max(src.values[finite]))
     vmin = float(np.min(src.values[finite]))
-    interior = _interior_mask(src.shape)
+    interior = ~_boundary_mask(src.shape)
     win_finite = finite & interior
     # range constant entering the gradient bound: global extremum on the
     # favorable side, window extremum on the other

@@ -11,6 +11,7 @@ the e^{2 psi} change of gauge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -142,7 +143,7 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
     lead, n = p.shape[:-1], p.shape[-1]
     pp = p[..., :, None] * p[..., None, :]
     p2 = _sq_norm(p)[..., None, None]
-    eye = np.eye(n)
+    eye = _identity(n)
     if spec.kind == "conformal":
         return pp - 0.5 * p2 * eye
     if spec.kind == "quad_const":
@@ -164,6 +165,14 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
             raise ValueError(f"L_fn returned shape {val.shape}, expected ({n}, {n})")
     out = np.array(out, dtype=float).reshape(pp.shape)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), read-only and built once: eval_L runs once per sweep group."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _per_node(fn, *args) -> np.ndarray:

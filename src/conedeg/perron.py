@@ -7,12 +7,17 @@ through subsolutions.  Two iterations realize it.
 
 Crossing sweeps (the reference): every sweep moves each interior node to the
 center value at which the discrete operator matrix crosses the cone boundary,
-clamped into the sandwich, red nodes (odd coordinate sum) then black ones,
-each group one array operation (callable operators: one stacked eval_L).
-Raising the center value lowers the discrete Hessian, so the crossing is
-monotone and each descending sweep maps a discrete supersolution to a smaller
-one.  The sweep count grows like the square of the node count.  Sweeps run
-for the positive cone, callable operators and masked grids.
+clamped into the sandwich, red nodes (odd coordinate sum) then black ones.
+Each group is one stacked jet: with the center value c left out, the centered
+differences give the gradient p and a matrix H0, so the discrete Hessian is
+H0 - c diag(2 / h_a^2), and one eval_L call gives L for every operator kind.
+The crossing is then one expression per cone mode: tr(H0 + L) / S for the
+trace cone (S = sum_a 2 / h_a^2), the root of the smallest eigenvalue for
+the positive cone.  Raising the center value lowers the discrete Hessian, so
+the crossing is monotone and each descending sweep maps a discrete
+supersolution to a smaller one.  The sweep count grows like the square of the
+node count.  Sweeps run for the positive cone, callable operators and masked
+grids, and one sweep is the Newton path's fallback step.
 
 Monotone Newton (trace cone on 1D, radial or 2D grids, conformal or
 constant-coefficient quadratic operator, no masked nodes): the crossing is
@@ -49,10 +54,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .envelopes import GridFn
+from .envelopes import GridFn, _boundary_mask
 from .matcone import ConeSpec, SymMatrix, cone_margin, eigen_sym
 from .operators import Jet2, OperatorSpec, _radial_jets, eval_F, eval_L
-from .viscosity import GridVerifyReport, _boundary_mask, grid_verify
+from .viscosity import GridVerifyReport, grid_verify
 
 __all__ = [
     "SolverConfig",
@@ -284,14 +289,6 @@ def pointwise_root(
 # ---------------------------------------------------------------------------
 # vectorized crossing sweeps
 
-_QUAD_KINDS = ("conformal", "quad_const")
-
-
-def _quad_coeffs(F: OperatorSpec) -> tuple[float, float]:
-    if F.kind == "conformal":
-        return 1.0, 0.5
-    return F.alpha, F.beta
-
 
 def _crossing_mode(U: ConeSpec, amb: int) -> str:
     if U.kind == "trace" or (U.kind == "gamma_k" and U.k == 1):
@@ -305,29 +302,59 @@ def _crossing_mode(U: ConeSpec, amb: int) -> str:
 
 
 class _Stencils:
-    """Precomputed gather indices and coordinates for one sweep group."""
+    """Gather indices, positions and constants for one sweep group."""
 
     def __init__(self, problem: DirichletProblem, idx: np.ndarray):
         g = problem.sub
         self.idx = idx
-        shape = g.shape
         self.h = g.h
-        if g.dim == 1:
-            self.left = idx - 1
-            self.right = idx + 1
-            xs = g.axis_nodes(0)
-            self.r = xs[idx]
-        else:
-            s0 = shape[1]
-            self.west = idx - s0
-            self.east = idx + s0
-            self.south = idx - 1
-            self.north = idx + 1
-            self.ne = idx + s0 + 1
-            self.nw = idx - s0 + 1
-            self.se = idx + s0 - 1
-            self.sw = idx - s0 - 1
-            self.coords = g.node_coords()[idx]
+        # (idx - stride, idx + stride): the two neighbours along each axis of
+        # the row-major flat field
+        strides = (1,) if g.dim == 1 else (g.shape[1], 1)
+        self.nbrs = [(idx - st, idx + st) for st in strides]
+        self.lo = g.values.ravel()[idx]
+        self.hi = problem.sup.values.ravel()[idx]
+        coords = g.node_coords()[idx]
+        self.r = coords[:, 0]
+        # ambient positions: r e_1 on radial grids
+        self.x = np.zeros((idx.size, problem.matrix_dim))
+        self.x[:, : g.dim] = coords
+        self.radial = g.dim == 1 and problem.matrix_dim >= 2
+        # the center value's coefficient per axis, and their sum S
+        self.center = [2.0 / (h * h) for h in g.h]
+        self.slope = _margin_slope(problem)
+
+    def jet(self, u: np.ndarray, mixed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(p, H0): the group's centered-difference jets without the center value.
+
+        The discrete Hessian is H0 - c diag(2 / h_a^2) at center value c; on
+        radial grids the tangent entries p_0 / r do not involve c.  The 2D
+        cross difference reads the diagonal neighbours, which need not be
+        finite on masked grids, so it is formed only when mixed is set
+        (off-diagonal H0 is zero otherwise).
+        """
+        m, n = self.x.shape
+        p = np.zeros((m, n))
+        H0 = np.zeros((m, n, n))
+        for a, ((lo, hi), h) in enumerate(zip(self.nbrs, self.h)):
+            lo, hi = u[lo], u[hi]
+            p[:, a] = (hi - lo) * (0.5 / h)
+            H0[:, a, a] = (lo + hi) / (h * h)
+        if self.radial:
+            tangent = p[:, 0] / self.r
+            for a in range(1, n):
+                H0[:, a, a] = tangent
+        if mixed and len(self.nbrs) == 2:
+            (w, e), _ = self.nbrs
+            hx, hy = self.h
+            H0[:, 0, 1] = H0[:, 1, 0] = (
+                (u[e + 1] + u[w - 1] - u[w + 1] - u[e - 1]) * (0.25 / (hx * hy))
+            )
+        return p, H0
+
+
+# operators whose lower-order term reads the field value
+_VALUE_KINDS = ("quad_var", "general_l")
 
 
 def _sweep_group(
@@ -336,92 +363,37 @@ def _sweep_group(
     problem: DirichletProblem,
     mode: str,
 ) -> np.ndarray:
-    """Crossing values for one group of nodes given the current field u."""
+    """Crossing values for one group of nodes given the current field u.
+
+    One stacked jet (x, p, H0) and one eval_L give M = H0 + L(x, s, p), the
+    discrete operator matrix plus c diag(2 / h_a^2).  The crossing is then
+    one expression per cone mode: tr M / S with S = sum_a 2 / h_a^2 for the
+    trace cone (the radial tangent entries (n - 1) p_0 / r sit in tr H0);
+    for the positive cone the root of lambda_min in c, which is
+    _mineig_crossing_2d in 2D and M_00 / S in 1D, on radial grids only where
+    the tangent entries of M are nonnegative (-inf, clamped to the lower
+    field, elsewhere).  Value-dependent operators take s from u and then
+    from the crossing, three passes in all.
+    """
     F = problem.F
-    amb = problem.matrix_dim
-    dim = problem.sub.dim
-    idx = st.idx
-    if dim == 1:
-        h = st.h[0]
-        left = u[st.left]
-        right = u[st.right]
-        p = (right - left) * (0.5 / h)
-        half_h2 = 0.5 * h * h
-        radial = amb >= 2
-        if F.kind in _QUAD_KINDS:
-            alpha, beta = _quad_coeffs(F)
-            p2 = p * p
-            if mode == "trace":
-                tr_l = (alpha - amb * beta) * p2
-                extra = (amb - 1.0) * (p / st.r) if radial else 0.0
-                return 0.5 * (left + right) + half_h2 * (extra + tr_l)
-            # smallest eigenvalue: the first diagonal entry carries the
-            # center; the remaining (radial) entries do not
-            l00 = (alpha - beta) * p2
-            c_e0 = 0.5 * (left + right) + half_h2 * l00
-            if not radial:
-                return c_e0
-            rest = p / st.r - beta * p2
-            return np.where(rest >= 0.0, c_e0, -np.inf)
-        # callable coefficients: the value argument fixed pointwise
-        x, grad, _ = _radial_jets(st.r, p, 0.0, amb)
-        s_vec = u[idx].copy()
-        for _ in range(3):
-            L = eval_L(F, x, s_vec, grad)
-            if mode == "trace":
-                tr_l = np.trace(L, axis1=1, axis2=2)
-                extra = (amb - 1.0) * (p / st.r) if radial else 0.0
-                c = 0.5 * (left + right) + half_h2 * (extra + tr_l)
-            else:
-                if radial and F.kind == "general_l":
-                    raise ValueError(
-                        "eigenvalue cones with a general lower-order term "
-                        "are not supported on radial grids"
-                    )
-                c_e0 = 0.5 * (left + right) + half_h2 * L[:, 0, 0]
-                if radial:
-                    rest = p / st.r + np.min(np.diagonal(L, axis1=1, axis2=2)[:, 1:], axis=1)
-                    c = np.where(rest >= 0.0, c_e0, -np.inf)
-                else:
-                    c = c_e0
-            if F.kind not in ("quad_var", "general_l"):
-                return c
-            s_vec = c
-        return c
-    # 2D
-    hx, hy = st.h
-    west, east = u[st.west], u[st.east]
-    south, north = u[st.south], u[st.north]
-    p0 = (east - west) * (0.5 / hx)
-    p1 = (north - south) * (0.5 / hy)
-    sx = 2.0 / (hx * hx)
-    sy = 2.0 / (hy * hy)
-    t0 = (west + east) / (hx * hx) + (south + north) / (hy * hy)
-    if F.kind in _QUAD_KINDS:
-        alpha, beta = _quad_coeffs(F)
-        p2 = p0 * p0 + p1 * p1
+    if mode == "mineig" and st.radial and F.kind == "general_l":
+        raise ValueError(
+            "eigenvalue cones with a general lower-order term "
+            "are not supported on radial grids"
+        )
+    p, H0 = st.jet(u, mode == "mineig")
+    c = u[st.idx]
+    for _ in range(3 if F.kind in _VALUE_KINDS else 1):
+        M = H0 + eval_L(F, st.x, c, p)
         if mode == "trace":
-            return (t0 + (alpha - 2.0 * beta) * p2) / (sx + sy)
-        mixed = (u[st.ne] + u[st.sw] - u[st.nw] - u[st.se]) * (0.25 / (hx * hy))
-        a0 = (west + east) / (hx * hx) + alpha * p0 * p0 - beta * p2
-        d0 = (south + north) / (hy * hy) + alpha * p1 * p1 - beta * p2
-        b = mixed + alpha * p0 * p1
-        return _mineig_crossing_2d(a0, d0, b, sx, sy)
-    grad = np.stack([p0, p1], axis=-1)
-    s_vec = u[idx].copy()
-    for _ in range(3):
-        L = eval_L(F, st.coords, s_vec, grad)
-        if mode == "trace":
-            c = (t0 + L[:, 0, 0] + L[:, 1, 1]) / (sx + sy)
+            c = np.einsum("kii->k", M) / st.slope
+        elif len(st.nbrs) == 2:
+            c = _mineig_crossing_2d(M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], *st.center)
         else:
-            mixed = (u[st.ne] + u[st.sw] - u[st.nw] - u[st.se]) * (0.25 / (hx * hy))
-            a0 = (west + east) / (hx * hx) + L[:, 0, 0]
-            d0 = (south + north) / (hy * hy) + L[:, 1, 1]
-            b = mixed + L[:, 0, 1]
-            c = _mineig_crossing_2d(a0, d0, b, sx, sy)
-        if F.kind not in ("quad_var", "general_l"):
-            return c
-        s_vec = c
+            c = M[:, 0, 0] / st.slope
+            if st.radial:
+                tangent = np.diagonal(M, axis1=1, axis2=2)[:, 1:].min(axis=1)
+                c = np.where(tangent >= 0.0, c, -np.inf)
     return c
 
 
@@ -457,6 +429,30 @@ def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
     return groups
 
 
+def _sweep(
+    flat: np.ndarray,
+    groups: list[_Stencils],
+    problem: DirichletProblem,
+    mode: str,
+    last_weight: float = 1.0,
+) -> tuple[float, float]:
+    """One red-black crossing sweep of the flat field, in place.
+
+    Each group's nodes move to their crossing, clamped into the sandwich;
+    the second group moves only last_weight of the way.  Returns the most
+    negative and the most positive crossing move (0.0 when none is).
+    """
+    moves = []
+    for weight, st in zip((1.0, last_weight), groups):
+        # np.minimum/np.maximum: the same values as np.clip, at half its call cost
+        c = np.minimum(np.maximum(_sweep_group(flat, st, problem, mode), st.lo), st.hi)
+        diff = c - flat[st.idx]
+        flat[st.idx] = c if weight == 1.0 else flat[st.idx] + weight * diff
+        moves.append(diff)
+    moves = np.concatenate(moves)
+    return float(moves.min(initial=0.0)), float(moves.max(initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # monotone Newton solve of the trace crossing
 
@@ -467,6 +463,15 @@ _MIN_NEWTON_STEP = 1e-2
 # a Newton run ends, unconverged, after this many iterations in a row whose
 # scaled margin set no new minimum: it creeps at the rounding floor
 _NEWTON_STALL = 8
+
+
+_QUAD_KINDS = ("conformal", "quad_const")
+
+
+def _quad_coeffs(F: OperatorSpec) -> tuple[float, float]:
+    if F.kind == "conformal":
+        return 1.0, 0.5
+    return F.alpha, F.beta
 
 
 def _newton_applies(problem: DirichletProblem, mode: str) -> bool:
@@ -659,13 +664,8 @@ def _newton_trace(
             new = np.clip(u + t * d, lo, hi)
         else:
             groups = groups or _make_groups(problem)
-            lo_flat, hi_flat = lo.ravel(), hi.ravel()
             new = u.copy()
-            flat = new.reshape(-1)
-            for weight, st in zip((1.0, 0.5), groups):
-                c = _sweep_group(flat, st, problem, "trace")
-                c = np.clip(c, lo_flat[st.idx], hi_flat[st.idx])
-                flat[st.idx] += weight * (c - flat[st.idx])
+            _sweep(new.reshape(-1), groups, problem, "trace", 0.5)
             swept, stalled = True, 0
         move = new - u
         if ascending:
@@ -755,30 +755,16 @@ def perron_solve(
     else:
         path = "sweep"
         flat = u.ravel()
-        sub_flat = problem.sub.values.ravel()
-        sup_flat = problem.sup.values.ravel()
         scoef = _margin_slope(problem)
         groups = _make_groups(problem)
-        monotone = True
-        converged = False
-        last = math.inf
-        sweeps = 0
+        monotone, converged, last, sweeps = True, False, math.inf, 0
         while sweeps < cfg.max_sweeps:
-            upd = 0.0
-            for st in groups:
-                c = _sweep_group(flat, st, problem, mode)
-                c = np.clip(c, sub_flat[st.idx], sup_flat[st.idx])
-                diff = c - flat[st.idx]
-                if ascending:
-                    if diff.min(initial=0.0) < -_MONOTONE_SLACK:
-                        monotone = False
-                elif diff.max(initial=0.0) > _MONOTONE_SLACK:
-                    monotone = False
-                upd = max(upd, float(np.abs(diff).max(initial=0.0)))
-                flat[st.idx] = c
+            down, up = _sweep(flat, groups, problem, mode)
+            if (-down if ascending else up) > _MONOTONE_SLACK:
+                monotone = False
             sweeps += 1
-            last = upd
-            if upd * scoef <= cfg.tol:
+            last = max(up, -down)
+            if last * scoef <= cfg.tol:
                 converged = True
                 break
 

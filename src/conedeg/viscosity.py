@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .envelopes import GridFn, lower_envelope, upper_envelope
+from .envelopes import GridFn, _boundary_mask, lower_envelope, upper_envelope
 from .matcone import (
     ConeClass,
     ConeSpec,
@@ -527,17 +527,6 @@ def envelope_error_check(
 
 PROPAGATION_CONSISTENT = "PropagationConsistent"
 PROPAGATION_VIOLATED = "PropagationViolated"
-
-
-def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = shape[axis] - 1
-        mask[tuple(sl)] = True
-    return mask
 
 
 @dataclass

@@ -134,6 +134,22 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert "# config: grid=21" in text
 
 
+def test_config_values_do_not_leak_into_a_later_run(tmp_path):
+    # one parser serves every dispatch call in a process: the config file's
+    # values land on that run's namespace, never in the parser's defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem=box-log\ngrid=17\ntol_scale=0.3\nn=4\n")
+    plain = ["perron", "--problem", "interval-linear", "--grid", "31"]
+    code, before = run_to_file(tmp_path, plain, "before.csv")
+    assert code == EXIT_PASS
+    code, text = run_to_file(tmp_path, ["perron", "--config", str(cfg)], "config.csv")
+    assert code == EXIT_PASS and "# config: tol_scale=0.3" in text
+    code, after = run_to_file(tmp_path, plain, "after.csv")
+    assert code == EXIT_PASS
+    assert after.replace("after.csv", "before.csv") == before
+    assert "# config: tol_scale=0.15" in after and "# config: n=3" in after
+
+
 def test_config_unknown_key_is_usage(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus=3\n")

@@ -1,5 +1,6 @@
 """Crossing solves, sandwich sweeps, uniqueness and gradient-bound reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -247,6 +248,73 @@ def test_newton_matches_sweeps(monkeypatch):
         assert np.abs(newton.u.values - sweep.u.values).max() <= 10 * cfg.tol
 
 
+def _rising_annulus(npts):
+    # the radial annulus turned upside down: the profile rises, so the
+    # tangent entries p_0 / r are positive and the positive cone does not
+    # send every node to the lower field
+    P, _ = radial_sandwich_problem(npts)
+    return dataclasses.replace(P, sub=P.sup.with_values(-P.sup.values),
+                               sup=P.sub.with_values(-P.sub.values))
+
+
+# geometry -> (the problem for a given operator, sweep cap)
+CALLABLE_SWEEP_PROBLEMS = {
+    "interval": (lambda F: _interval_problem(41, 0, 1, F=F)[0], 40),
+    "radial": (lambda F: dataclasses.replace(_rising_annulus(41), F=F), 40),
+    "box": (lambda F: _fill_box_problem(17, F), 10),
+}
+
+
+@pytest.mark.parametrize("cone", ["trace", "posdef"])
+@pytest.mark.parametrize("which", sorted(CALLABLE_SWEEP_PROBLEMS))
+def test_callable_kinds_sweep_like_quad_const(monkeypatch, which, cone):
+    # every operator kind reaches the crossing through eval_L: quad_var and
+    # general_l operators equal to quad_const(alpha, beta) give bitwise its
+    # field, sweep count and last move; rot_inv forms |p|^2 as a squared
+    # square root, so it agrees within 10 tol.  The runs are capped to keep
+    # the per-node callables cheap, and most nodes are still strictly inside
+    # the sandwich there, so the crossings, not the clamps, set the field
+    monkeypatch.setattr(perron_mod, "_newton_applies", lambda *args: False)
+    alpha, beta = 1.0, 0.25
+
+    def L_fn(x, s, p):
+        return alpha * np.outer(p, p) - beta * (p @ p) * np.eye(len(p))
+
+    build, cap = CALLABLE_SWEEP_PROBLEMS[which]
+    U = TRACE if cone == "trace" else ConeSpec.posdef()
+    cfg = SolverConfig(tol=1e-6, max_sweeps=cap)
+
+    def solve(F):
+        return perron_solve(dataclasses.replace(build(F), U=U), cfg)
+
+    ref = solve(OperatorSpec.quad_const(alpha, beta))
+    assert ref.path == "sweep" and ref.sweeps == cap
+    P = build(OperatorSpec.quad_const(alpha, beta))
+    inside = (ref.u.values > P.sub.values) & (ref.u.values < P.sup.values)
+    assert inside[P.interior_mask].mean() >= 0.25
+    twins = [OperatorSpec.quad_var(lambda x, s: alpha, lambda x, s: beta)]
+    if not (which == "radial" and cone == "posdef"):  # rejected, see below
+        twins.append(OperatorSpec.general_l(L_fn, 2.0))
+    for F in twins:
+        res = solve(F)
+        assert (res.sweeps, res.converged, res.last_update) == (ref.sweeps, ref.converged,
+                                                                 ref.last_update), F.kind
+        assert np.array_equal(res.u.values, ref.u.values), F.kind
+    res = solve(OperatorSpec.rot_inv(lambda t: alpha, lambda t: -beta * t * t))
+    assert res.sweeps == ref.sweeps
+    assert np.abs(res.u.values - ref.u.values).max() <= 10 * cfg.tol
+
+
+def test_radial_positive_cone_rejects_general_l():
+    # a general lower-order term need not keep the radial jet diagonal, so
+    # the positive cone's radial crossing would be wrong: the solve raises
+    P = _rising_annulus(41)
+    F = OperatorSpec.general_l(lambda x, s, p: np.outer(p, p), 2.0)
+    for U in (ConeSpec.posdef(), ConeSpec.gamma(3)):
+        with pytest.raises(ValueError, match="not supported on radial grids"):
+            perron_solve(dataclasses.replace(P, F=F, U=U), SolverConfig())
+
+
 @pytest.mark.parametrize("direction", ["descending", "ascending"])
 @pytest.mark.parametrize("which", ["radial", "interval"])
 def test_newton_nodes_are_pointwise_crossings(which, direction):
@@ -406,8 +474,8 @@ def test_solve_radial_annulus_benchmark():
 
 
 def test_newton_stall_ends_unconverged():
-    # at N = 1000 a 1e-9 margin sits below the rounding floor: from about
-    # the tenth iteration the descending step moves no node, a fixed point
+    # at N = 1000 a 1e-9 margin sits below the rounding floor: within a few
+    # dozen iterations the descending step moves no node, a fixed point
     # that used to repeat until max_sweeps (200,000 iterations, 103 s)
     P, _ = radial_sandwich_problem(1000)
     res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=200_000))
@@ -459,6 +527,17 @@ def test_solve_posdef_radial():
     assert res.residual.consistent_solution
 
 
+def test_solve_posdef_radial_falling_profile():
+    # the annulus profile falls (p_0 < 0), so the tangent entries p_0 / r of
+    # every discrete jet are negative and no center value reaches the
+    # positive cone's boundary: the descending run drops to the lower field
+    P, _ = radial_sandwich_problem(41)
+    P = dataclasses.replace(P, U=ConeSpec.posdef())
+    res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=100))
+    assert res.converged and res.path == "sweep"
+    assert np.array_equal(res.u.values, P.sub.values)
+
+
 def test_solve_2d_box_exact():
     P, exact = box_sandwich_problem(33)
     res = perron_solve(P, SolverConfig(tol=1e-7, max_sweeps=100_000))
@@ -473,11 +552,8 @@ def test_box_sandwich_is_certified():
     assert grid_verify(P.sub, P.F, P.U).consistent_sub
 
 
-def test_solve_2d_posdef():
-    # one flat direction: u = x^2/2 has Hessian diag(1, 0), on the boundary
-    xs = np.linspace(0.0, 1.0, 17)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    exact = 0.5 * X * X
+def _solve_posdef_square(exact):
+    # the unit square, the bare Hessian and the positive cone, exact +- 0.05
     interior = np.zeros_like(exact, dtype=bool)
     interior[1:-1, 1:-1] = True
     bump = np.where(interior, 0.05, 0.0)
@@ -489,6 +565,21 @@ def test_solve_2d_posdef():
     assert res.converged and res.path == "sweep"
     assert np.abs(res.u.values - exact).max() <= 1e-7
     assert res.residual.consistent_solution
+
+
+def test_solve_2d_posdef():
+    # one flat direction: u = x^2/2 has Hessian diag(1, 0), on the boundary
+    xs = np.linspace(0.0, 1.0, 17)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    _solve_posdef_square(0.5 * X * X)
+
+
+def test_solve_2d_posdef_diagonal_flat_direction():
+    # u = (x + y)^2/4 has Hessian [[1, 1], [1, 1]] / 2: its flat direction is
+    # diagonal, so the crossing needs the cross difference
+    xs = np.linspace(0.0, 1.0, 17)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    _solve_posdef_square(0.25 * (X + Y) ** 2)
 
 
 def test_solve_masked_annulus():
