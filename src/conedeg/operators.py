@@ -81,6 +81,7 @@ class OperatorSpec:
     quad_const | alpha p (x) p - beta |p|^2 I, alpha/beta constants
     quad_var   | alpha(x,s) p (x) p - beta(x,s) |p|^2 I
     rot_inv    | a(|p|) p (x) p + b(|p|) I
+    isotropic  | g(s, |p|^2) I, g called once on whole value and |p|^2 arrays
     general_l  | arbitrary callable (x, s, p) -> symmetric matrix
     """
 
@@ -91,11 +92,12 @@ class OperatorSpec:
     beta_fn: Callable[[np.ndarray, float], float] | None = None
     a_fn: Callable[[float], float] | None = None
     b_fn: Callable[[float], float] | None = None
+    g_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     L_fn: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
     m: float = 2.0
     name: str = ""
 
-    _KINDS = ("conformal", "quad_const", "quad_var", "rot_inv", "general_l")
+    _KINDS = ("conformal", "quad_const", "quad_var", "rot_inv", "isotropic", "general_l")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -104,6 +106,8 @@ class OperatorSpec:
             raise ValueError("quad_var needs alpha_fn and beta_fn")
         if self.kind == "rot_inv" and (self.a_fn is None or self.b_fn is None):
             raise ValueError("rot_inv needs a_fn and b_fn")
+        if self.kind == "isotropic" and self.g_fn is None:
+            raise ValueError("isotropic needs g_fn")
         if self.kind == "general_l" and self.L_fn is None:
             raise ValueError("general_l needs L_fn")
 
@@ -124,6 +128,10 @@ class OperatorSpec:
         return cls("rot_inv", a_fn=a_fn, b_fn=b_fn, name=name)
 
     @classmethod
+    def isotropic(cls, g_fn, m: float, name: str = "") -> "OperatorSpec":
+        return cls("isotropic", g_fn=g_fn, m=m, name=name)
+
+    @classmethod
     def general_l(cls, L_fn, m: float, name: str = "") -> "OperatorSpec":
         return cls("general_l", L_fn=L_fn, m=m, name=name)
 
@@ -134,16 +142,23 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
     x and p (broadcast together) hold points and gradients on their last
     axis, s the values on the leading axes; one node has none.  Each node
     gets the values a lone call gives it.  Closed-form kinds are evaluated on
-    the whole stack; the callable kinds call the user's functions per node,
-    with x and p as vectors and s and |p| as floats.
+    the whole stack, and so is g of the isotropic kind, once on the value and
+    |p|^2 arrays; the other callable kinds call the user's functions per
+    node, with x and p as vectors and s and |p| as floats.
     """
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     if x.shape != p.shape:
         x, p = np.broadcast_arrays(x, p)
     lead, n = p.shape[:-1], p.shape[-1]
-    pp = p[..., :, None] * p[..., None, :]
-    p2 = _sq_norm(p)[..., None, None]
     eye = _identity(n)
+    if spec.kind == "isotropic":
+        g = np.asarray(spec.g_fn(np.broadcast_to(np.asarray(s, dtype=float), lead), _sq_norm(p)),
+                       dtype=float)
+        if g.shape != lead:
+            raise ValueError(f"g_fn returned shape {g.shape}, expected {lead}")
+        return g[..., None, None] * eye
+    pp = _outer(p)
+    p2 = _sq_norm(p)[..., None, None]
     if spec.kind == "conformal":
         return pp - 0.5 * p2 * eye
     if spec.kind == "quad_const":
@@ -173,6 +188,23 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
+
+
+def _outer(p: np.ndarray) -> np.ndarray:
+    """p (x) p over the last axis, (..., n) -> (..., n, n).
+
+    Bitwise the broadcast p[..., :, None] * p[..., None, :], one product per
+    entry, signed zeros included (einsum sums its products onto +0.0 and
+    loses them), but as n^2 strided loops over the whole stack instead of a
+    length-n inner loop per node, which is several times faster on stacks of
+    thousands of nodes.
+    """
+    n = p.shape[-1]
+    out = np.empty(p.shape + (n,))
+    for i in range(n):
+        for j in range(n):
+            np.multiply(p[..., i], p[..., j], out=out[..., i, j])
+    return out
 
 
 def _per_node(fn, *args) -> np.ndarray:
@@ -582,7 +614,7 @@ def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -
     """d/dx of L on (m, n), (m,), (m, n) stacks: (m, n, n, n), index order (row,
     k, i, j); central differences with step 1e-6."""
     m, n = x.shape
-    if spec.kind in ("conformal", "quad_const", "rot_inv"):
+    if spec.kind in ("conformal", "quad_const", "rot_inv", "isotropic"):
         return np.zeros((m, n, n, n))  # x-independent by construction
     h = 1e-6
     step = h * np.eye(n)  # row k moves x along e_k
@@ -810,15 +842,21 @@ def example_varying_quad() -> OperatorSpec:
     )
 
 
+def _cusp_g(alpha: float, c4: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """g(s, |p|^2) = -(s^3 |p|^10 + alpha s |p|^6 + c4 |p|^4), the cusp-family
+    coefficient, on whole arrays.  Each power goes through libm pow (see
+    _libm), so every entry is bitwise the float the scalar formula gives."""
+
+    def g(s, t2):
+        return -(_libm(math.pow, s, 3) * _libm(math.pow, t2, 5) + alpha * s * _libm(math.pow, t2, 3)
+                 + c4 * _libm(math.pow, t2, 2))
+
+    return g
+
+
 def cubic_mix_L(coef: float = -36.0 / 25.0) -> OperatorSpec:
     """L(s, p) = -(s^3 |p|^10 + coef * s |p|^6 + |p|^4) I; not monotone in s."""
-
-    def L_fn(x, s, p):
-        t2 = float(p @ p)
-        val = -(s**3 * t2**5 + coef * s * t2**3 + t2**2)
-        return val * np.eye(len(p))
-
-    return OperatorSpec.general_l(L_fn, m=10.0, name="cubic_mix")
+    return OperatorSpec.isotropic(_cusp_g(coef), m=10.0, name="cubic_mix")
 
 
 _GENL_BUILTINS: dict[str, Callable[[], OperatorSpec]] = {

@@ -41,9 +41,8 @@ looks at the other end of the bracket except to clamp into it.
 Supported cones: the trace-positive cone (margin affine in the center value,
 crossing in closed form) and the positive-definite cone / its full k = n
 elementary-symmetric equivalent (smallest-eigenvalue margin; closed form in
-1D, radial, and 2D).  `pointwise_root` realizes the same crossing for any
-cone by bisection; the sweep engine uses the closed forms, which agree with
-the bisection limit.
+1D, radial, and 2D).  The tests keep a bisection on the cone margin of each
+node's jet as the independent reference for these closed forms.
 """
 
 from __future__ import annotations
@@ -55,15 +54,14 @@ from typing import Sequence
 import numpy as np
 
 from .envelopes import GridFn, _boundary_mask
-from .matcone import ConeSpec, SymMatrix, cone_margin, eigen_sym
-from .operators import Jet2, OperatorSpec, _radial_jets, eval_F, eval_L
+from .matcone import ConeSpec
+from .operators import OperatorSpec, eval_L
 from .viscosity import GridVerifyReport, grid_verify
 
 __all__ = [
     "SolverConfig",
     "DirichletProblem",
     "PerronResult",
-    "pointwise_root",
     "perron_solve",
     "UniquenessReport",
     "uniqueness_experiment",
@@ -182,111 +180,6 @@ class DirichletProblem:
 
 
 # ---------------------------------------------------------------------------
-# the scalar crossing
-
-
-def _stencil_jet(
-    center: float,
-    neighbors: tuple[tuple[float, float], ...],
-    x: np.ndarray,
-    spacing: tuple[float, ...],
-    mixed: float,
-    ambient_n: int | None,
-    s: float,
-) -> Jet2:
-    if len(neighbors) == 1:
-        (lo, hi), = neighbors
-        h = spacing[0]
-        d = (hi - lo) / (2.0 * h)
-        dd = (lo + hi - 2.0 * center) / (h * h)
-        r = float(x[0])
-        if ambient_n not in (None, 1) and r <= 0.0:
-            raise ValueError("radial stencils need a positive radius")
-        pos, p, H = _radial_jets(r, d, dd, ambient_n or 1)
-        return Jet2(pos, s, p, SymMatrix.from_dense(H))
-    (w, e), (so, no) = neighbors
-    hx, hy = spacing
-    p = np.array([(e - w) / (2.0 * hx), (no - so) / (2.0 * hy)])
-    H = np.array(
-        [
-            [(w + e - 2.0 * center) / (hx * hx), mixed],
-            [mixed, (so + no - 2.0 * center) / (hy * hy)],
-        ]
-    )
-    return Jet2(x[:2], s, p, SymMatrix.from_dense(H))
-
-
-def pointwise_root(
-    neighbors,
-    F: OperatorSpec,
-    U: ConeSpec,
-    bracket: tuple[float, float],
-    *,
-    x=None,
-    spacing=1.0,
-    mixed: float = 0.0,
-    ambient_n: int | None = None,
-    s_init: float | None = None,
-    depth: int = 60,
-    tol: float = 1e-9,
-) -> float:
-    """Center value at which the discrete operator crosses the cone boundary.
-
-    neighbors: (lo, hi) for one axis, or a pair of such pairs for a 2D
-    stencil (mixed carries the cross second difference, which does not
-    involve the center).  The bracket endpoints must classify on opposite
-    sides of the cone; raising the center lowers the discrete Hessian, so
-    the crossing is unique and bisection to `depth` finds it.  For operators
-    whose lower-order term depends on the field value, the value argument is
-    frozen, re-frozen after two fixed-point passes, then bisected once more.
-    """
-    nb = tuple(neighbors)
-    if len(nb) == 2 and np.isscalar(nb[0]):
-        nb = (tuple(float(v) for v in nb),)
-    else:
-        nb = tuple((float(a), float(b)) for a, b in nb)
-    if len(nb) not in (1, 2):
-        raise ValueError("neighbors must cover one or two axes")
-    if len(nb) == 2 and ambient_n not in (None, 2):
-        raise ValueError("2D stencils are ambient: ambient_n must be 2 or omitted")
-    sp = (float(spacing),) * len(nb) if np.isscalar(spacing) else tuple(float(h) for h in spacing)
-    if len(sp) != len(nb) or any(h <= 0 for h in sp):
-        raise ValueError("spacing must give one positive step per axis")
-    pos = np.zeros(2) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-
-    def margin(c: float, s: float) -> float:
-        j = _stencil_jet(c, nb, pos, sp, mixed, ambient_n, s)
-        return cone_margin(eigen_sym(eval_F(j, F)), U)
-
-    def bisect(s: float) -> float:
-        m_lo = margin(lo, s)
-        m_hi = margin(hi, s)
-        if m_lo < -tol or m_hi > tol:
-            raise ValueError(
-                "bracket endpoints must straddle the cone boundary "
-                f"(margins {m_lo:.3g} and {m_hi:.3g})"
-            )
-        a, b = lo, hi
-        for _ in range(depth):
-            mid = 0.5 * (a + b)
-            if margin(mid, s) >= 0.0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    if F.kind in ("quad_var", "general_l"):
-        s = 0.5 * (lo + hi) if s_init is None else float(s_init)
-        for _ in range(2):
-            s = bisect(s)
-        return bisect(s)
-    return bisect(0.0)
-
-
-# ---------------------------------------------------------------------------
 # vectorized crossing sweeps
 
 
@@ -354,7 +247,7 @@ class _Stencils:
 
 
 # operators whose lower-order term reads the field value
-_VALUE_KINDS = ("quad_var", "general_l")
+_VALUE_KINDS = ("quad_var", "isotropic", "general_l")
 
 
 def _sweep_group(

@@ -217,6 +217,29 @@ def test_perron_interval_row(tmp_path):
     assert float(row[8]) <= float(row[9])
 
 
+def test_perron_annulus_row(tmp_path):
+    code, text = run_to_file(tmp_path, ["perron", "--problem", "annulus-psi1", "--grid", "125"])
+    assert code == EXIT_PASS
+    lines = text.splitlines()
+    header = lines.index("problem,grid,h,sweeps,converged,all_boundary,monotone,sandwich,"
+                         "sup_error,bound,ok")
+    row = lines[header + 1].split(",")
+    assert lines[header + 1] == lines[-1]
+    assert row[:2] == ["annulus-psi1", "125"] and row[4:8] == ["true"] * 4 and row[10] == "true"
+    assert float(row[8]) <= float(row[9])
+
+
+def test_first_variation_gap_rows(tmp_path):
+    code, text = run_to_file(tmp_path, ["first-variation", "--jets", "50"])
+    assert code == EXIT_PASS
+    lines = text.splitlines()
+    assert lines[-3] == "direction,jets,worst_gap_min_eig,bound,ok"
+    for line, direction in zip(lines[-2:], ("raise", "lower")):
+        name, jets, gap, bound, ok = line.split(",")
+        assert (name, jets, ok) == (direction, "50", "true")
+        assert float(gap) >= float(bound) == -1e-10
+
+
 def test_perron_dump_writes_solution(tmp_path):
     dump = tmp_path / "solution.csv"
     code, _ = run_to_file(tmp_path, ["perron", "--problem", "interval-linear",
@@ -258,6 +281,14 @@ def test_default_stdout_is_pinned(args, digest, capsys):
     # before their values were stacked: default stdout stays byte-identical
     assert dispatch(args) == EXIT_PASS
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_probe_l_cubic_mix_stdout_is_pinned(capsys):
+    # sha256 of the stdout from when cubic_mix called its L per node, through
+    # the general_l kind; as the isotropic kind it must print the same bytes
+    assert dispatch(["probe-L", "--operator", "genL:cubic_mix", "--samples", "120"]) == EXIT_FAIL
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "24b602be0c81554105e4e555f43830d349fd4234055fc10b57612a26b7c71c28"
 
 
 @pytest.mark.parametrize("args,code,digest", [

@@ -10,6 +10,8 @@ from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
     _fd1,
     _fit_radial_coercive,
+    _grad_x_L,
+    _outer,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -269,6 +271,51 @@ def test_general_l_shape_guard():
         eval_L(bad, np.zeros(2), 0.0, np.ones(2))
 
 
+def test_isotropic_kind_contract():
+    with pytest.raises(ValueError, match="g_fn"):
+        OperatorSpec("isotropic")
+    calls = []
+
+    def g(s, t2):
+        calls.append((s.shape, t2.shape))
+        return s * t2
+
+    spec = OperatorSpec.isotropic(g, m=4.0, name="s_times_p2")
+    got = eval_L(spec, np.zeros((4, 5, 3)), np.arange(5.0), np.ones((4, 5, 3)))
+    # one call on the whole (4, 5) stack, the values broadcast to it
+    assert calls == [((4, 5), (4, 5))]
+    want = np.broadcast_to(3.0 * np.arange(5.0)[:, None, None] * np.eye(3), (4, 5, 3, 3))
+    assert got.tobytes() == want.tobytes()
+    assert eval_L(spec, np.zeros(2), 2.0, np.array([1.0, 1.0])).tolist() == [[4.0, 0.0], [0.0, 4.0]]
+    assert format_operator(spec) == "genL:<custom:s_times_p2>"
+    bad = OperatorSpec.isotropic(lambda s, t2: np.zeros(3), m=2.0)
+    with pytest.raises(ValueError, match="g_fn returned shape"):
+        eval_L(bad, np.zeros((4, 2)), np.zeros(4), np.ones((4, 2)))
+    # isotropic L does not read x
+    x, p = np.random.default_rng(1).normal(size=(2, 6, 3))
+    assert not _grad_x_L(spec, x, np.ones(6), p).any()
+
+
+@pytest.mark.parametrize("shape", [(16000, 2), (777, 3), (3, 4, 2), (0, 2), (1,)])
+def test_eval_L_outer_product_is_the_broadcast_product(shape):
+    # eval_L forms p (x) p as n^2 strided products, bitwise the broadcast
+    # p[..., :, None] * p[..., None, :] it replaced, signed zeros included;
+    # einsum is not: it sums each product onto +0.0
+    rng = np.random.default_rng(shape[0])
+    p = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape[:-1] + (1,))
+    if p.size:
+        p.reshape(-1, shape[-1])[0] = -0.0
+        p.reshape(-1, shape[-1])[-1, 0] = -0.0
+    x = np.zeros(shape)
+    pp = p[..., :, None] * p[..., None, :]
+    p2 = np.matmul(p[..., None, :], p[..., :, None])
+    eye = np.eye(shape[-1])
+    assert _outer(p).tobytes() == pp.tobytes()
+    assert eval_L(OperatorSpec.conformal(), x, 0.0, p).tobytes() == (pp - 0.5 * p2 * eye).tobytes()
+    want = 1.5 * pp - -0.25 * p2 * eye
+    assert eval_L(parse_operator("quad:1.5:-0.25"), x, 0.0, p).tobytes() == want.tobytes()
+
+
 def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
     """L at one node, written out with np.outer and the vector dot p @ p."""
     n = len(p)
@@ -283,6 +330,8 @@ def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.nd
     if spec.kind == "rot_inv":
         t = math.sqrt(p2)
         return spec.a_fn(t) * pp + spec.b_fn(t) * np.eye(n)
+    if spec.kind == "isotropic":
+        return float(spec.g_fn(np.float64(s), np.float64(p2))) * np.eye(n)
     out = np.asarray(spec.L_fn(x, s, p), dtype=float)
     return 0.5 * (out + out.T)
 
@@ -301,7 +350,8 @@ def test_stacked_eval_L_matches_lone_nodes_property(shape, data):
     p = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     s = data.draw(hnp.arrays(np.float64, shape[:-1], elements=st.floats(-2.0, 2.0)))
     skew = OperatorSpec.general_l(lambda x, s, p: np.outer(x, p) + s * np.eye(len(p)), m=2.0)
-    texts = ("conformal", "quad:1.5:-0.25", "genL:tanh_quad", "rotinv:pow(0.5,1.5):neg_t")
+    texts = ("conformal", "quad:1.5:-0.25", "genL:tanh_quad", "rotinv:pow(0.5,1.5):neg_t",
+             "genL:cubic_mix")
     for spec in [parse_operator(t) for t in texts] + [skew]:
         got = eval_L(spec, x, s, p)
         assert got.shape == shape + (shape[-1],)

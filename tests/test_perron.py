@@ -8,14 +8,15 @@ import pytest
 
 import conedeg.perron as perron_mod
 from conedeg.envelopes import GridFn
-from conedeg.matcone import ConeClass, ConeSpec, classify, parse_cone
-from conedeg.operators import OperatorSpec, eval_F
+from conedeg.matcone import (
+    ConeClass, ConeSpec, SymMatrix, classify, cone_margin, eigen_sym, parse_cone,
+)
+from conedeg.operators import Jet2, OperatorSpec, _radial_jets, eval_F
 from conedeg.perron import (
     DirichletProblem,
     SolverConfig,
     box_sandwich_problem,
     perron_solve,
-    pointwise_root,
     radial_sandwich_problem,
     solution_csv,
     translation_gradient_bound,
@@ -67,6 +68,112 @@ def _log_box_field(X, Y):
 
 
 # ---------------------------------------------------------------------------
+# the crossing of one node by bisection: the independent reference for the
+# closed-form crossings of the sweep engine and the Newton path
+
+
+def _stencil_jet(
+    center: float,
+    neighbors: tuple[tuple[float, float], ...],
+    x: np.ndarray,
+    spacing: tuple[float, ...],
+    mixed: float,
+    ambient_n: int | None,
+    s: float,
+) -> Jet2:
+    if len(neighbors) == 1:
+        (lo, hi), = neighbors
+        h = spacing[0]
+        d = (hi - lo) / (2.0 * h)
+        dd = (lo + hi - 2.0 * center) / (h * h)
+        r = float(x[0])
+        if ambient_n not in (None, 1) and r <= 0.0:
+            raise ValueError("radial stencils need a positive radius")
+        pos, p, H = _radial_jets(r, d, dd, ambient_n or 1)
+        return Jet2(pos, s, p, SymMatrix.from_dense(H))
+    (w, e), (so, no) = neighbors
+    hx, hy = spacing
+    p = np.array([(e - w) / (2.0 * hx), (no - so) / (2.0 * hy)])
+    H = np.array(
+        [
+            [(w + e - 2.0 * center) / (hx * hx), mixed],
+            [mixed, (so + no - 2.0 * center) / (hy * hy)],
+        ]
+    )
+    return Jet2(x[:2], s, p, SymMatrix.from_dense(H))
+
+
+def pointwise_root(
+    neighbors,
+    F: OperatorSpec,
+    U: ConeSpec,
+    bracket: tuple[float, float],
+    *,
+    x=None,
+    spacing=1.0,
+    mixed: float = 0.0,
+    ambient_n: int | None = None,
+    s_init: float | None = None,
+    depth: int = 60,
+    tol: float = 1e-9,
+) -> float:
+    """Center value at which the discrete operator crosses the cone boundary.
+
+    neighbors: (lo, hi) for one axis, or a pair of such pairs for a 2D
+    stencil (mixed carries the cross second difference, which does not
+    involve the center).  The bracket endpoints must classify on opposite
+    sides of the cone; raising the center lowers the discrete Hessian, so
+    the crossing is unique and bisection to `depth` finds it.  For operators
+    whose lower-order term depends on the field value, the value argument is
+    frozen, re-frozen after two fixed-point passes, then bisected once more.
+    """
+    nb = tuple(neighbors)
+    if len(nb) == 2 and np.isscalar(nb[0]):
+        nb = (tuple(float(v) for v in nb),)
+    else:
+        nb = tuple((float(a), float(b)) for a, b in nb)
+    if len(nb) not in (1, 2):
+        raise ValueError("neighbors must cover one or two axes")
+    if len(nb) == 2 and ambient_n not in (None, 2):
+        raise ValueError("2D stencils are ambient: ambient_n must be 2 or omitted")
+    sp = (float(spacing),) * len(nb) if np.isscalar(spacing) else tuple(float(h) for h in spacing)
+    if len(sp) != len(nb) or any(h <= 0 for h in sp):
+        raise ValueError("spacing must give one positive step per axis")
+    pos = np.zeros(2) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError("bracket must satisfy lo < hi")
+
+    def margin(c: float, s: float) -> float:
+        j = _stencil_jet(c, nb, pos, sp, mixed, ambient_n, s)
+        return cone_margin(eigen_sym(eval_F(j, F)), U)
+
+    def bisect(s: float) -> float:
+        m_lo = margin(lo, s)
+        m_hi = margin(hi, s)
+        if m_lo < -tol or m_hi > tol:
+            raise ValueError(
+                "bracket endpoints must straddle the cone boundary "
+                f"(margins {m_lo:.3g} and {m_hi:.3g})"
+            )
+        a, b = lo, hi
+        for _ in range(depth):
+            mid = 0.5 * (a + b)
+            if margin(mid, s) >= 0.0:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    if F.kind in ("quad_var", "isotropic", "general_l"):
+        s = 0.5 * (lo + hi) if s_init is None else float(s_init)
+        for _ in range(2):
+            s = bisect(s)
+        return bisect(s)
+    return bisect(0.0)
+
+
+# ---------------------------------------------------------------------------
 # pointwise crossing
 
 
@@ -100,8 +207,6 @@ def test_root_center_classifies_boundary():
     F = OperatorSpec.quad_const(1.0, 0.5)
     c = pointwise_root((0.2, 0.9), F, TRACE, (-4.0, 4.0), spacing=0.1)
     h = 0.1
-    from conedeg.perron import _stencil_jet
-
     j = _stencil_jet(c, ((0.2, 0.9),), np.zeros(1), (h,), 0.0, None, 0.0)
     cls, _ = classify(eval_F(j, F), TRACE, tol=1e-6)
     assert cls is ConeClass.BOUNDARY
@@ -303,6 +408,67 @@ def test_callable_kinds_sweep_like_quad_const(monkeypatch, which, cone):
     res = solve(OperatorSpec.rot_inv(lambda t: alpha, lambda t: -beta * t * t))
     assert res.sweeps == ref.sweeps
     assert np.abs(res.u.values - ref.u.values).max() <= 10 * cfg.tol
+
+
+def _replay_sweep(P: DirichletProblem, u: np.ndarray) -> np.ndarray:
+    """One red-black sweep of u, node by node: each node of a group moves to
+    the pointwise_root crossing of its stencil in the field before that
+    group, started from its own value, and is clamped into the sandwich."""
+    u = u.copy()
+    h = P.sub.h
+    nodes = np.argwhere(P.interior_mask)
+    for parity in (1, 0):
+        moved = []
+        for node in nodes[nodes.sum(axis=1) % 2 == parity]:
+            i = tuple(node)
+            if u.ndim == 1:
+                nb, mixed = (u[i[0] - 1], u[i[0] + 1]), 0.0
+            else:
+                a, b = i
+                nb = ((u[a - 1, b], u[a + 1, b]), (u[a, b - 1], u[a, b + 1]))
+                mixed = (u[a + 1, b + 1] + u[a - 1, b - 1] - u[a - 1, b + 1]
+                         - u[a + 1, b - 1]) * (0.25 / (h[0] * h[1]))
+            root = pointwise_root(nb, P.F, P.U, (-50.0, 50.0), x=P.sub.node_coords()[
+                np.ravel_multi_index(i, u.shape)], spacing=h, mixed=mixed,
+                ambient_n=P.ambient_n, s_init=u[i])
+            moved.append((i, min(max(root, P.sub.values[i]), P.sup.values[i])))
+        for i, value in moved:
+            u[i] = value
+    return u
+
+
+# operators whose lower-order term reads the field value, and the geometries
+# and cones their capped runs are replayed on
+VALUE_DEPENDENT = {
+    "quad_var": OperatorSpec.quad_var(lambda x, s: 1.0 + math.tanh(s), lambda x, s: 0.25),
+    "isotropic": OperatorSpec.isotropic(lambda s, t2: s * np.sqrt(1.0 + t2), m=1.0),
+}
+VALUE_REPLAY_PROBLEMS = {
+    "interval": lambda F: _interval_problem(17, 0, 1, F=F)[0],
+    "box": lambda F: _fill_box_problem(7, F),
+    "box_posdef": lambda F: dataclasses.replace(_fill_box_problem(7, F), U=ConeSpec.posdef()),
+}
+
+
+@pytest.mark.parametrize("kind, which", [("quad_var", "interval"), ("quad_var", "box_posdef"),
+                                         ("isotropic", "interval"), ("isotropic", "box")])
+def test_value_dependent_sweeps_replay_pointwise_roots(kind, which):
+    # the second sweep of a run capped at two, from a random field inside
+    # the sandwich, replayed node by node: the value read by L is taken from
+    # the node, then from the crossing twice, as pointwise_root does it.  The
+    # field is far from its limit, so fewer fixed-point passes would land
+    # visibly elsewhere
+    P = VALUE_REPLAY_PROBLEMS[which](VALUE_DEPENDENT[kind])
+    rng = np.random.default_rng(5)
+    lo, hi = P.sub.values, P.sup.values
+    start = P.sub.with_values(lo + rng.uniform(0.1, 0.9, lo.shape) * (hi - lo))
+    first, second = (perron_solve(P, SolverConfig(tol=1e-12, max_sweeps=cap), start=start)
+                     for cap in (1, 2))
+    assert second.path == "sweep" and second.sweeps == 2 and not second.converged
+    want = _replay_sweep(P, first.u.values)
+    assert np.abs(second.u.values - want).max() <= 1e-10
+    # the sweep moved the field by far more than that
+    assert np.abs(want - first.u.values).max() > 1e-2
 
 
 def test_radial_positive_cone_rejects_general_l():

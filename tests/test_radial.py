@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg import radial
-from conedeg.operators import OperatorSpec, parse_operator
+from conedeg.operators import OperatorSpec, eval_L, format_operator, parse_operator
 from conedeg.radial import (
     CtexCertificate,
     QuarticSpec,
@@ -363,6 +363,127 @@ def test_interp_operator_matches_polynomial_outside_strip():
 
 
 # ---------------------------------------------------------------------------
+# the isotropic operators against their per-node references
+#
+# The closures below are the per-node L_fn of the cusp, interpolated and
+# cubic_mix operators from before those became the isotropic kind, and
+# _scalar_interp_g is the float branch monotone_interp_L had then.  They
+# are kept as the bitwise reference for the array forms.
+
+
+def _scalar_interp_g(p_norm, s):
+    a, hole = float(Fraction(-36, 25)), float(Fraction(32, 45))
+    p_norm, s = float(p_norm), float(s)
+    p2 = p_norm * p_norm
+    prod = s * p2
+    if p_norm == 0:
+        return 0.0
+    if prod <= -hole or prod >= hole:
+        return -(s**3 * p2**5 + a * s * p2**3 + p2**2 / 100.0)
+    p4 = p2 * p2
+    s_lo, s_hi = -hole / p2, hole / p2
+    width = s_hi - s_lo
+    y_lo = float(Fraction(-245821, 364500)) * p4
+    y_hi = float(Fraction(238531, 364500)) * p4
+    d = float(Fraction(-52, 675)) * p4 * p2
+    tau = (s - s_lo) / width
+    h00 = (1 + 2 * tau) * (1 - tau) ** 2
+    h10 = tau * (1 - tau) ** 2
+    h01 = tau * tau * (3 - 2 * tau)
+    h11 = tau * tau * (tau - 1)
+    return h00 * y_lo + h10 * width * d + h01 * y_hi + h11 * width * d
+
+
+def _per_node_cusp_operator(variant, alpha):
+    c4 = 1.0 if variant == "P4" else 0.01
+
+    def L_fn(x, s, p):
+        t2 = float(p @ p)
+        val = -(s**3 * t2**5 + alpha * s * t2**3 + c4 * t2**2)
+        return val * np.eye(len(p))
+
+    return OperatorSpec.general_l(L_fn, m=10.0, name=f"cusp:{variant}:{alpha:g}")
+
+
+def _per_node_interp_operator():
+    def L_fn(x, s, p):
+        return _scalar_interp_g(float(np.linalg.norm(p)), float(s)) * np.eye(len(p))
+
+    return OperatorSpec.general_l(L_fn, m=10.0, name="interp_strip")
+
+
+def _per_node_cubic_mix(coef=-36.0 / 25.0):
+    def L_fn(x, s, p):
+        t2 = float(p @ p)
+        val = -(s**3 * t2**5 + coef * s * t2**3 + t2**2)
+        return val * np.eye(len(p))
+
+    return OperatorSpec.general_l(L_fn, m=10.0, name="cubic_mix")
+
+
+_ISOTROPIC_BUILTINS = {
+    "P4": (lambda: cusp_family_operator("P4", -3.0), lambda: _per_node_cusp_operator("P4", -3.0)),
+    "P4tilde": (lambda: cusp_family_operator("P4tilde", -1.44),
+                lambda: _per_node_cusp_operator("P4tilde", -1.44)),
+    "interp_strip": (interpolated_L_operator, _per_node_interp_operator),
+    "cubic_mix": (lambda: parse_operator("genL:cubic_mix"), _per_node_cubic_mix),
+}
+
+
+def _isotropic_stack(rng, m, n):
+    """(x, s, p) with |p| from 1e-3 to 1e3, p = 0 rows, s = 0 rows, and s on
+    and next to both strip edges |s| |p|^2 = 32/45, from either side."""
+    direction = rng.normal(size=(m, n))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    p = direction * 10.0 ** rng.uniform(-3.0, 3.0, m)[:, None]
+    p[:20] = 0.0
+    s = rng.uniform(-3.0, 3.0, m)
+    s[20:40] = 0.0
+    p2 = np.array([float(np.linalg.norm(q)) ** 2 for q in p[40:]])
+    edge = float(Fraction(32, 45)) / p2
+    k = len(edge) // 8
+    s[40:40 + k] = edge[:k]
+    s[40 + k:40 + 2 * k] = -edge[k:2 * k]
+    s[40 + 2 * k:40 + 3 * k] = np.nextafter(edge[2 * k:3 * k], 0.0)
+    s[40 + 3 * k:40 + 4 * k] = np.nextafter(-edge[3 * k:4 * k], 0.0)
+    s[40 + 4 * k:40 + 5 * k] = np.nextafter(edge[4 * k:5 * k], np.inf)
+    s[40 + 5 * k:40 + 7 * k] = rng.uniform(-1.5, 1.5, 2 * k) * edge[5 * k:7 * k]
+    return rng.normal(size=(m, n)), s, p
+
+
+@pytest.mark.parametrize("name", sorted(_ISOTROPIC_BUILTINS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isotropic_builtins_match_per_node_reference(name, n):
+    iso, ref = (make() for make in _ISOTROPIC_BUILTINS[name])
+    assert iso.kind == "isotropic" and ref.kind == "general_l"
+    rng = np.random.default_rng(100 * n + len(name))
+    x, s, p = _isotropic_stack(rng, 1200, n)
+    assert eval_L(iso, x, s, p).tobytes() == eval_L(ref, x, s, p).tobytes()
+    # two leading axes, a value shared along one of them, and a lone node
+    x2, s2, p2 = x[:600].reshape(20, 30, n), s[:30], p[:600].reshape(20, 30, n)
+    assert eval_L(iso, x2, s2, p2).tobytes() == eval_L(ref, x2, s2, p2).tobytes()
+    assert eval_L(iso, x[50], s[50], p[50]).tobytes() == eval_L(ref, x[50], s[50], p[50]).tobytes()
+
+
+def test_monotone_interp_L_floats_match_scalar_reference():
+    rng = np.random.default_rng(3)
+    _, s, p = _isotropic_stack(rng, 1000, 1)
+    pn = np.abs(p[:, 0])
+    for pi, si in zip(pn.tolist(), s.tolist()):
+        got = monotone_interp_L(pi, si)
+        assert type(got) is float
+        assert got.hex() == _scalar_interp_g(pi, si).hex()
+    got = radial._interp_strip_g(s, pn)
+    assert got.tobytes() == np.array([_scalar_interp_g(a, b) for a, b in zip(pn, s)]).tobytes()
+
+
+def test_isotropic_format_keeps_generic_text():
+    assert format_operator(parse_operator("genL:cubic_mix")) == "genL:cubic_mix"
+    assert format_operator(cusp_family_operator("P4", -3.0)) == "genL:<custom:cusp:P4:-3>"
+    assert format_operator(interpolated_L_operator()) == "genL:<custom:interp_strip>"
+
+
+# ---------------------------------------------------------------------------
 # singular log family
 
 
@@ -524,7 +645,8 @@ _KIND_OPERATORS = {
     "quad_const": OperatorSpec.quad_const(1.5, -0.25),
     "quad_var": parse_operator("genL:tanh_quad"),
     "rot_inv": parse_operator("rotinv:pow(0.5,1.5):neg_t"),
-    "general_l": cusp_family_operator("P4", -3.0),
+    "isotropic": cusp_family_operator("P4", -3.0),
+    "general_l": _per_node_cusp_operator("P4", -3.0),
 }
 
 
@@ -746,8 +868,8 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
         mu_g, nu_g = radial_F_eigs(r, w_d, w_dd, op, s=w_val)
         return not np.any((np.abs(mu_g - mu_w) > tol) | (np.abs(nu_g - nu_w) > tol))
 
-    cross_ok = matches(cusp_family_operator(variant, alpha))
-    interp_agree = kind == "nondec" and matches(interpolated_L_operator())
+    cross_ok = matches(_per_node_cusp_operator(variant, alpha))
+    interp_agree = kind == "nondec" and matches(_per_node_interp_operator())
     cert.clauses["w_supersolution"] = w_ok and sign_ok
     cert.clauses["v_subsolution"] = v_ok and sign_ok
     cert.clauses["eig_sign_pattern"] = sign_ok
