@@ -194,12 +194,15 @@ def _outer(p: np.ndarray) -> np.ndarray:
     """p (x) p over the last axis, (..., n) -> (..., n, n).
 
     Bitwise the broadcast p[..., :, None] * p[..., None, :], one product per
-    entry, signed zeros included (einsum sums its products onto +0.0 and
-    loses them), but as n^2 strided loops over the whole stack instead of a
-    length-n inner loop per node, which is several times faster on stacks of
-    thousands of nodes.
+    entry, signed zeros included (einsum adds its products to +0.0 and
+    loses them).  The broadcast runs a length-n inner loop per node; from
+    about 50 n^2 nodes up, n^2 strided loops over the whole stack are
+    faster (several times on thousands of nodes), below that their n^2
+    calls cost more than they save.
     """
     n = p.shape[-1]
+    if p.size < 50 * n**3:
+        return p[..., :, None] * p[..., None, :]
     out = np.empty(p.shape + (n,))
     for i in range(n):
         for j in range(n):

@@ -296,11 +296,12 @@ def test_isotropic_kind_contract():
     assert not _grad_x_L(spec, x, np.ones(6), p).any()
 
 
-@pytest.mark.parametrize("shape", [(16000, 2), (777, 3), (3, 4, 2), (0, 2), (1,)])
+@pytest.mark.parametrize("shape", [(16000, 2), (200, 2), (777, 3), (3, 4, 2), (0, 2), (1,)])
 def test_eval_L_outer_product_is_the_broadcast_product(shape):
-    # eval_L forms p (x) p as n^2 strided products, bitwise the broadcast
-    # p[..., :, None] * p[..., None, :] it replaced, signed zeros included;
-    # einsum is not: it sums each product onto +0.0
+    # eval_L forms p (x) p on large stacks as n^2 strided products, bitwise
+    # the broadcast p[..., :, None] * p[..., None, :] it keeps for small
+    # ones, signed zeros included; einsum is not: it adds each product to
+    # +0.0
     rng = np.random.default_rng(shape[0])
     p = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape[:-1] + (1,))
     if p.size:
