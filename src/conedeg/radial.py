@@ -465,32 +465,28 @@ def interp_L_slope_scan(n_s: int = 40, n_p: int = 25) -> SlopeScanReport:
     Outside the strip the coefficient is non-increasing in s (that is what
     the strip boundary 32/45 encodes); inside, it must rise from the lower
     boundary value to the larger upper one, so the scan genuinely finds
-    positive slopes and reports a witness instead of a clean verdict.
+    positive slopes and reports a witness instead of a clean verdict.  The
+    (|p|, s) grid is one array evaluation; the witness is the first rising
+    point in |p|-major order.
     """
-    total = 0
-    nonpos = 0
-    outside_ok = True
+    p = np.geomspace(0.25, 4.0, n_p)
+    p2 = _libm(math.pow, p, 2)[:, None]
+    s_edge = float(_HOLE) / p2
+    s = np.linspace(-2.5 * s_edge, 2.5 * s_edge, n_s, axis=1)[..., 0]
+    h = 1e-7 * s_edge
+    p = p[:, None]
+    slope = (_interp_strip_g(s + h, p) - _interp_strip_g(s - h, p)) / (2 * h)
+    inside = np.abs(s * p2) < float(_HOLE)
+    rises = ~(slope <= 1e-9 * (1.0 + np.abs(slope)))
     witness = None
-    for p in np.geomspace(0.25, 4.0, n_p):
-        p = float(p)
-        s_edge = float(_HOLE) / p**2
-        for s in np.linspace(-2.5 * s_edge, 2.5 * s_edge, n_s):
-            s = float(s)
-            h = 1e-7 * s_edge
-            slope = (monotone_interp_L(p, s + h) - monotone_interp_L(p, s - h)) / (2 * h)
-            total += 1
-            inside = abs(s * p**2) < float(_HOLE)
-            if slope <= 1e-9 * (1.0 + abs(slope)):
-                nonpos += 1
-            else:
-                if not inside:
-                    outside_ok = False
-                if witness is None:
-                    witness = {"p_norm": p, "s": s, "slope": float(slope), "inside_strip": inside}
+    if rises.any():
+        i, j = np.argwhere(rises)[0]
+        witness = {"p_norm": float(p[i, 0]), "s": float(s[i, j]), "slope": float(slope[i, j]),
+                   "inside_strip": bool(inside[i, j])}
     return SlopeScanReport(
-        grid_points=total,
-        nonpos_outside=outside_ok,
-        nonpos_fraction=nonpos / total,
+        grid_points=slope.size,
+        nonpos_outside=not (rises & ~inside).any(),
+        nonpos_fraction=int((~rises).sum()) / slope.size,
         rise_witness=witness,
     )
 

@@ -477,6 +477,36 @@ def test_monotone_interp_L_floats_match_scalar_reference():
     assert got.tobytes() == np.array([_scalar_interp_g(a, b) for a, b in zip(pn, s)]).tobytes()
 
 
+def _replay_interp_L_slope_scan(n_s=40, n_p=25):
+    """interp_L_slope_scan one grid point at a time, as it was written before
+    the scan became one array evaluation."""
+    total = nonpos = 0
+    outside_ok, witness = True, None
+    hole = float(Fraction(32, 45))
+    for p in np.geomspace(0.25, 4.0, n_p):
+        p = float(p)
+        s_edge = hole / p**2
+        for s in np.linspace(-2.5 * s_edge, 2.5 * s_edge, n_s):
+            s = float(s)
+            h = 1e-7 * s_edge
+            slope = (_scalar_interp_g(p, s + h) - _scalar_interp_g(p, s - h)) / (2 * h)
+            total += 1
+            inside = abs(s * p**2) < hole
+            if slope <= 1e-9 * (1.0 + abs(slope)):
+                nonpos += 1
+            else:
+                outside_ok = outside_ok and inside
+                if witness is None:
+                    witness = {"p_norm": p, "s": s, "slope": float(slope), "inside_strip": inside}
+    return radial.SlopeScanReport(total, outside_ok, nonpos / total, witness)
+
+
+@pytest.mark.parametrize("n_s, n_p", [(40, 25), (7, 3), (101, 9), (1, 1), (2, 60)])
+def test_stacked_slope_scan_matches_per_point_replay(n_s, n_p):
+    got = interp_L_slope_scan(n_s, n_p)
+    assert _bits(got) == _bits(_replay_interp_L_slope_scan(n_s, n_p))
+
+
 def test_isotropic_format_keeps_generic_text():
     assert format_operator(parse_operator("genL:cubic_mix")) == "genL:cubic_mix"
     assert format_operator(cusp_family_operator("P4", -3.0)) == "genL:<custom:cusp:P4:-3>"
