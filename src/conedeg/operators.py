@@ -157,7 +157,7 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
         if g.shape != lead:
             raise ValueError(f"g_fn returned shape {g.shape}, expected {lead}")
         return g[..., None, None] * eye
-    pp = _outer(p)
+    pp = p[..., :, None] * p[..., None, :]
     p2 = _sq_norm(p)[..., None, None]
     if spec.kind == "conformal":
         return pp - 0.5 * p2 * eye
@@ -188,26 +188,6 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _outer(p: np.ndarray) -> np.ndarray:
-    """p (x) p over the last axis, (..., n) -> (..., n, n).
-
-    Bitwise the broadcast p[..., :, None] * p[..., None, :], one product per
-    entry, signed zeros included (einsum adds its products to +0.0 and
-    loses them).  The broadcast runs a length-n inner loop per node; from
-    about 50 n^2 nodes up, n^2 strided loops over the whole stack are
-    faster (several times on thousands of nodes), below that their n^2
-    calls cost more than they save.
-    """
-    n = p.shape[-1]
-    if p.size < 50 * n**3:
-        return p[..., :, None] * p[..., None, :]
-    out = np.empty(p.shape + (n,))
-    for i in range(n):
-        for j in range(n):
-            np.multiply(p[..., i], p[..., j], out=out[..., i, j])
-    return out
 
 
 def _per_node(fn, *args) -> np.ndarray:

@@ -265,8 +265,10 @@ def _sweep_group(
     for the positive cone the root of lambda_min in c, which is
     _mineig_crossing_2d in 2D and M_00 / S in 1D, on radial grids only where
     the tangent entries of M are nonnegative (-inf, clamped to the lower
-    field, elsewhere).  Value-dependent operators take s from u and then
-    from the crossing, three passes in all.
+    field, elsewhere; an isotropic L keeps the radial jet diagonal, a
+    general one need not and raises).  Value-dependent operators take s from
+    u and then from the crossing, three passes in all; a radial node sent to
+    -inf keeps its s, so it stays there.
     """
     F = problem.F
     if mode == "mineig" and st.radial and F.kind == "general_l":
@@ -275,9 +277,9 @@ def _sweep_group(
             "are not supported on radial grids"
         )
     p, H0 = st.jet(u, mode == "mineig")
-    c = u[st.idx]
+    s = u[st.idx]
     for _ in range(3 if F.kind in _VALUE_KINDS else 1):
-        M = H0 + eval_L(F, st.x, c, p)
+        M = H0 + eval_L(F, st.x, s, p)
         if mode == "trace":
             c = np.einsum("kii->k", M) / st.slope
         elif len(st.nbrs) == 2:
@@ -287,6 +289,7 @@ def _sweep_group(
             if st.radial:
                 tangent = np.diagonal(M, axis1=1, axis2=2)[:, 1:].min(axis=1)
                 c = np.where(tangent >= 0.0, c, -np.inf)
+        s = np.where(c > -np.inf, c, s) if st.radial and mode == "mineig" else c
     return c
 
 

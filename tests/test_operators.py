@@ -11,7 +11,6 @@ from conedeg.operators import (
     _fd1,
     _fit_radial_coercive,
     _grad_x_L,
-    _outer,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -294,27 +293,6 @@ def test_isotropic_kind_contract():
     # isotropic L does not read x
     x, p = np.random.default_rng(1).normal(size=(2, 6, 3))
     assert not _grad_x_L(spec, x, np.ones(6), p).any()
-
-
-@pytest.mark.parametrize("shape", [(16000, 2), (200, 2), (777, 3), (3, 4, 2), (0, 2), (1,)])
-def test_eval_L_outer_product_is_the_broadcast_product(shape):
-    # eval_L forms p (x) p on large stacks as n^2 strided products, bitwise
-    # the broadcast p[..., :, None] * p[..., None, :] it keeps for small
-    # ones, signed zeros included; einsum is not: it adds each product to
-    # +0.0
-    rng = np.random.default_rng(shape[0])
-    p = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape[:-1] + (1,))
-    if p.size:
-        p.reshape(-1, shape[-1])[0] = -0.0
-        p.reshape(-1, shape[-1])[-1, 0] = -0.0
-    x = np.zeros(shape)
-    pp = p[..., :, None] * p[..., None, :]
-    p2 = np.matmul(p[..., None, :], p[..., :, None])
-    eye = np.eye(shape[-1])
-    assert _outer(p).tobytes() == pp.tobytes()
-    assert eval_L(OperatorSpec.conformal(), x, 0.0, p).tobytes() == (pp - 0.5 * p2 * eye).tobytes()
-    want = 1.5 * pp - -0.25 * p2 * eye
-    assert eval_L(parse_operator("quad:1.5:-0.25"), x, 0.0, p).tobytes() == want.tobytes()
 
 
 def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
