@@ -10,7 +10,6 @@ of negated closed cones, and negations of any of these.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,7 +22,6 @@ __all__ = [
     "ConeClass",
     "sigma_k",
     "sigma_all",
-    "sigma_k_bruteforce",
     "eigen_sym",
     "in_cone",
     "cone_margin",
@@ -259,17 +257,6 @@ def sigma_k(lam: np.ndarray | Spectrum, k: int) -> float:
     if not 0 <= k <= len(lam):
         raise ValueError(f"k={k} out of range for n={len(lam)}")
     return float(sigma_all(lam)[k])
-
-
-def sigma_k_bruteforce(lam: np.ndarray, k: int) -> float:
-    """Subset-enumeration oracle for sigma_k; exponential, intended for n <= 8."""
-    lam = np.asarray(lam, dtype=float)
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for idx in itertools.combinations(range(len(lam)), k):
-        total += float(np.prod(lam[list(idx)]))
-    return total
 
 
 # ---------------------------------------------------------------------------

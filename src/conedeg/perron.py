@@ -8,25 +8,27 @@ through subsolutions.  Two iterations realize it.
 Crossing sweeps (the reference): every sweep moves each interior node to the
 center value at which the discrete operator matrix crosses the cone boundary,
 clamped into the sandwich, red nodes (odd coordinate sum) then black ones.
-Each group is one stacked jet: with the center value c left out, the centered
-differences give the gradient p and a matrix H0, so the discrete Hessian is
-H0 - c diag(2 / h_a^2), and one eval_L call gives L for every operator kind.
-The crossing is then one expression per cone mode: tr(H0 + L) / S for the
-trace cone (S = sum_a 2 / h_a^2), the root of the smallest eigenvalue for
-the positive cone.  Raising the center value lowers the discrete Hessian, so
-the crossing is monotone and each descending sweep maps a discrete
-supersolution to a smaller one.  The sweep count grows like the square of the
-node count.  Sweeps run for the positive cone, callable operators and masked
-grids, and one sweep is the Newton path's fallback step.
+Each group reads the centered-difference jet (s, p, H) that grid_verify
+classifies (viscosity._Stencil), and one eval_L call gives L for every
+operator kind.  Moving the center value by t lowers H by t diag(2 / h_a^2),
+so each node's move to its crossing is one expression per cone mode:
+tr(H + L) / S for the trace cone (S = sum_a 2 / h_a^2), the root of the
+smallest eigenvalue for the positive cone.  The move is monotone in the
+field, so each descending sweep maps a discrete supersolution to a smaller
+one.  The sweep count grows like the square of the node count.  Sweeps run
+for the positive cone, callable operators and masked grids, and one sweep is
+the Newton path's fallback step.
 
 Monotone Newton (trace cone on 1D, radial or 2D grids, conformal or
-constant-coefficient quadratic operator, no masked nodes): the crossing is
-c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with w_a = 1 / h_a^2,
-S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on radial grids
-(0 otherwise), and the run solves G(u) = u - c(u) = 0 by Newton steps.  The
-Jacobian couples each node to its two neighbours per axis (an M-matrix for
-small h): a tridiagonal system in 1D (Thomas algorithm), a block-tridiagonal
-one in 2D, eliminated line by line with one LAPACK solve per axis-0 line.
+constant-coefficient quadratic operator, no masked nodes): the run solves
+G(u) = u - c(u) = 0 by Newton steps, G being minus the sweep's trace-cone move
+(so the stop test reads grid_verify's margin, and a fallback sweep the same
+crossing): c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with
+w_a = 1 / h_a^2, S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on
+radial grids (0 otherwise).  The Jacobian couples each node to its two
+neighbours per axis (an M-matrix for small h): a tridiagonal system in 1D
+(Thomas algorithm), a block-tridiagonal one in 2D, eliminated line by line
+with one LAPACK solve per axis-0 line.
 G is concave for b > 0 and convex for b < 0, and
 G(u + t d) = (1 - t) G(u) - b t^2 |p(d)|^2 / S holds exactly along a Newton
 direction d.  So the full step keeps the sign of G on the side where the
@@ -56,7 +58,7 @@ import numpy as np
 from .envelopes import GridFn, _boundary_mask
 from .matcone import ConeSpec
 from .operators import OperatorSpec, eval_L
-from .viscosity import GridVerifyReport, grid_verify
+from .viscosity import GridVerifyReport, _Stencil, grid_verify
 
 __all__ = [
     "SolverConfig",
@@ -194,109 +196,73 @@ def _crossing_mode(U: ConeSpec, amb: int) -> str:
     )
 
 
-class _Stencils:
-    """Gather indices, positions and constants for one sweep group."""
+class _SweepGroup(_Stencil):
+    """One red-black group's stencils plus its sandwich bounds.
 
-    def __init__(self, problem: DirichletProblem, idx: np.ndarray):
-        g = problem.sub
-        self.idx = idx
-        self.h = g.h
-        # (idx - stride, idx + stride): the two neighbours along each axis of
-        # the row-major flat field
-        strides = (1,) if g.dim == 1 else (g.shape[1], 1)
-        self.nbrs = [(idx - st, idx + st) for st in strides]
-        self.lo = g.values.ravel()[idx]
+    Raises ValueError for a group the positive cone's crossing cannot read:
+    a masked diagonal neighbour in 2D (the cross difference would not be
+    finite), or a general L on a radial grid (it need not keep the radial
+    jet diagonal).
+    """
+
+    def __init__(self, problem: DirichletProblem, idx: np.ndarray, mode: str):
+        # the trace of M reads no off-diagonal entry: no cross difference
+        super().__init__(problem.sub, idx, problem.matrix_dim, mode == "mineig")
+        vals = problem.sub.values.ravel()
+        self.lo = vals[idx]
         self.hi = problem.sup.values.ravel()[idx]
-        coords = g.node_coords()[idx]
-        self.r = coords[:, 0]
-        # ambient positions: r e_1 on radial grids
-        self.x = np.zeros((idx.size, problem.matrix_dim))
-        self.x[:, : g.dim] = coords
-        self.radial = g.dim == 1 and problem.matrix_dim >= 2
-        # the center value's coefficient per axis, and their sum S
-        self.center = [2.0 / (h * h) for h in g.h]
-        self.slope = _margin_slope(problem)
-
-    def jet(self, u: np.ndarray, mixed: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(p, H0): the group's centered-difference jets without the center value.
-
-        The discrete Hessian is H0 - c diag(2 / h_a^2) at center value c; on
-        radial grids the tangent entries p_0 / r do not involve c.  The 2D
-        cross difference reads the diagonal neighbours, which need not be
-        finite on masked grids, so it is formed only when mixed is set
-        (off-diagonal H0 is zero otherwise).
-        """
-        m, n = self.x.shape
-        p = np.zeros((m, n))
-        H0 = np.zeros((m, n, n))
-        for a, ((lo, hi), h) in enumerate(zip(self.nbrs, self.h)):
-            lo, hi = u[lo], u[hi]
-            p[:, a] = (hi - lo) * (0.5 / h)
-            H0[:, a, a] = (lo + hi) / (h * h)
-        if self.radial:
-            tangent = p[:, 0] / self.r
-            for a in range(1, n):
-                H0[:, a, a] = tangent
-        if mixed and len(self.nbrs) == 2:
-            (w, e), _ = self.nbrs
-            hx, hy = self.h
-            H0[:, 0, 1] = H0[:, 1, 0] = (
-                (u[e + 1] + u[w - 1] - u[w + 1] - u[e - 1]) * (0.25 / (hx * hy))
+        if self.corners is not None and not np.isfinite(vals[np.concatenate(self.corners)]).all():
+            raise ValueError("the positive cone's 2D crossing needs finite diagonal neighbours")
+        if mode == "mineig" and self.radii is not None and problem.F.kind == "general_l":
+            raise ValueError(
+                "eigenvalue cones with a general lower-order term "
+                "are not supported on radial grids"
             )
-        return p, H0
 
 
 # operators whose lower-order term reads the field value
 _VALUE_KINDS = ("quad_var", "isotropic", "general_l")
 
 
-def _sweep_group(
-    u: np.ndarray,
-    st: _Stencils,
-    problem: DirichletProblem,
-    mode: str,
-) -> np.ndarray:
-    """Crossing values for one group of nodes given the current field u.
+def _moves(u: np.ndarray, st: _Stencil, F: OperatorSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t): the nodes' values and their moves to the crossing, given the flat field u.
 
-    One stacked jet (x, p, H0) and one eval_L give M = H0 + L(x, s, p), the
-    discrete operator matrix plus c diag(2 / h_a^2).  The crossing is then
-    one expression per cone mode: tr M / S with S = sum_a 2 / h_a^2 for the
-    trace cone (the radial tangent entries (n - 1) p_0 / r sit in tr H0);
-    for the positive cone the root of lambda_min in c, which is
-    _mineig_crossing_2d in 2D and M_00 / S in 1D, on radial grids only where
-    the tangent entries of M are nonnegative (-inf, clamped to the lower
-    field, elsewhere; an isotropic L keeps the radial jet diagonal, a
-    general one need not and raises).  Value-dependent operators take s from
-    u and then from the crossing, three passes in all; a radial node sent to
-    -inf keeps its s, so it stays there.
+    The jet (s, p, H) is the one grid_verify classifies, and one eval_L
+    gives M = H + L(x, s, p).  Moving the center value by t lowers H by
+    t diag(2 / h_a^2), so t is one expression per cone mode: tr M / S
+    with S = sum_a 2 / h_a^2 for the trace cone; for the positive cone the
+    root of lambda_min in t, which is _mineig_crossing_2d in 2D and M_00 / S
+    in 1D, on radial grids only where the tangent entries of M are
+    nonnegative (-inf elsewhere; an isotropic L keeps the radial jet
+    diagonal).  Value-dependent operators take s from u and then from the
+    crossing s + t, three passes in all; a node sent to -inf keeps its
+    value argument, so it stays there.
     """
-    F = problem.F
-    if mode == "mineig" and st.radial and F.kind == "general_l":
-        raise ValueError(
-            "eigenvalue cones with a general lower-order term "
-            "are not supported on radial grids"
-        )
-    p, H0 = st.jet(u, mode == "mineig")
-    s = u[st.idx]
+    s, p, H = st.jet(u)
+    arg = s
     for _ in range(3 if F.kind in _VALUE_KINDS else 1):
-        M = H0 + eval_L(F, st.x, s, p)
+        M = H + eval_L(F, st.x, arg, p)
         if mode == "trace":
-            c = np.einsum("kii->k", M) / st.slope
-        elif len(st.nbrs) == 2:
-            c = _mineig_crossing_2d(M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], *st.center)
+            # sum(st.center) is _margin_slope(problem) bit for bit: a factor
+            # 2 commutes with rounding
+            t = np.einsum("kii->k", M) / sum(st.center)
+        elif len(st.center) == 2:
+            t = _mineig_crossing_2d(M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], *st.center)
         else:
-            c = M[:, 0, 0] / st.slope
-            if st.radial:
+            t = M[:, 0, 0] / st.center[0]
+            if st.radii is not None:
                 tangent = np.diagonal(M, axis1=1, axis2=2)[:, 1:].min(axis=1)
-                c = np.where(tangent >= 0.0, c, -np.inf)
-        s = np.where(c > -np.inf, c, s) if st.radial and mode == "mineig" else c
-    return c
+                t = np.where(tangent >= 0.0, t, -np.inf)
+        if F.kind not in _VALUE_KINDS:
+            break
+        arg = np.where(t > -np.inf, s + t, arg)
+    return s, t
 
 
 def _mineig_crossing_2d(a0, d0, b, sx: float, sy: float) -> np.ndarray:
-    """Root of lambda_min([[a0 - sx c, b], [b, d0 - sy c]]) in c.
+    """Root of lambda_min([[a0 - sx t, b], [b, d0 - sy t]]) in t.
 
-    Both eigenvalues decrease strictly in c, so the smaller one crosses zero
+    Both eigenvalues decrease strictly in t, so the smaller one crosses zero
     first: the smaller root of the determinant quadratic.
     """
     A = sx * sy
@@ -311,7 +277,7 @@ def _margin_slope(problem: DirichletProblem) -> float:
     return 2.0 * sum(1.0 / (h * h) for h in problem.sub.h)
 
 
-def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
+def _make_groups(problem: DirichletProblem, mode: str) -> list[_SweepGroup]:
     """The red and the black interior nodes, odd coordinate sum first."""
     interior = problem.interior_mask
     flat = np.flatnonzero(interior.ravel())
@@ -321,29 +287,31 @@ def _make_groups(problem: DirichletProblem) -> list[_Stencils]:
     for par in (1, 0):
         sel = flat[parity == par]
         if sel.size:
-            groups.append(_Stencils(problem, sel))
+            groups.append(_SweepGroup(problem, sel, mode))
     return groups
 
 
 def _sweep(
     flat: np.ndarray,
-    groups: list[_Stencils],
+    groups: list[_SweepGroup],
     problem: DirichletProblem,
     mode: str,
     last_weight: float = 1.0,
 ) -> tuple[float, float]:
     """One red-black crossing sweep of the flat field, in place.
 
-    Each group's nodes move to their crossing, clamped into the sandwich;
-    the second group moves only last_weight of the way.  Returns the most
-    negative and the most positive crossing move (0.0 when none is).
+    Each group's nodes add their move (_moves) to their value, clamped into
+    the sandwich; the second group moves only last_weight of the way.
+    Returns the most negative and the most positive clamped move (0.0 when
+    none is).
     """
     moves = []
     for weight, st in zip((1.0, last_weight), groups):
+        s, t = _moves(flat, st, problem.F, mode)
         # np.minimum/np.maximum: the same values as np.clip, at half its call cost
-        c = np.minimum(np.maximum(_sweep_group(flat, st, problem, mode), st.lo), st.hi)
-        diff = c - flat[st.idx]
-        flat[st.idx] = c if weight == 1.0 else flat[st.idx] + weight * diff
+        c = np.minimum(np.maximum(s + t, st.lo), st.hi)
+        diff = c - s
+        flat[st.idx] = c if weight == 1.0 else s + weight * diff
         moves.append(diff)
     moves = np.concatenate(moves)
     return float(moves.min(initial=0.0)), float(moves.max(initial=0.0))
@@ -443,19 +411,25 @@ def _solve_block_tridiagonal(
 
 
 class _TraceCrossing:
-    """G(u) = u - c(u) on the interior of an unmasked grid, trace cone, quadratic F.
+    """G(u) = -(trace-cone move) on the interior of an unmasked grid, quadratic F.
 
-    c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S, with w_a = 1 / h_a^2,
-    S = sum_a 2 w_a, b = alpha - n beta, p the centered gradient and
-    a = (n - 1) / r on radial grids (0 otherwise); the same crossing as
-    _sweep_group.  G = -(trace margin) / S, so G >= 0 marks a discrete
-    supersolution and G <= 0 a subsolution.
+    One stencil group holds every interior node, and G is minus _moves on
+    it, bit for bit: -tr(H + L) / S, grid_verify's trace margin over
+    S = sum_a 2 w_a with w_a = 1 / h_a^2.  So G >= 0 marks a discrete
+    supersolution and G <= 0 a subsolution.  For the quadratic operators
+    tr L = b |p|^2 with b = alpha - n beta, and the radial tangent entries
+    add a p_0 to tr H with a = (n - 1) / r (0 off radial grids): the
+    Jacobian and the damped step read these, the weights w_a / S and the
+    slopes p of the shared jet.
     """
 
     def __init__(self, problem: DirichletProblem):
         g = problem.sub
         amb = problem.matrix_dim
         alpha, beta = _quad_coeffs(problem.F)
+        self.F = problem.F
+        self.group = _Stencil(g, np.flatnonzero(problem.interior_mask.ravel()), amb, False)
+        self.shape = tuple(size - 2 for size in g.shape)
         self.h = g.h
         w = [1.0 / (h * h) for h in g.h]
         total = 2.0 * sum(w)
@@ -463,27 +437,16 @@ class _TraceCrossing:
         # 1 / S as (w_0 / S) h_0^2: in 1D the factor is 0.5 h^2 bit for bit
         self.scale = self.weight[0] * g.h[0] * g.h[0]
         self.b = alpha - amb * beta
-        radial = g.dim == 1 and amb >= 2
-        self.a = (amb - 1.0) / g.axis_nodes(0)[1:-1] if radial else 0.0
+        self.a = 0.0 if self.group.radii is None else (amb - 1.0) / self.group.radii
         self.inner = (slice(1, -1),) * g.dim
 
-    def _neighbors(self, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(u_-a, u_+a) on the interior, one pair per axis."""
-        pairs = []
-        for ax in range(u.ndim):
-            lo, hi = list(self.inner), list(self.inner)
-            lo[ax], hi[ax] = slice(None, -2), slice(2, None)
-            pairs.append((u[tuple(lo)], u[tuple(hi)]))
-        return pairs
-
     def slopes(self, u: np.ndarray) -> list[np.ndarray]:
-        return [(hi - lo) * (0.5 / h) for (lo, hi), h in zip(self._neighbors(u), self.h)]
+        """The centered gradient on the interior, one array per grid axis."""
+        p = self.group.jet(u.ravel())[1]
+        return [p[:, ax].reshape(self.shape) for ax in range(len(self.h))]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        p = self.slopes(u)
-        c = sum(wt * (lo + hi) for wt, (lo, hi) in zip(self.weight, self._neighbors(u)))
-        c = c + self.scale * (self.a * p[0] + sum(self.b * pa * pa for pa in p))
-        return u[self.inner] - c
+        return -_moves(u.ravel(), self.group, self.F, "trace")[1].reshape(self.shape)
 
     def newton_direction(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
         """d with G'(u) d = -g on the interior and d = 0 on the grid edge."""
@@ -559,7 +522,7 @@ def _newton_trace(
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
             new = np.clip(u + t * d, lo, hi)
         else:
-            groups = groups or _make_groups(problem)
+            groups = groups or _make_groups(problem, "trace")
             new = u.copy()
             _sweep(new.reshape(-1), groups, problem, "trace", 0.5)
             swept, stalled = True, 0
@@ -652,7 +615,7 @@ def perron_solve(
         path = "sweep"
         flat = u.ravel()
         scoef = _margin_slope(problem)
-        groups = _make_groups(problem)
+        groups = _make_groups(problem, mode)
         monotone, converged, last, sweeps = True, False, math.inf, 0
         while sweeps < cfg.max_sweeps:
             down, up = _sweep(flat, groups, problem, mode)
@@ -764,19 +727,11 @@ def translation_gradient_bound(
     interior, _ = _node_roles(fin)
     if not (band & interior).any():
         raise ValueError("band does not intersect the interior")
-    grad2 = np.zeros(psi.shape)
-    ok_nodes = interior.copy()
-    for ax in range(psi.dim):
-        h = psi.h[ax]
-        fwd = np.roll(psi.values, -1, axis=ax)
-        bwd = np.roll(psi.values, 1, axis=ax)
-        d = (fwd - bwd) / (2.0 * h)
-        good = np.isfinite(fwd) & np.isfinite(bwd)
-        grad2 = grad2 + np.where(good, d, 0.0) ** 2
-        ok_nodes &= good
-    mag = np.sqrt(grad2)
-    interior_max = float(mag[ok_nodes].max())
-    band_max = float(mag[ok_nodes & band].max())
+    idx = np.flatnonzero(interior.ravel())
+    p = _Stencil(psi, idx, psi.dim, False).jet(psi.values.ravel())[1]
+    mag = np.sqrt((p * p).sum(axis=1))
+    interior_max = float(mag.max())
+    band_max = float(mag[band.ravel()[idx]].max())
     hmax = max(psi.h)
     return TranslationBoundReport(interior_max, band_max, hmax, slack_coef * hmax)
 

@@ -36,7 +36,6 @@ from .operators import (
     OperatorSpec,
     _dot,
     _point_values,
-    _radial_jets,
     _sq_norm,
     eval_F,
     eval_L,
@@ -82,6 +81,59 @@ def jet_classify(j: Jet2, F: OperatorSpec, U: ConeSpec, tol: float = 1e-8):
 # discrete jets on grids
 
 
+class _Stencil:
+    """Centered-difference stencils at a set of nodes of one grid.
+
+    idx holds flat row-major indices of nodes off the grid edge; the
+    neighbour indices are formed once (idx -+ stride per axis and, on 2D
+    grids unless mixed is unset, the four diagonal ones).  x holds the
+    ambient positions, r e_1 on a 1D grid read as a radial profile in n >= 2
+    dimensions (radii holds r then, None otherwise); center holds 2 / h_a^2,
+    the drop of each second difference per unit rise of the center value.
+    """
+
+    def __init__(self, g: GridFn, idx: np.ndarray, n: int, mixed: bool = True):
+        self.idx = idx
+        self.h = g.h
+        self.center = tuple(2.0 / (h * h) for h in g.h)
+        strides = (1,) if g.dim == 1 else (g.shape[1], 1)
+        self.nbrs = [(idx - st, idx + st) for st in strides]
+        # offsets (1, 1), (1, -1), (-1, 1), (-1, -1)
+        w, e = self.nbrs[0]
+        self.corners = (e + 1, e - 1, w + 1, w - 1) if g.dim == 2 and mixed else None
+        coords = g.node_coords()[idx]
+        self.x = np.zeros((idx.size, n))
+        self.x[:, : g.dim] = coords
+        self.radii = coords[:, 0] if g.dim == 1 and n >= 2 else None
+
+    def jet(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, p, H) of the flat field u at the nodes, (m,), (m, n), (m, n, n).
+
+        p and diag H are the centered first and second differences, the
+        radial tangent entries of H are p_0 / r, and the 2D cross difference
+        fills H_01 (zero when mixed is unset).  The one place conedeg forms a
+        discrete jet: the verifier classifies it, the solver iterates on it.
+        """
+        m, n = self.x.shape
+        s = u[self.idx]
+        twice = 2.0 * s
+        p = np.zeros((m, n))
+        H = np.zeros((m, n, n))
+        for a, ((lo, hi), h) in enumerate(zip(self.nbrs, self.h)):
+            lo, hi = u[lo], u[hi]
+            p[:, a] = (hi - lo) / (2.0 * h)
+            H[:, a, a] = (hi - twice + lo) / (h * h)
+        if self.radii is not None:
+            tangent = p[:, 0] / self.radii
+            for a in range(1, n):
+                H[:, a, a] = tangent
+        if self.corners is not None:
+            pp, pm, mp, mm = (u[c] for c in self.corners)
+            hx, hy = self.h
+            H[:, 0, 1] = H[:, 1, 0] = (pp - pm - mp + mm) / (4.0 * hx * hy)
+        return s, p, H
+
+
 def _interior_jets(g: GridFn, ambient_n: int | None):
     """Centered-difference jets at every interior node, stacked.
 
@@ -95,33 +147,16 @@ def _interior_jets(g: GridFn, ambient_n: int | None):
         raise ValueError("2D grids carry 2D jets; ambient_n must be 2 or omitted")
     if n_amb < 1:
         raise ValueError("ambient_n must be >= 1")
+    if g.dim == 1 and n_amb > 1 and g.box[0][0] <= 0.0:
+        raise ValueError("radial interpretation needs radii > 0")
     nodes = np.flatnonzero(~_boundary_mask(g.shape))
     center = np.array(np.unravel_index(nodes, g.shape))
     fin = np.isfinite(g.values)
     ok = np.ones(nodes.shape, dtype=bool)
     for offset in itertools.product((-1, 0, 1), repeat=g.dim):
         ok &= fin[tuple(center + np.array(offset)[:, None])]
-    center = center[:, ok]
-    x = g.node_coords()[nodes[ok]]
-
-    def at(*offset: int) -> np.ndarray:
-        return g.values[tuple(center + np.array(offset)[:, None])]
-
-    if g.dim == 1:
-        h = g.h[0]
-        if n_amb > 1 and g.box[0][0] <= 0.0:
-            raise ValueError("radial interpretation needs radii > 0")
-        d = (at(1) - at(-1)) / (2.0 * h)
-        dd = (at(1) - 2.0 * at(0) + at(-1)) / (h * h)
-        x, p, H = _radial_jets(x[:, 0], d, dd, n_amb)
-        return nodes, ok, x, at(0), p, H
-    hx, hy = g.h
-    p = np.stack([(at(1, 0) - at(-1, 0)) / (2.0 * hx), (at(0, 1) - at(0, -1)) / (2.0 * hy)], axis=-1)
-    H = np.empty((len(p), 2, 2))
-    H[:, 0, 0] = (at(1, 0) - 2.0 * at(0, 0) + at(-1, 0)) / (hx * hx)
-    H[:, 1, 1] = (at(0, 1) - 2.0 * at(0, 0) + at(0, -1)) / (hy * hy)
-    H[:, 0, 1] = H[:, 1, 0] = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * hx * hy)
-    return nodes, ok, x, at(0, 0), p, H
+    st = _Stencil(g, nodes[ok], n_amb)
+    return (nodes, ok, st.x, *st.jet(g.values.ravel()))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -22,8 +23,18 @@ from conedeg.matcone import (
     parse_cone,
     sigma_all,
     sigma_k,
-    sigma_k_bruteforce,
 )
+
+
+def sigma_k_bruteforce(lam: np.ndarray, k: int) -> float:
+    """Subset-enumeration oracle for sigma_k; exponential, intended for n <= 8."""
+    lam = np.asarray(lam, dtype=float)
+    if k == 0:
+        return 1.0
+    total = 0.0
+    for idx in itertools.combinations(range(len(lam)), k):
+        total += float(np.prod(lam[list(idx)]))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -666,6 +666,34 @@ def test_newton_stall_ends_unconverged():
     assert res.last_update == 0.0
 
 
+def test_newton_stall_and_fallback_share_one_crossing():
+    # the Newton residual is minus the sweep's move, bit for bit, so at the
+    # rounding floor a fallback sweep sees the margin the Newton test saw:
+    # the descending run at N = 1000 and tol 1e-9 ends on a zero move within
+    # a few iterations (61 while the two rounded the crossing differently)
+    P, _ = radial_sandwich_problem(1000)
+    res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=200_000))
+    assert not res.converged and res.last_update == 0.0
+    assert res.sweeps <= 20
+
+
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_converged_newton_margins_within_tol(tol, direction):
+    # the Newton stop test reads grid_verify's trace margin, so a converged
+    # run leaves every interior margin within tol itself, not only within
+    # the verifier's tol + 4 h^2
+    oblong = _box_problem(OperatorSpec.quad_const(1.0, 0.0), _log_box_field,
+                          shape=(21, 13), box=((0.55, 0.95), (0.6, 0.8)))
+    cfg = SolverConfig(tol=tol)
+    for P in (radial_sandwich_problem(101)[0], box_sandwich_problem(33)[0], oblong):
+        res = perron_solve(P, cfg, direction=direction)
+        assert res.converged and res.path == "newton"
+        margins = np.array([row.margin for row in res.residual.rows])
+        assert len(margins) == P.interior_mask.sum()
+        assert np.abs(margins).max() <= cfg.tol * (1.0 + 1e-12)
+
+
 def test_newton_creep_ends_unconverged():
     # ascending, every step still moves some node by about 3e-13, but the
     # scaled margin sits at 1.77e-9 from the fifth iteration on: the run
@@ -787,6 +815,29 @@ def test_solve_masked_annulus():
     err = np.abs(res.u.values[interior] - exact[interior]).max()
     assert err <= 2e-3
     assert res.residual.consistent_solution
+
+
+def test_masked_posdef_2d_rejects_masked_diagonal_neighbours():
+    # the positive cone's 2D crossing reads the cross difference, so a node
+    # whose diagonal neighbour is masked has no finite crossing (it used to
+    # be sent to the lower field while the run reported convergence); the
+    # trace cone reads no diagonal and keeps solving (test_solve_masked_annulus)
+    from conedeg.perron import _node_roles
+
+    xs = np.linspace(-1.0, 1.0, 41)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    exact = 0.5 * X * X
+    exact[np.hypot(X, Y) < 0.35] = np.inf
+    interior, _ = _node_roles(np.isfinite(exact))
+    bump = np.where(interior, 0.05, 0.0)
+    box = ((-1, 1), (-1, 1))
+    P = DirichletProblem(LAPLACE, ConeSpec.posdef(), GridFn(box, exact - bump),
+                         GridFn(box, exact + bump))
+    for direction in ("descending", "ascending"):
+        with pytest.raises(ValueError, match="diagonal neighbours"):
+            perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=10), direction=direction)
+    res = perron_solve(dataclasses.replace(P, U=TRACE), SolverConfig(tol=1e-8, max_sweeps=10))
+    assert res.path == "sweep" and np.isfinite(res.u.values[interior]).all()
 
 
 def test_solve_start_validation():

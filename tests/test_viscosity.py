@@ -1,6 +1,7 @@
 """Jet/grid verification, perturbations, envelopes, touching, moving spheres."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from conedeg.operators import (
     example_varying_quad,
     parse_operator,
 )
+from conedeg.perron import box_sandwich_problem, radial_sandwich_problem
 from conedeg.radial import RadialProfile, build_counterexample, cusp_family_operator, cusp_pair_values
 from conedeg.viscosity import (
     PROPAGATION_CONSISTENT,
@@ -272,6 +274,39 @@ def test_stacked_grid_verify_matches_per_node_replay_property(layout, data, op, 
         (idx, cls, margin.hex()) for idx, cls, margin in rows
     ]
     assert (rep.skipped, rep.sub_failures, rep.super_failures) == (skipped, sub, sup)
+
+
+def _pinned_verify_fields() -> list:
+    """(field, ambient_n) pairs whose grid_verify rows are pinned by digest."""
+    rng = np.random.default_rng(12)
+    radial, _ = radial_sandwich_problem(41)
+    box, _ = box_sandwich_problem(17)
+    masked = rng.normal(size=(30, 30))
+    masked[rng.random((30, 30)) < 0.08] = np.inf
+    masked[12:15, 4:7] = -np.inf
+    return [
+        (radial.sup, 3), (radial.sub, 3), (box.sup, None), (box.sub, None),
+        (GridFn(((0.0, 1.0),), rng.normal(size=40)), None),
+        (GridFn(((0.0, 1.0), (-0.5, 0.5)), rng.normal(size=(23, 17))), None),
+        (GridFn(((-1.0, 1.0), (-1.0, 1.0)), masked), None),
+    ]
+
+
+# sha256 of the rows below as the verifier wrote them before the solver came
+# to share its centered-difference jet; any change of stencil rounding moves it
+_VERIFY_DIGEST = "a71d557b5c3b1d2642745e634931254e08a1a841a7aa69e054899e6e169d308e"
+
+
+def test_grid_verify_rows_pinned_by_digest():
+    digest = hashlib.sha256()
+    for g, ambient_n in _pinned_verify_fields():
+        for op in ("quad:1:0.3", "genL:tanh_quad", "conformal"):
+            for U in (ConeSpec("trace"), ConeSpec.posdef()):
+                rep = grid_verify(g, parse_operator(op), U, ambient_n=ambient_n)
+                for row in rep.rows:
+                    digest.update(f"{row.node_index},{row.cls.name},{row.margin.hex()};".encode())
+                digest.update(f"|{rep.skipped}\n".encode())
+    assert digest.hexdigest() == _VERIFY_DIGEST
 
 
 def test_verify_rows_csv_shape():
