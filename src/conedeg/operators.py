@@ -591,6 +591,7 @@ class LProbeReport:
 
 
 _P_CAP = 1e3
+_LEAD_SAMPLES = 32  # coercivity checks mostly fail within the first few samples
 
 
 def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -759,8 +760,8 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
              >= -C p(x)p + (1/C)|p|^m I.
 
     The constraint is affine in theta, so feasibility over [0, theta_bar]
-    reduces to the endpoints; a log grid of interior theta values is scanned
-    once on the fitted pair as a guard against evaluation noise.
+    reduces to the endpoints.  Each gap matrix is eigen-solved at most once,
+    and a witness is the first violation in sample-major order.
     """
     gp = _grad_p_L(spec, x, s, p)
     m0 = np.einsum("rk,rkij->rij", p, gp) - eval_L(spec, x, s, p)
@@ -769,6 +770,9 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
     pm = np.array([q**m for q in np.sqrt(_sq_norm(p)).tolist()])
     floor = -eps * (1.0 + np.abs(pm) + np.abs(m0_arr).max(axis=(1, 2)))
     slope = Lambda * np.sqrt(np.sum((gp * gp).reshape(len(p), -1), axis=1)) - 1.0
+    # checked here for every sample, as a check may stop before the last one
+    if not all(np.isfinite(a).all() for a in (pp, pm, m0_arr, slope)):
+        raise ValueError("gap matrix entries must be finite at every sample")
     eye = np.eye(p.shape[1])
 
     c_grid = [2.0**j for j in range(-2, 22)]
@@ -776,38 +780,32 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
 
     def feasible(c: float, thetas: list[float]) -> dict | None:
         # gap(theta) = C p(x)p - (|p|^m/C) I - sign*m0 - theta(Lambda g - 1) I,
-        # required PSD for both variants after folding the signs; one
-        # (samples, thetas, n, n) stack, first violation in sample-major order
-        base = c * pp - (pm / c)[:, None, None] * eye - sign * m0_arr
-        shift = np.array(thetas)[None, :] * slope[:, None]
-        gap = base[:, None] - shift[:, :, None, None] * eye
-        low = _sym_eigvals(gap)[..., 0]
-        bad = np.argwhere(low < floor[:, None])
-        if len(bad) == 0:
-            return None
-        i, t = bad[0]
-        return {"p": p[i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
+        # required PSD for both variants after folding the signs; the leading
+        # block of samples is eigen-solved first and the rest only if it
+        # passes, as (samples, thetas, n, n) stacks
+        for rows in (slice(0, _LEAD_SAMPLES), slice(_LEAD_SAMPLES, None)):
+            base = c * pp[rows] - (pm[rows] / c)[:, None, None] * eye - sign * m0_arr[rows]
+            shift = np.array(thetas)[None, :] * slope[rows, None]
+            low = _sym_eigvals(base[:, None] - shift[:, :, None, None] * eye)[..., 0]
+            bad = np.argwhere(low < floor[rows, None])
+            if len(bad):
+                i, t = bad[0]
+                return {"p": p[rows][i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
+        return None
 
     # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
-    first_c = None
-    last_witness = None
     for c in c_grid:
-        last_witness = feasible(c, [0.0, theta_grid[0]])
-        if last_witness is None:
-            first_c = c
+        witness = feasible(c, [0.0, theta_grid[0]])
+        if witness is None:
             break
-    if first_c is None:
-        return ConditionResult(ok=False, witness=last_witness)
+    else:
+        return ConditionResult(ok=False, witness=witness)
     best_theta = theta_grid[0]
     for theta_bar in theta_grid[1:]:
-        if feasible(first_c, [theta_bar]) is None:
-            best_theta = theta_bar
-        else:
+        if feasible(c, [theta_bar]) is not None:
             break
-    guard = feasible(first_c, [0.0, best_theta] + [t for t in theta_grid if t < best_theta])
-    if guard is not None:
-        return ConditionResult(ok=False, witness=guard)
-    return ConditionResult(ok=True, fitted_C=first_c, fitted_theta_bar=best_theta)
+        best_theta = theta_bar
+    return ConditionResult(ok=True, fitted_C=c, fitted_theta_bar=best_theta)
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,6 @@ def first_variation_constants(
         raise ValueError("need positive working-box bounds M and R")
     mm = float(F.m if m is None else m)
     C = 2.0
-    probe = None
     for _ in range(6):
         probe = probe_L_conditions(F, R=R, Lambda=8.0 * C, m=mm, samples=samples, seed=seed, n=n)
         if not probe.all_ok():
@@ -343,6 +342,10 @@ def first_variation_constants(
         if c_new == C:
             break
         C = c_new
+    else:
+        # the last probe ran at Lambda = 8 C for the previous C: its theta cap
+        # does not hold for this one
+        raise ValueError(f"the structural constant C did not settle within 6 probes (last fit {C:g})")
     beta = 2.0 * C
     inf_fp = beta * math.exp(-beta * M)  # weight f' = beta e^{-beta s} on |s| <= M
     sup_fp = beta * math.exp(beta * M)

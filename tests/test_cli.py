@@ -291,6 +291,20 @@ def test_probe_l_cubic_mix_stdout_is_pinned(capsys):
     assert digest == "24b602be0c81554105e4e555f43830d349fd4234055fc10b57612a26b7c71c28"
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["probe-L", "--operator", "genL:tanh_quad", "--samples", "400", "--seed", "7"],
+     "b0742e1788ea664fed70446ee08b5810a1366928b95680866607277011797e91"),
+    (["first-variation", "--jets", "1000", "--seed", "5"],
+     "3eabd6dc6c550e51f9fef9c210a5c2cd0bfde707a64cbec9026cc77300f1c984"),
+])
+def test_coercivity_fit_stdout_is_pinned(args, digest, capsys):
+    # sha256 of the stdout from when the coercivity fit eigen-solved every
+    # gap matrix of each check and re-scanned the fitted pair; one fits a
+    # passing and a failing coercivity row, the other runs the C cascade
+    assert dispatch(args) == EXIT_PASS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args,code,digest", [
     (["ctex", "--kind", "beta-sign"], EXIT_PASS,
      "725284e0cb0128da1f446e7e7df8716b78840cf9eb1943aab1caabb53bc6c4da"),

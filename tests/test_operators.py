@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
+from conedeg import operators
 from conedeg.operators import (
+    _LEAD_SAMPLES,
     _fd1,
     _fit_radial_coercive,
     _grad_x_L,
@@ -599,6 +601,64 @@ def test_stacked_coercivity_fit_matches_per_matrix_loop(text, sign):
         assert got.witness["violation"] == pytest.approx(witness["violation"], rel=1e-12)
 
 
+def _padded_points():
+    # 40 copies of the p = 0 corner, feasible at every C, ahead of the samples
+    pts = _probe_points(seed=5, samples=60, R=2.0)
+    return pts[-1:] * 40 + pts
+
+
+# (points, operator, sign): the probe-L seed-7 points break the theta_bar scan
+# of the tanh_quad fit at sample 107; the mirrored fit fails at sample 0 for
+# every C; the padded stack's first violation is sample 40; quad:1:1 passes
+_COERCIVE_EXIT_CASES = {
+    "theta-break-past-lead": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", 1),
+    "fails-at-sample-0": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", -1),
+    "witness-past-lead": (_padded_points, "genL:tanh_quad", -1),
+    "passes": (lambda: _probe_points(seed=3, samples=100, R=1.0), "quad:1:1", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COERCIVE_EXIT_CASES))
+def test_coercivity_fit_early_exit_matches_per_matrix_loop(case):
+    make_points, text, sign = _COERCIVE_EXIT_CASES[case]
+    spec, pts = parse_operator(text), make_points()
+    got = _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
+    want = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
+    assert _hexed((got.ok, got.fitted_C, got.fitted_theta_bar, got.witness)) == _hexed(want)
+    first = [q[3].tolist() for q in pts].index(want[3]["p"]) if want[3] else None
+    assert first == {"fails-at-sample-0": 0, "witness-past-lead": 40}.get(case)
+    if case == "theta-break-past-lead":
+        # the leading block alone admits a larger theta_bar
+        lead = _fit_radial_coercive_per_matrix(spec, pts[:_LEAD_SAMPLES], 8.0, 2.0, sign, 1e-9)
+        assert lead[2] > want[2]
+    assert want[0] == (case in ("theta-break-past-lead", "passes"))
+
+
+def test_coercivity_fits_eigen_solve_each_gap_matrix_once(monkeypatch):
+    # each gap matrix at most once, and most checks stop within the leading
+    # block: 14,095 matrices for this probe, against 45,313 with whole stacks
+    # and the fitted pair solved again
+    counted, inside = [0], [False]
+    real_eig, real_fit = operators._sym_eigvals, operators._fit_radial_coercive
+
+    def eig(m):
+        counted[0] += int(np.prod(np.shape(m)[:-2])) if inside[0] else 0
+        return real_eig(m)
+
+    def fit(*args, **kw):
+        inside[0] = True
+        try:
+            return real_fit(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(operators, "_sym_eigvals", eig)
+    monkeypatch.setattr(operators, "_fit_radial_coercive", fit)
+    report = probe_L_conditions(parse_operator("genL:tanh_quad"), R=2.0, Lambda=8.0, m=2.0, samples=400, seed=7)
+    assert report.radial_coercive.ok and not report.radial_coercive_sup.ok
+    assert 0 < counted[0] < 15_000
+
+
 # ---------------------------------------------------------------------------
 # per-sample replay of probe_L_conditions: the loops the stacked passes
 # replaced, kept as their reference
@@ -685,8 +745,8 @@ def _loop_fit_radial_coercive(spec, pts, Lambda, m, sign, eps):
     return (True, c, best, None)
 
 
-def _loop_probe(spec, R, Lambda, m, samples, seed, n=3) -> dict:
-    """probe_L_conditions one sample at a time: condition -> (ok, C, theta_bar, witness)."""
+def _probe_L_points(R, samples, seed, n=3) -> list:
+    """The (x, s, s', p) samples probe_L_conditions draws, plus its p = 0 corner."""
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(samples):
@@ -697,6 +757,12 @@ def _loop_probe(spec, R, Lambda, m, samples, seed, n=3) -> dict:
         mag = 10.0 ** rng.uniform(-3.0, 3.0)
         pts.append((x, float(s_lo), float(s_hi), mag * direction))
     pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))
+    return pts
+
+
+def _loop_probe(spec, R, Lambda, m, samples, seed, n=3) -> dict:
+    """probe_L_conditions one sample at a time: condition -> (ok, C, theta_bar, witness)."""
+    pts = _probe_L_points(R, samples, seed, n)
     eps = 1e-9
     out = {}
 
@@ -800,6 +866,23 @@ def test_probe_rejects_non_finite_L():
     assert any(np.linalg.norm(p) > 100.0 for *_, p in pts)
     with pytest.raises(ValueError, match="finite"):
         _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=1, eps=1e-9)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_coercivity_fit_rejects_non_finite_L_past_the_leading_block(sign):
+    def L_fn(x, s, p):
+        out = math.tanh(s) * np.outer(p, p)
+        if float(np.linalg.norm(p)) > 100.0:
+            out[0, 0] = math.nan
+        return out
+
+    spec = OperatorSpec.general_l(L_fn, m=2.0, name="nan_beyond_100")
+    # |p| ascending: the NaN samples come last, and every check fails within
+    # the leading block, so no eigen-solve ever reaches them
+    pts = sorted(_probe_points(seed=0, samples=40), key=lambda q: float(np.linalg.norm(q[3])))
+    assert all(np.linalg.norm(q[3]) <= 100.0 for q in pts[:_LEAD_SAMPLES])
+    with pytest.raises(ValueError, match="finite"):
+        _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
 
 
 def test_probe_rejects_zero_samples():

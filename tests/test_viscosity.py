@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conedeg import viscosity
 from conedeg.envelopes import GridFn, dyadic_w, lower_envelope, upper_envelope
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, cone_margin, eigen_sym, parse_cone
 from conedeg.operators import (
@@ -346,6 +347,24 @@ def test_constants_cascade_structure(tanh_params):
 def test_constants_cascade_rejects_bad_box():
     with pytest.raises(ValueError):
         first_variation_constants(example_varying_quad(), M=0.0, R=1.0)
+
+
+def test_constants_cascade_rejects_an_unsettled_C(monkeypatch):
+    # a coercivity fit that always asks for C = Lambda = 8 C: the cascade
+    # never settles, and its last probe ran at the previous C's Lambda
+    real = viscosity.probe_L_conditions
+    lambdas = []
+
+    def growing(F, *, R, Lambda, **kw):
+        lambdas.append(Lambda)
+        report = real(F, R=R, Lambda=Lambda, **kw)
+        report.radial_coercive = dataclasses.replace(report.radial_coercive, fitted_C=Lambda)
+        return report
+
+    monkeypatch.setattr(viscosity, "probe_L_conditions", growing)
+    with pytest.raises(ValueError, match="did not settle"):
+        first_variation_constants(example_varying_quad(), M=1.0, R=1.0, samples=20)
+    assert lambdas == [16.0 * 8.0**k for k in range(6)]
 
 
 def test_tilde_gap_psd_on_random_jets(tanh_params):
