@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg import operators
+from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
     _LEAD_SAMPLES,
     _fd1,
@@ -607,31 +607,32 @@ def _padded_points():
     return pts[-1:] * 40 + pts
 
 
-# (points, operator, sign): the probe-L seed-7 points break the theta_bar scan
-# of the tanh_quad fit at sample 107; the mirrored fit fails at sample 0 for
-# every C; the padded stack's first violation is sample 40; quad:1:1 passes
+# points, operator, sign, whether the fit passes, the witness sample: the
+# probe-L seed-7 points break the theta_bar scan of the tanh_quad fit at
+# sample 107; the mirrored fit fails at sample 0 for every C; the padded
+# stack's first violation is sample 40
 _COERCIVE_EXIT_CASES = {
-    "theta-break-past-lead": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", 1),
-    "fails-at-sample-0": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", -1),
-    "witness-past-lead": (_padded_points, "genL:tanh_quad", -1),
-    "passes": (lambda: _probe_points(seed=3, samples=100, R=1.0), "quad:1:1", 1),
+    "theta-break-past-lead": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", 1, True, None),
+    "fails-at-sample-0": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", -1, False, 0),
+    "witness-past-lead": (_padded_points, "genL:tanh_quad", -1, False, 40),
+    "passes": (lambda: _probe_points(seed=3, samples=100, R=1.0), "quad:1:1", 1, True, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_COERCIVE_EXIT_CASES))
 def test_coercivity_fit_early_exit_matches_per_matrix_loop(case):
-    make_points, text, sign = _COERCIVE_EXIT_CASES[case]
+    make_points, text, sign, ok, first = _COERCIVE_EXIT_CASES[case]
     spec, pts = parse_operator(text), make_points()
     got = _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
     want = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
     assert _hexed((got.ok, got.fitted_C, got.fitted_theta_bar, got.witness)) == _hexed(want)
-    first = [q[3].tolist() for q in pts].index(want[3]["p"]) if want[3] else None
-    assert first == {"fails-at-sample-0": 0, "witness-past-lead": 40}.get(case)
+    assert got.ok == ok
+    if first is not None:
+        assert got.witness["p"] == pts[first][3].tolist()
     if case == "theta-break-past-lead":
         # the leading block alone admits a larger theta_bar
         lead = _fit_radial_coercive_per_matrix(spec, pts[:_LEAD_SAMPLES], 8.0, 2.0, sign, 1e-9)
         assert lead[2] > want[2]
-    assert want[0] == (case in ("theta-break-past-lead", "passes"))
 
 
 def test_coercivity_fits_eigen_solve_each_gap_matrix_once(monkeypatch):
