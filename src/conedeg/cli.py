@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,7 +65,7 @@ from .viscosity import (
     touching_experiment,
 )
 
-__all__ = ["RunConfig", "UsageError", "dispatch", "main"]
+__all__ = ["UsageError", "dispatch", "main"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -75,29 +75,6 @@ EXIT_USAGE = 64
 
 class UsageError(Exception):
     """Bad arguments or config file; dispatch turns this into exit 64."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run: subcommand, flat parameters, output path, seed.
-
-    The header echo makes a saved report pin down the exact run that
-    produced it.
-    """
-
-    command: str
-    params: dict
-    out: str | None
-    seed: int
-
-    def header(self, claim: str) -> list[str]:
-        rows = dict(self.params)
-        rows["command"] = self.command
-        rows["seed"] = self.seed
-        rows["out"] = self.out or "-"
-        lines = [f"# config: {key}={_fmt_value(rows[key])}" for key in sorted(rows)]
-        lines.append(f"# claim: {claim}")
-        return lines
 
 
 def _fmt_value(v) -> str:
@@ -232,13 +209,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
 
 
 def _coerce(action: argparse.Action, text: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"bad boolean {text!r} for --{action.dest.replace('_', '-')}")
     kind = action.type or str
     try:
         value = kind(text)
@@ -282,14 +252,6 @@ def _explicit_dests(argv: Sequence[str], actions: Sequence[argparse.Action]) -> 
             if any(arg == opt or arg.startswith(opt + "=") for arg in argv):
                 given.add(action.dest)
     return given
-
-
-_META_KEYS = ("command", "config", "out", "seed")
-
-
-def _run_config(ns: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(ns).items() if k not in _META_KEYS}
-    return RunConfig(command=ns.command, params=params, out=ns.out, seed=ns.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +301,15 @@ def _cmd_ctex(ns) -> tuple[str, list[str], int]:
     return claim, body, EXIT_PASS if cert.verdict == "pass" else EXIT_FAIL
 
 
-def _parse_eps(text: str) -> list[float]:
+def _positive_floats(text: str, flag: str) -> list[float]:
+    """The comma-separated list of positive values given to --flag."""
     try:
-        eps = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --eps list: {exc}")
-    if not eps or any(e <= 0.0 for e in eps):
-        raise UsageError("--eps needs positive values")
-    return eps
+        raise UsageError(f"bad --{flag} list: {exc}")
+    if not vals or not all(v > 0.0 for v in vals):  # NaN is not positive
+        raise UsageError(f"--{flag} needs positive values")
+    return vals
 
 
 def _random_piecewise(rng: np.random.Generator, n: int) -> GridFn:
@@ -379,7 +342,7 @@ def _envelope_source(ns) -> GridFn:
 
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
-    eps = _parse_eps(ns.eps)
+    eps = _positive_floats(ns.eps, "eps")
     src = _envelope_source(ns)
     report = check_envelope_properties(src, eps, ns.side, lipschitz_K=ns.lipschitz)
     body = [
@@ -482,12 +445,17 @@ def _perron_problem(ns):
     return problem, exact, float(np.max(np.abs(exact)))
 
 
+def _solver_config(ns, h: float) -> SolverConfig:
+    """--tol-scale (a multiple of the grid spacing h) and --max-sweeps."""
+    if ns.tol_scale <= 0.0 or ns.max_sweeps < 1:
+        raise UsageError("--tol-scale and --max-sweeps must be positive")
+    return SolverConfig(tol=ns.tol_scale * h, max_sweeps=ns.max_sweeps)
+
+
 def _cmd_perron(ns) -> tuple[str, list[str], int]:
     problem, exact, ref = _perron_problem(ns)
     h = max(problem.sub.h)
-    if ns.tol_scale <= 0.0 or ns.max_sweeps < 1:
-        raise UsageError("--tol-scale and --max-sweeps must be positive")
-    cfg = SolverConfig(tol=ns.tol_scale * h, max_sweeps=ns.max_sweeps)
+    cfg = _solver_config(ns, h)
     result = perron_solve(problem, cfg)
     err = float(np.max(np.abs(result.u.values - exact)[problem.interior_mask]))
     bound = 2e-2 * h * ref
@@ -513,10 +481,7 @@ def _cmd_perron(ns) -> tuple[str, list[str], int]:
 
 def _cmd_uniqueness(ns) -> tuple[str, list[str], int]:
     problem, _, _ = _perron_problem(ns)
-    h = max(problem.sub.h)
-    if ns.tol_scale <= 0.0 or ns.max_sweeps < 1:
-        raise UsageError("--tol-scale and --max-sweeps must be positive")
-    cfg = SolverConfig(tol=ns.tol_scale * h, max_sweeps=ns.max_sweeps)
+    cfg = _solver_config(ns, max(problem.sub.h))
     report = uniqueness_experiment(problem, cfg)
     body = [
         "problem,grid,runs,max_distance,allowance,verdict",
@@ -531,16 +496,6 @@ def _cmd_uniqueness(ns) -> tuple[str, list[str], int]:
     return claim, body, EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _parse_lambdas(text: str) -> list[float]:
-    try:
-        lams = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --lambdas list: {exc}")
-    if not lams or any(l <= 0.0 for l in lams):
-        raise UsageError("--lambdas needs positive values")
-    return lams
-
-
 def _cmd_kelvin(ns) -> tuple[str, list[str], int]:
     if ns.n < 3:
         raise UsageError("the inversion comparison needs n >= 3")
@@ -552,7 +507,7 @@ def _cmd_kelvin(ns) -> tuple[str, list[str], int]:
         "constant": lambda n: FieldOracle.constant(2.0, n),
     }
     oracle = makers[ns.field](ns.n)
-    lams = _parse_lambdas(ns.lambdas)
+    lams = _positive_floats(ns.lambdas, "lambdas")
     rng = np.random.default_rng(ns.seed)
     tol = 1e-10
 
@@ -750,7 +705,6 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help prints and leaves through argparse
         return int(exc.code or 0)
 
-    cfg = _run_config(ns)
     try:
         claim, body, code = _COMMANDS[ns.command](ns)
     except UsageError as exc:
@@ -760,9 +714,14 @@ def dispatch(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
-    text = "\n".join(cfg.header(claim) + body) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    # the header echoes the resolved run, so a saved report pins down the
+    # exact run that produced it; no command writes to ns
+    rows = {key: value for key, value in vars(ns).items() if key != "config"}
+    rows["out"] = ns.out or "-"
+    header = [f"# config: {key}={_fmt_value(rows[key])}" for key in sorted(rows)]
+    text = "\n".join(header + [f"# claim: {claim}"] + body) + "\n"
+    if ns.out:
+        Path(ns.out).write_text(text)
     else:
         sys.stdout.write(text)
     return code

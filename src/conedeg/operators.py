@@ -77,8 +77,8 @@ class OperatorSpec:
 
     kind       | L(x, s, p)
     -----------|------------------------------------------------------
-    conformal  | p (x) p - (1/2)|p|^2 I
-    quad_const | alpha p (x) p - beta |p|^2 I, alpha/beta constants
+    quad_const | alpha p (x) p - beta |p|^2 I, alpha/beta constants;
+               | conformal() is the point (1, 1/2), named "conformal"
     quad_var   | alpha(x,s) p (x) p - beta(x,s) |p|^2 I
     rot_inv    | a(|p|) p (x) p + b(|p|) I
     isotropic  | g(s, |p|^2) I, g called once on whole value and |p|^2 arrays
@@ -97,7 +97,7 @@ class OperatorSpec:
     m: float = 2.0
     name: str = ""
 
-    _KINDS = ("conformal", "quad_const", "quad_var", "rot_inv", "isotropic", "general_l")
+    _KINDS = ("quad_const", "quad_var", "rot_inv", "isotropic", "general_l")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -113,7 +113,7 @@ class OperatorSpec:
 
     @classmethod
     def conformal(cls) -> "OperatorSpec":
-        return cls("conformal")
+        return cls("quad_const", alpha=1.0, beta=0.5, name="conformal")
 
     @classmethod
     def quad_const(cls, alpha: float, beta: float) -> "OperatorSpec":
@@ -159,8 +159,6 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
         return g[..., None, None] * eye
     pp = p[..., :, None] * p[..., None, :]
     p2 = _sq_norm(p)[..., None, None]
-    if spec.kind == "conformal":
-        return pp - 0.5 * p2 * eye
     if spec.kind == "quad_const":
         return spec.alpha * pp - spec.beta * p2 * eye
     s = np.asarray(s, dtype=float)
@@ -271,9 +269,7 @@ def conformal_A_w(j: Jet2) -> SymMatrix:
 
 def conformal_A_psi(j: Jet2) -> SymMatrix:
     """A[psi] = Hess psi + grad psi (x) grad psi - (1/2)|grad psi|^2 I."""
-    return SymMatrix.from_dense(
-        j.H.dense() + np.outer(j.p, j.p) - 0.5 * (j.p @ j.p) * np.eye(j.n)
-    )
+    return eval_F(j, OperatorSpec.conformal())
 
 
 def u_to_psi_jet(j: Jet2, n: int) -> Jet2:
@@ -598,7 +594,7 @@ def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -
     """d/dx of L on (m, n), (m,), (m, n) stacks: (m, n, n, n), index order (row,
     k, i, j); central differences with step 1e-6."""
     m, n = x.shape
-    if spec.kind in ("conformal", "quad_const", "rot_inv", "isotropic"):
+    if spec.kind in ("quad_const", "rot_inv", "isotropic"):
         return np.zeros((m, n, n, n))  # x-independent by construction
     h = 1e-6
     step = h * np.eye(n)  # row k moves x along e_k
@@ -616,10 +612,8 @@ def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -
     n = p.shape[1]
     eye = np.eye(n)
     sym = eye[:, :, None] * p[:, None, None, :] + p[:, None, :, None] * eye[:, None, :]  # e_k(x)p + p(x)e_k
-    if spec.kind in ("conformal", "quad_const", "quad_var"):
-        if spec.kind == "conformal":
-            al, be = np.array([1.0]), np.array([0.5])
-        elif spec.kind == "quad_const":
+    if spec.kind in ("quad_const", "quad_var"):
+        if spec.kind == "quad_const":
             al, be = np.array([spec.alpha]), np.array([spec.beta])
         else:
             ss = s.tolist()
@@ -879,10 +873,8 @@ def parse_operator(text: str) -> OperatorSpec:
 
 
 def format_operator(spec: OperatorSpec) -> str:
-    if spec.kind == "conformal":
-        return "conformal"
     if spec.kind == "quad_const":
-        return f"quad:{spec.alpha:g}:{spec.beta:g}"
+        return spec.name or f"quad:{spec.alpha:g}:{spec.beta:g}"
     if spec.kind == "rot_inv":
         return spec.name or "rotinv:<custom>"
     if spec.kind == "quad_var":

@@ -19,8 +19,8 @@ one.  The sweep count grows like the square of the node count.  Sweeps run
 for the positive cone, callable operators and masked grids, and one sweep is
 the Newton path's fallback step.
 
-Monotone Newton (trace cone on 1D, radial or 2D grids, conformal or
-constant-coefficient quadratic operator, no masked nodes): the run solves
+Monotone Newton (trace cone on 1D, radial or 2D grids, constant-coefficient
+quadratic operator such as the conformal one, no masked nodes): the run solves
 G(u) = u - c(u) = 0 by Newton steps, G being minus the sweep's trace-cone move
 (so the stop test reads grid_verify's margin, and a fallback sweep the same
 crossing): c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with
@@ -58,7 +58,7 @@ import numpy as np
 from .envelopes import GridFn, _boundary_mask
 from .matcone import ConeSpec
 from .operators import OperatorSpec, eval_L
-from .viscosity import GridVerifyReport, _Stencil, grid_verify
+from .viscosity import GridVerifyReport, _Stencil, _ambient_dim, grid_verify
 
 __all__ = [
     "SolverConfig",
@@ -152,14 +152,6 @@ class DirichletProblem:
         gap = np.abs(self.sub.values[boundary] - self.sup.values[boundary])
         if gap.size and gap.max() > 1e-9:
             raise ValueError("sub and sup must agree on boundary nodes")
-        dim = self.sub.dim
-        if self.ambient_n is not None:
-            if dim == 2 and self.ambient_n != 2:
-                raise ValueError("2D grids are ambient: ambient_n must be 2 or omitted")
-            if dim == 1 and self.ambient_n >= 2 and self.sub.box[0][0] <= 0.0:
-                raise ValueError("radial grids need strictly positive radii")
-            if self.ambient_n < 1:
-                raise ValueError("ambient_n must be a positive dimension")
         amb = self.matrix_dim
         if self.U.n and self.U.n != amb:
             raise ValueError(f"cone expects dimension {self.U.n}, problem has {amb}")
@@ -168,9 +160,7 @@ class DirichletProblem:
 
     @property
     def matrix_dim(self) -> int:
-        if self.sub.dim == 2:
-            return 2
-        return self.ambient_n if self.ambient_n is not None else 1
+        return _ambient_dim(self.sub, self.ambient_n)
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -329,19 +319,10 @@ _MIN_NEWTON_STEP = 1e-2
 _NEWTON_STALL = 8
 
 
-_QUAD_KINDS = ("conformal", "quad_const")
-
-
-def _quad_coeffs(F: OperatorSpec) -> tuple[float, float]:
-    if F.kind == "conformal":
-        return 1.0, 0.5
-    return F.alpha, F.beta
-
-
 def _newton_applies(problem: DirichletProblem, mode: str) -> bool:
     return (
         mode == "trace"
-        and problem.F.kind in _QUAD_KINDS
+        and problem.F.kind == "quad_const"
         and bool(np.isfinite(problem.sub.values).all())
     )
 
@@ -426,7 +407,6 @@ class _TraceCrossing:
     def __init__(self, problem: DirichletProblem):
         g = problem.sub
         amb = problem.matrix_dim
-        alpha, beta = _quad_coeffs(problem.F)
         self.F = problem.F
         self.group = _Stencil(g, np.flatnonzero(problem.interior_mask.ravel()), amb, False)
         self.shape = tuple(size - 2 for size in g.shape)
@@ -436,7 +416,7 @@ class _TraceCrossing:
         self.weight = [wa / total for wa in w]
         # 1 / S as (w_0 / S) h_0^2: in 1D the factor is 0.5 h^2 bit for bit
         self.scale = self.weight[0] * g.h[0] * g.h[0]
-        self.b = alpha - amb * beta
+        self.b = problem.F.alpha - amb * problem.F.beta
         self.a = 0.0 if self.group.radii is None else (amb - 1.0) / self.group.radii
         self.inner = (slice(1, -1),) * g.dim
 
@@ -574,12 +554,12 @@ def perron_solve(
 ) -> PerronResult:
     """Monotone iteration from the upper field (or lower, ascending).
 
-    With the trace cone, a conformal or constant-coefficient quadratic
-    operator and no masked nodes, on a 1D, radial or 2D grid, the run takes
-    monotone Newton steps (module docstring): each solves the Jacobian
-    system, tridiagonal in 1D and block-tridiagonal over the axis-0 lines
-    in 2D, and `sweeps` counts Newton iterations; it stops once the largest
-    margin falls below cfg.tol.  Everywhere else each red-black sweep
+    With the trace cone, a constant-coefficient quadratic operator (the
+    conformal one among them) and no masked nodes, on a 1D, radial or 2D
+    grid, the run takes monotone Newton steps (module docstring): each
+    solves the Jacobian system, tridiagonal in 1D and block-tridiagonal
+    over the axis-0 lines in 2D, and `sweeps` counts Newton iterations; it
+    stops once the largest margin falls below cfg.tol.  Everywhere else each red-black sweep
     replaces every interior node by the cone-boundary crossing of its
     discrete jet, clamped into [sub, sup], and the run stops once the
     largest move, scaled by the margin slope, falls below cfg.tol.  The

@@ -134,13 +134,11 @@ class _Stencil:
         return s, p, H
 
 
-def _interior_jets(g: GridFn, ambient_n: int | None):
-    """Centered-difference jets at every interior node, stacked.
+def _ambient_dim(g: GridFn, ambient_n: int | None) -> int:
+    """Matrix dimension of the jets of g: g.dim unless ambient_n is given.
 
-    Returns (nodes, ok, x, s, p, H): the flat row-major index of every
-    interior node, a mask of those whose stencil is all finite, and their
-    jets, shaped (m, n), (m,), (m, n), (m, n, n).  A 1D grid with ambient_n
-    >= 2 is a radial profile psi(r) in that many dimensions (radii > 0).
+    A 1D grid with ambient_n >= 2 is a radial profile psi(r) in that many
+    dimensions (radii > 0); a 2D grid carries 2D jets.
     """
     n_amb = g.dim if ambient_n is None else int(ambient_n)
     if g.dim == 2 and n_amb != 2:
@@ -149,6 +147,17 @@ def _interior_jets(g: GridFn, ambient_n: int | None):
         raise ValueError("ambient_n must be >= 1")
     if g.dim == 1 and n_amb > 1 and g.box[0][0] <= 0.0:
         raise ValueError("radial interpretation needs radii > 0")
+    return n_amb
+
+
+def _interior_jets(g: GridFn, ambient_n: int | None):
+    """Centered-difference jets at every interior node, stacked.
+
+    Returns (nodes, ok, x, s, p, H): the flat row-major index of every
+    interior node, a mask of those whose stencil is all finite, and their
+    jets, shaped (m, n), (m,), (m, n), (m, n, n), n = _ambient_dim.
+    """
+    n_amb = _ambient_dim(g, ambient_n)
     nodes = np.flatnonzero(~_boundary_mask(g.shape))
     center = np.array(np.unravel_index(nodes, g.shape))
     fin = np.isfinite(g.values)
@@ -348,7 +357,11 @@ def first_variation_constants(
         raise ValueError(f"the structural constant C did not settle within 6 probes (last fit {C:g})")
     beta = 2.0 * C
     inf_fp = beta * math.exp(-beta * M)  # weight f' = beta e^{-beta s} on |s| <= M
-    sup_fp = beta * math.exp(beta * M)
+    try:
+        sup_fp = beta * math.exp(beta * M)
+    except OverflowError:
+        raise ValueError(f"the weight bound beta e^(beta M) overflows for the value bound "
+                         f"M = {M:g} (beta = {beta:g})") from None
     theta_caps = [
         res.fitted_theta_bar
         for res in (probe.radial_coercive, probe.radial_coercive_sup)
@@ -358,7 +371,10 @@ def first_variation_constants(
     alpha = None
     for k in range(6, -200, -1):
         a = 2.0**k
-        sup_phi = math.exp(a * R * R)
+        try:
+            sup_phi = math.exp(a * R * R)
+        except OverflowError:
+            continue  # past the float range the bound below fails anyway
         if a * sup_phi * (1.0 / inf_fp + 1.0) > 1.0 / C:
             continue
         if theta_cap is not None and a * sup_phi / (8.0 * inf_fp) > theta_cap:

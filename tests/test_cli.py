@@ -56,6 +56,23 @@ def test_bad_flag_value_is_usage(capsys):
     assert err.count("usage error") == 4
 
 
+def test_first_variation_box_bounds_past_the_float_range(capsys):
+    # --s-bound 400 overflows the weight bound: a usage error naming M;
+    # --p-bound 4 overflows only a weight size the cascade then skips
+    assert dispatch(["first-variation", "--jets", "5", "--s-bound", "400"]) == EXIT_USAGE
+    assert "M = 400" in capsys.readouterr().err
+    assert dispatch(["first-variation", "--jets", "5", "--p-bound", "4"]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+
+
+def test_nan_in_a_positive_list_is_usage(capsys):
+    # a NaN inversion radius made every moving-sphere comparison vacuously true
+    assert dispatch(["kelvin", "--lambdas", "0.1,nan"]) == EXIT_USAGE
+    assert dispatch(["envelope", "--eps", "nan"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--lambdas needs positive values" in err and "--eps needs positive values" in err
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "command" in capsys.readouterr().out
@@ -289,6 +306,14 @@ def test_probe_l_cubic_mix_stdout_is_pinned(capsys):
     assert dispatch(["probe-L", "--operator", "genL:cubic_mix", "--samples", "120"]) == EXIT_FAIL
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "24b602be0c81554105e4e555f43830d349fd4234055fc10b57612a26b7c71c28"
+
+
+def test_probe_l_conformal_stdout_is_pinned(capsys):
+    # sha256 of the stdout from when conformal was an operator kind of its
+    # own; as the named (1, 1/2) point of quad_const it prints the same bytes
+    assert dispatch(["probe-L", "--operator", "conformal", "--samples", "200"]) == EXIT_PASS
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "795aa78db4d669d855aa1aaa95249ad8aaec138e2c8e5b0c59d962ba8cc73896"
 
 
 @pytest.mark.parametrize("args,digest", [

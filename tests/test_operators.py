@@ -302,8 +302,6 @@ def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.nd
     n = len(p)
     pp = np.outer(p, p)
     p2 = float(p @ p)
-    if spec.kind == "conformal":
-        return pp - 0.5 * p2 * np.eye(n)
     if spec.kind == "quad_const":
         return spec.alpha * pp - spec.beta * p2 * np.eye(n)
     if spec.kind == "quad_var":
@@ -667,7 +665,7 @@ def test_coercivity_fits_eigen_solve_each_gap_matrix_once(monkeypatch):
 
 def _loop_grad_x_L(spec, x, s, p, h=1e-6):
     n = len(x)
-    if spec.kind in ("conformal", "quad_const", "rot_inv"):
+    if spec.kind in ("quad_const", "rot_inv"):
         return np.zeros((n, n, n))
     step = h * np.eye(n)
     return (eval_L(spec, x + step, s, p) - eval_L(spec, x - step, s, p)) / (2 * h)
@@ -677,10 +675,8 @@ def _loop_grad_p_L(spec, x, s, p):
     n = len(p)
     out = np.zeros((n, n, n))
     eye = np.eye(n)
-    if spec.kind in ("conformal", "quad_const", "quad_var"):
-        if spec.kind == "conformal":
-            al, be = 1.0, 0.5
-        elif spec.kind == "quad_const":
+    if spec.kind in ("quad_const", "quad_var"):
+        if spec.kind == "quad_const":
             al, be = spec.alpha, spec.beta
         else:
             al, be = spec.alpha_fn(x, s), spec.beta_fn(x, s)

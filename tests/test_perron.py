@@ -353,6 +353,29 @@ def test_newton_matches_sweeps(monkeypatch):
         assert np.abs(newton.u.values - sweep.u.values).max() <= 10 * cfg.tol
 
 
+@pytest.mark.parametrize("direction, path", [("descending", "newton+sweep"),
+                                             ("ascending", "newton")])
+def test_conformal_newton_matches_quad_one_half(direction, path):
+    # the conformal operator on the Newton path, b = 1 - 1/2 > 0: the named
+    # operator and quad_const(1, 1/2) take the same steps to the same field
+    xs = np.linspace(0.0, 1.0, 41)
+    bump = 0.5 * xs * (1.0 - xs)
+    runs = []
+    for F in (OperatorSpec.conformal(), OperatorSpec.quad_const(1.0, 0.5)):
+        P = DirichletProblem(F, TRACE, GridFn(((0.0, 1.0),), xs - bump),
+                             GridFn(((0.0, 1.0),), xs + bump))
+        runs.append(perron_solve(P, SolverConfig(tol=1e-8), direction=direction))
+    conf, quad = runs
+    assert conf.path == quad.path == path
+    assert conf.sweeps == quad.sweeps
+    assert conf.converged and quad.converged
+    assert conf.monotone_ok == quad.monotone_ok and conf.sandwich_ok == quad.sandwich_ok
+    assert conf.u.values.tobytes() == quad.u.values.tobytes()
+    assert conf.last_update.hex() == quad.last_update.hex()
+    assert ([(r.node_index, r.cls, r.margin.hex()) for r in conf.residual.rows]
+            == [(r.node_index, r.cls, r.margin.hex()) for r in quad.residual.rows])
+
+
 def _rising_annulus(npts):
     # the radial annulus turned upside down: the profile rises, so the
     # tangent entries p_0 / r are positive and the positive cone does not

@@ -349,6 +349,23 @@ def test_constants_cascade_rejects_bad_box():
         first_variation_constants(example_varying_quad(), M=0.0, R=1.0)
 
 
+def test_constants_cascade_rejects_an_overflowing_value_bound():
+    # beta e^(beta M) leaves the float range at M = 400: a ValueError
+    # naming M, not an OverflowError
+    with pytest.raises(ValueError, match="M = 400"):
+        first_variation_constants(example_varying_quad(), M=400.0, R=1.0)
+
+
+def test_constants_cascade_skips_an_overflowing_weight_size():
+    # e^(a R^2) overflows for the first candidate a = 2^6 at R = 4; the
+    # cascade moves on to smaller sizes, which meet the bound
+    P = first_variation_constants(example_varying_quad(), M=1.0, R=4.0)
+    C = P.beta / 2.0
+    inf_fp = P.beta * math.exp(-P.beta * P.M)
+    assert P.alpha < 2.0**6
+    assert P.alpha * math.exp(P.alpha * 16.0) * (1.0 / inf_fp + 1.0) <= 1.0 / C
+
+
 def test_constants_cascade_rejects_an_unsettled_C(monkeypatch):
     # a coercivity fit that always asks for C = Lambda = 8 C: the cascade
     # never settles, and its last probe ran at the previous C's Lambda
