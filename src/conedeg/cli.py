@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -290,8 +291,7 @@ def _cmd_ctex(ns) -> tuple[str, list[str], int]:
         body.append(f"# clause: {name}={_b(cert.clauses[name])}")
     for note in cert.notes:
         body.append(f"# note: {note}")
-    body.extend(ln for ln in certificate_rows_csv(cert).splitlines()
-                if not ln.startswith("#"))
+    body.extend(certificate_rows_csv(cert).splitlines())
     touching = ",".join(f"{t:.12g}" for t in cert.touching)
     claim = (
         f"the {ns.kind} profile family behaves as designed on a {ns.rgrid}-node "
@@ -310,6 +310,13 @@ def _positive_floats(text: str, flag: str) -> list[float]:
     if not vals or not all(v > 0.0 for v in vals):  # NaN is not positive
         raise UsageError(f"--{flag} needs positive values")
     return vals
+
+
+def _positive_finite(ns, *dests: str) -> None:
+    """Refuse a non-positive, infinite or NaN value of each named option."""
+    for dest in dests:
+        if not 0.0 < getattr(ns, dest) < math.inf:
+            raise UsageError(f"--{dest.replace('_', '-')} must be positive and finite")
 
 
 def _random_piecewise(rng: np.random.Generator, n: int) -> GridFn:
@@ -339,6 +346,8 @@ def _envelope_source(ns) -> GridFn:
         return grid_from_csv(Path(ns.input).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read input grid: {exc}")
+    except ValueError as exc:
+        raise UsageError(f"bad --input grid: {exc}")
 
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
@@ -387,6 +396,7 @@ def _cmd_dyadic(ns) -> tuple[str, list[str], int]:
 def _cmd_first_variation(ns) -> tuple[str, list[str], int]:
     if ns.jets < 1:
         raise UsageError("--jets must be >= 1")
+    _positive_finite(ns, "s_bound", "p_bound")
     F = example_varying_quad()
     try:
         P = first_variation_constants(F, M=ns.s_bound, R=ns.p_bound)
@@ -651,6 +661,9 @@ def _cmd_probe_l(ns) -> tuple[str, list[str], int]:
         raise UsageError(str(exc))
     if ns.samples < 1:
         raise UsageError("--samples must be >= 1")
+    _positive_finite(ns, "x_radius", "s_bound")
+    if not math.isfinite(ns.growth):
+        raise UsageError("--growth must be finite")
     report = probe_L_conditions(spec, R=ns.x_radius, Lambda=ns.s_bound,
                                 m=ns.growth, samples=ns.samples, seed=ns.seed)
     body = ["condition,ok,fitted_C,fitted_theta_bar,witness"]

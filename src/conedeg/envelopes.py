@@ -519,49 +519,46 @@ def stability_check(src: GridFn, side: str, trials: int = 10, seed: int = 0) -> 
 # CSV plumbing
 
 
+def _node_table(g: GridFn, *columns: tuple[str, str, object], numbered: bool = False) -> str:
+    """CSV text over the nodes of g, row-major: a header, then per node its
+    index (when numbered), its coordinates x[,y] in %.12g, and one value from
+    each (name, %-format, values) column; each row is one %-format."""
+    names = ["node"] * numbered + ["x", "y"][:g.dim] + [name for name, _, _ in columns]
+    fmt = ",".join(["%d"] * numbered + ["%.12g"] * g.dim + [f for _, f, _ in columns])
+    cols = [range(g.values.size)] * numbered + g.node_coords().T.tolist()
+    cols += [np.ravel(vals).tolist() for _, _, vals in columns]
+    return "\n".join([",".join(names)] + [fmt % row for row in zip(*cols)]) + "\n"
+
+
 def grid_to_csv(g: GridFn) -> str:
-    lines = ["x,value"] if g.dim == 1 else ["x,y,value"]
-    coords = g.node_coords()
-    flat = g.values.ravel()
-    for i in range(len(flat)):
-        cs = ",".join(f"{c:.12g}" for c in coords[i])
-        lines.append(f"{cs},{_fmt_val(flat[i])}")
-    return "\n".join(lines) + "\n"
+    return _node_table(g, ("value", "%.12g", g.values))
 
 
 def envelope_to_csv(res: EnvelopeResult) -> str:
-    g = res.env
-    lines = ["x,env,argpt_index"] if g.dim == 1 else ["x,y,env,argpt_index"]
-    coords = g.node_coords()
-    flat = g.values.ravel()
-    args = res.argpt.ravel()
-    for i in range(len(flat)):
-        cs = ",".join(f"{c:.12g}" for c in coords[i])
-        lines.append(f"{cs},{_fmt_val(flat[i])},{args[i]}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_val(v: float) -> str:
-    if v == np.inf:
-        return "inf"
-    if v == -np.inf:
-        return "-inf"
-    return f"{v:.12g}"
+    return _node_table(res.env, ("env", "%.12g", res.env.values), ("argpt_index", "%d", res.argpt))
 
 
 def grid_from_csv(text: str) -> GridFn:
+    """The grid written by grid_to_csv: columns x[,y],value, one row per node.
+
+    ValueError unless the coordinates are the row-major nodes of the uniform
+    grid they span, each within 1e-6 spacings (plus 1e-11 of the largest
+    coordinate, which covers their 12 printed digits).
+    """
     rows = [ln.split(",") for ln in text.strip().split("\n") if ln and not ln.startswith("#")]
-    header = rows[0]
-    data = rows[1:]
-    ncols = len(header)
-    if ncols == 2:
-        xs = np.array([float(r[0]) for r in data])
-        vals = np.array([float(r[1]) for r in data])
-        ux = np.unique(xs)
-        return GridFn(((float(ux[0]), float(ux[-1])),), vals)
-    xs = np.array([float(r[0]) for r in data])
-    ys = np.array([float(r[1]) for r in data])
-    vals = np.array([float(r[2]) for r in data])
-    ux, uy = np.unique(xs), np.unique(ys)
-    grid = vals.reshape(len(ux), len(uy))
-    return GridFn(((float(ux[0]), float(ux[-1])), (float(uy[0]), float(uy[-1]))), grid)
+    dim = len(rows[0]) - 1 if rows else 0
+    if dim not in (1, 2) or len(rows) < 2 or any(len(r) != dim + 1 for r in rows[1:]):
+        raise ValueError("expected a header and rows of x[,y],value")
+    table = np.array(rows[1:], dtype=float)
+    coords = table[:, :dim]
+    if not np.isfinite(coords).all():
+        raise ValueError("node coordinates must be finite")
+    axes = [np.unique(coords[:, a]) for a in range(dim)]
+    shape = tuple(len(u) for u in axes)
+    if math.prod(shape) != len(table):
+        raise ValueError("the coordinates do not form a full grid, one row per node")
+    g = GridFn(tuple((u[0], u[-1]) for u in axes), table[:, dim].reshape(shape))
+    tol = 1e-6 * np.array(g.h) + 1e-11 * np.abs(coords).max()
+    if not np.all(np.abs(g.node_coords() - coords) <= tol):
+        raise ValueError("the coordinates are not the row-major nodes of a uniform grid")
+    return g

@@ -36,9 +36,9 @@ _MAX_N = 16
 _SYM_TOL = 1e-12  # relative asymmetry a matrix may have
 
 
-def _symmetrized(m: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
+def _symmetrized(m: np.ndarray) -> np.ndarray:
     """0.5 (M + M^T) per matrix of an (..., n, n) stack; ValueError unless each
-    is square, n in [_MIN_N, _MAX_N], finite and symmetric to tol (1 + max |M|)."""
+    is square, n in [_MIN_N, _MAX_N], finite and symmetric to _SYM_TOL (1 + max |M|)."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -49,7 +49,7 @@ def _symmetrized(m: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
     mt = np.swapaxes(m, -1, -2)
     if m.size:
         skew = np.abs(m - mt).max(axis=(-2, -1))
-        bad = skew > tol * (1.0 + np.abs(m).max(axis=(-2, -1)))
+        bad = skew > _SYM_TOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
         if bad.any():
             raise ValueError(f"matrix is not symmetric (asymmetry {np.max(skew * bad):.3e})")
     # halve before adding: M + M^T overflows for finite entries above ~8.99e307
@@ -61,7 +61,7 @@ class SymMatrix:
     """Symmetric matrix, stored as its validated dense (n, n) array.
 
     from_dense checks the input (square, n in [1, 16], finite, symmetric to
-    tol) and stores 0.5 (M + M^T), so M[i, j] == M[j, i] holds bitwise; the
+    _SYM_TOL) and stores 0.5 (M + M^T), so M[i, j] == M[j, i] holds bitwise; the
     arithmetic below keeps that.  dense() hands out the stored array, which
     is read-only.
     """
@@ -78,11 +78,11 @@ class SymMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def from_dense(cls, m: np.ndarray, *, tol: float = _SYM_TOL) -> "SymMatrix":
+    def from_dense(cls, m: np.ndarray) -> "SymMatrix":
         m = np.asarray(m, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        return cls(_symmetrized(m, tol))
+        return cls(_symmetrized(m))
 
     @classmethod
     def eye(cls, n: int, scale: float = 1.0) -> "SymMatrix":

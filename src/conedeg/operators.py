@@ -482,13 +482,10 @@ class FieldOracle:
         value raises ValueError at x = 0 (a libm domain error).
         """
         k = 1.0 / (alpha - n * beta)
+        power = cls.harmonic_power(n)  # |x|^{2-n}, whose jet the log composes with
 
         def parts(x):
-            r2 = float(x @ x)
-            g = r2 ** ((2 - n) / 2.0) + mu
-            dg = (2 - n) * r2 ** (-n / 2.0) * x
-            hg = (2 - n) * (r2 ** (-n / 2.0) * np.eye(n) - n * r2 ** (-n / 2.0 - 1) * np.outer(x, x))
-            return g, dg, hg
+            return float(x @ x) ** ((2 - n) / 2.0) + mu, power.grad(x), power.hess(x)
 
         @_stacked
         def value(x):

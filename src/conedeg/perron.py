@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .envelopes import GridFn, _boundary_mask
+from .envelopes import GridFn, _boundary_mask, _node_table
 from .matcone import ConeSpec
 from .operators import OperatorSpec, eval_L
 from .viscosity import GridVerifyReport, _Stencil, _ambient_dim, grid_verify
@@ -716,25 +716,21 @@ def translation_gradient_bound(
     return TranslationBoundReport(interior_max, band_max, hmax, slack_coef * hmax)
 
 
+# a node's role by boundary + 2 * interior: neither (masked), boundary, interior
+_ROLE_NAMES = np.array(["MASKED", "FIXED", "SKIPPED"], dtype=object)
+
+
 def solution_csv(result: PerronResult, problem: DirichletProblem) -> str:
-    """Rows `node,x[,y],u,residual_class` over every grid node."""
-    classes = {row.node_index: row.cls.name for row in result.residual.rows}
-    interior = problem.interior_mask.ravel()
-    boundary = problem.boundary_mask.ravel()
-    coords = problem.sub.node_coords()
-    vals = result.u.values.ravel()
-    head = "node,x,u,residual_class" if problem.sub.dim == 1 else "node,x,y,u,residual_class"
-    lines = [head]
-    for i in range(vals.size):
-        if interior[i]:
-            cls = classes.get(i, "SKIPPED")
-        elif boundary[i]:
-            cls = "FIXED"
-        else:
-            cls = "MASKED"
-        xy = ",".join(f"{c:.12g}" for c in coords[i])
-        lines.append(f"{i},{xy},{vals[i]:.12g},{cls}")
-    return "\n".join(lines) + "\n"
+    """Rows `node,x[,y],u,residual_class` over every grid node.
+
+    A checked node carries its verifier class; the rest are FIXED (Dirichlet
+    data), MASKED, or SKIPPED (interior, but its stencil is not finite).
+    """
+    roles = _ROLE_NAMES[problem.boundary_mask + 2 * problem.interior_mask].ravel()
+    rows = result.residual.rows
+    roles[[row.node_index for row in rows]] = [row.cls.name for row in rows]
+    return _node_table(problem.sub, ("u", "%.12g", result.u.values),
+                       ("residual_class", "%s", roles), numbered=True)
 
 
 # ---------------------------------------------------------------------------

@@ -304,27 +304,27 @@ class RootBracket:
 @dataclass
 class RootReport:
     roots: list[RootBracket]
-    probe_lo: float
-    probe_hi: float
-    probe_points: int
 
     @property
     def count(self) -> int:
         return len(self.roots)
 
 
-def quartic_roots(q: QuarticSpec, lo: float = -10.0, hi: float = 10.0,
-                  probes: int = 1024, width: float = 1e-12) -> RootReport:
-    """All simple real roots in [lo, hi] by sign-change bracketing + bisection.
+# the probe window, its probe intervals, and the bisection's bracket width
+_ROOT_LO, _ROOT_HI, _ROOT_PROBES, _ROOT_WIDTH = -10.0, 10.0, 1024, 1e-12
+
+
+def quartic_roots(q: QuarticSpec) -> RootReport:
+    """All simple real roots in [-10, 10] by sign-change bracketing + bisection.
 
     A double root produces no sign change at the probe resolution and is
     therefore missing from the report; callers that expect a fixed count
     treat a shortfall as "unresolved" rather than inventing roots.
     """
-    ts = np.linspace(lo, hi, probes + 1)
+    ts = np.linspace(_ROOT_LO, _ROOT_HI, _ROOT_PROBES + 1)
     vals = quartic_eval(q, ts).tolist()
     roots: list[RootBracket] = []
-    for i in range(probes):
+    for i in range(_ROOT_PROBES):
         a, b = float(ts[i]), float(ts[i + 1])
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
@@ -332,7 +332,7 @@ def quartic_roots(q: QuarticSpec, lo: float = -10.0, hi: float = 10.0,
             continue
         if fa * fb >= 0.0:
             continue
-        while b - a > width:
+        while b - a > _ROOT_WIDTH:
             mid = 0.5 * (a + b)
             fm = float(quartic_eval(q, mid))
             if fm == 0.0:
@@ -358,7 +358,7 @@ def quartic_roots(q: QuarticSpec, lo: float = -10.0, hi: float = 10.0,
         roots.append(RootBracket(len(roots), t_hat, a, b))
     if vals[-1] == 0.0:
         roots.append(RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
-    return RootReport(roots=roots, probe_lo=lo, probe_hi=hi, probe_points=probes + 1)
+    return RootReport(roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +852,8 @@ _ROW_FORMAT = ",".join(["%.12g"] * 7 + ["%s"])
 
 
 def certificate_rows_csv(cert: CtexCertificate) -> str:
-    lines = [
-        f"# config: kind={cert.kind}",
-        f"# config: params={_fmt_params(cert.params)}",
-        f"# claim: verdict={cert.verdict} touching={','.join(f'{t:.12g}' for t in cert.touching)}",
-        "r,w,v,mu_w,nu_w,mu_v,nu_v,verdict",
-    ]
+    """The per-radius table; the report header is the caller's to write."""
+    lines = ["r,w,v,mu_w,nu_w,mu_v,nu_v,verdict"]
     lines += [_ROW_FORMAT % (row.r, row.w, row.v, row.mu_w, row.nu_w, row.mu_v, row.nu_v,
                              "ok" if row.ok else "violation") for row in cert.rows]
     return "\n".join(lines) + "\n"
@@ -869,13 +865,3 @@ def certificate_roots_csv(cert: CtexCertificate) -> str:
         lines.append(f"{rb.index},{rb.t:.15g},{rb.lo:.15g},{rb.hi:.15g}")
     return "\n".join(lines) + "\n"
 
-
-def _fmt_params(params: dict) -> str:
-    parts = []
-    for key in sorted(params):
-        val = params[key]
-        if isinstance(val, float):
-            parts.append(f"{key}={val:.12g}")
-        else:
-            parts.append(f"{key}={val}")
-    return " ".join(parts)

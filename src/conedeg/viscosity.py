@@ -302,17 +302,12 @@ class PerturbationParams:
             raise ValueError("normalization mu * beta * e^{beta M} <= 1/2 violated")
 
 
-def _dyadic_floor(x: float) -> float:
-    """Largest power of two <= x."""
+def _dyadic(x: float, rounding=math.floor) -> float:
+    """2^rounding(log2 x): the largest power of two <= x, or with math.ceil
+    the smallest >= x."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError("need a positive finite bound")
-    return 2.0 ** math.floor(math.log2(x))
-
-
-def _dyadic_ceil(x: float) -> float:
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError("need a positive finite bound")
-    return 2.0 ** math.ceil(math.log2(x))
+    return 2.0 ** rounding(math.log2(x))
 
 
 def first_variation_constants(
@@ -334,8 +329,8 @@ def first_variation_constants(
     within the probe-fitted budget.  The tuple is a searched fixture with
     rounding slack, not a sharp set of constants.
     """
-    if M <= 0.0 or R <= 0.0:
-        raise ValueError("need positive working-box bounds M and R")
+    if not (0.0 < M < math.inf and 0.0 < R < math.inf):
+        raise ValueError("need positive finite working-box bounds M and R")
     mm = float(F.m if m is None else m)
     C = 2.0
     for _ in range(6):
@@ -347,7 +342,7 @@ def first_variation_constants(
             for res in (probe.grad_x_bound, probe.s_growth, probe.radial_coercive)
             if res.fitted_C is not None
         ]
-        c_new = _dyadic_ceil(max([2.0, *fits]))
+        c_new = _dyadic(max([2.0, *fits]), math.ceil)
         if c_new == C:
             break
         C = c_new
@@ -383,9 +378,9 @@ def first_variation_constants(
         break
     if alpha is None:
         raise ValueError("no dyadic quadratic-weight size fits the cascade")
-    delta = _dyadic_floor(inf_fp / (2.0 * C))
-    mu0 = _dyadic_floor(min(0.5 / sup_fp, 1.0 / (C * (1.0 + sup_fp))))
-    K0 = _dyadic_floor(min(alpha, inf_fp / C, 0.5 * beta * inf_fp))
+    delta = _dyadic(inf_fp / (2.0 * C))
+    mu0 = _dyadic(min(0.5 / sup_fp, 1.0 / (C * (1.0 + sup_fp))))
+    K0 = _dyadic(min(alpha, inf_fp / C, 0.5 * beta * inf_fp))
     return PerturbationParams(
         mu=mu0, tau=0.0, alpha=alpha, beta=beta, delta=delta, K0=K0, m=mm, M=M
     )
@@ -647,13 +642,10 @@ def touching_experiment(
         labels[start] = label
         stack = [int(start)]
         members: list[int] = []
-        contact = False
         while stack:
             cur = stack.pop()
             members.append(cur)
             idx = np.unravel_index(cur, shape)
-            if any(c in (0, s - 1) for c, s in zip(idx, shape)):
-                contact = True
             for axis in range(len(shape)):
                 for step in (-1, 1):
                     nb = list(idx)
@@ -665,7 +657,7 @@ def touching_experiment(
                         labels[flat] = label
                         stack.append(flat)
         report.components.append(sorted(members))
-        report.boundary_contact.append(contact)
+        report.boundary_contact.append(bool(boundary.ravel()[members].any()))
     strictly_above_on_boundary = report.boundary_gap > tol
     if strictly_above_on_boundary and report.interior_only > 0:
         report.verdict = PROPAGATION_VIOLATED

@@ -65,6 +65,23 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["first-variation", "--p-bound", "inf"], "--p-bound"),
+    (["first-variation", "--s-bound", "inf"], "--s-bound"),
+    (["probe-L", "--x-radius", "nan"], "--x-radius"),
+    (["probe-L", "--x-radius", "inf"], "--x-radius"),
+    (["probe-L", "--x-radius", "-2"], "--x-radius"),
+    (["probe-L", "--x-radius", "0"], "--x-radius"),
+    (["probe-L", "--s-bound", "nan"], "--s-bound"),
+    (["probe-L", "--growth", "nan"], "--growth"),
+])
+def test_bad_numeric_bound_is_usage(args, flag, capsys):
+    # each exited 1 with numpy's or the verifier's message, and --x-radius 0
+    # exited 0 on a sample whose value draws were all 0
+    assert dispatch(args + ["--jets" if args[0] == "first-variation" else "--samples", "5"]) == EXIT_USAGE
+    assert f"usage error: {flag} must be" in capsys.readouterr().err
+
+
 def test_nan_in_a_positive_list_is_usage(capsys):
     # a NaN inversion radius made every moving-sphere comparison vacuously true
     assert dispatch(["kelvin", "--lambdas", "0.1,nan"]) == EXIT_USAGE
@@ -265,6 +282,25 @@ def test_perron_dump_writes_solution(tmp_path):
     assert dump.read_text().startswith("node,x,u,residual_class")
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["--problem", "box-log", "--grid", "33"],
+     "587d5a50494f487ebe85efb34c8526221c91723c00ce431f8d6a8718fbc88114"),
+    (["--problem", "box-log", "--grid", "65"],
+     "090a09501b5acf0d944d4a9dd5649371e411ca16b2ee4c7ca701c3e1b1141675"),
+    (["--problem", "annulus-psi1", "--grid", "125"],
+     "b4a3eb70d9b177bf36e3e9cbaefcf595719e6df1942a9746762bc94ffe8c71b6"),
+    (["--problem", "interval-linear", "--grid", "41"],
+     "c499b5c5e0adc204139e3107352acf020c1ff83236e09a61126698a511d2ea9a"),
+])
+def test_perron_dump_is_pinned(args, digest, tmp_path):
+    # sha256 of the --dump file from when solution_csv wrote one node per
+    # branch and f-string
+    dump = tmp_path / "solution.csv"
+    code, _ = run_to_file(tmp_path, ["perron", *args, "--dump", str(dump)])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
 def test_uniqueness_passes_and_inconclusive_fails(tmp_path):
     code, text = run_to_file(tmp_path, ["uniqueness", "--grid", "41"])
     assert code == EXIT_PASS
@@ -382,6 +418,21 @@ def test_envelope_file_source_roundtrip(tmp_path):
 
 def test_envelope_file_source_needs_input(capsys):
     assert dispatch(["envelope", "--source", "file"]) == EXIT_USAGE
+    assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "x,y,value\n" + "".join(f"{x},{y},{x + y}\n" for y in (0, 1, 2) for x in (0, 1, 2)),
+    "x,value\n0,1\n0.1,2\n1,3\n",
+    "x,value\n0,1\n1,2\n0.5,3\n",
+    "x,value\n0,1\n0.5,2\n0.5,2\n1,3\n",
+])
+def test_envelope_malformed_input_grid_is_usage(text, tmp_path, capsys):
+    # y-major, non-uniform, unsorted and duplicated nodes used to be read
+    # without complaint (transposed, respaced or kept in file order)
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text(text)
+    assert dispatch(["envelope", "--source", "file", "--input", str(grid_path)]) == EXIT_USAGE
     assert "--input" in capsys.readouterr().err
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg.envelopes import (
+    EnvelopeResult,
     GridFn,
     check_envelope_properties,
     dyadic_sharpness,
@@ -422,6 +423,67 @@ def test_grid_csv_roundtrip_2d():
     back = grid_from_csv(grid_to_csv(g))
     assert back.box == g.box
     assert np.allclose(back.values, g.values, atol=1e-11)
+
+
+def _csv(head, rows) -> str:
+    return "\n".join([head] + [",".join(map(str, r)) for r in rows]) + "\n"
+
+
+_MALFORMED_GRIDS = {
+    # the nodes of a 3 x 3 grid, y running slowest: would read transposed
+    "y_major": _csv("x,y,value", [(x, y, 10 * x + y) for y in (0, 1, 2) for x in (0, 1, 2)]),
+    # would read as the nodes 0, 0.5, 1
+    "non_uniform": _csv("x,value", [(0, 1), (0.1, 2), (1, 3)]),
+    # would keep file order
+    "unsorted": _csv("x,value", [(0, 1), (1, 2), (0.5, 3)]),
+    "duplicated": _csv("x,value", [(0, 1), (0.5, 2), (0.5, 2), (1, 3)]),
+    "ragged": _csv("x,y,value", [(0, 0, 1), (0, 1)]),
+    "no_rows": "x,value\n",
+    "infinite_node": _csv("x,value", [(0, 1), (0.5, 2), ("inf", 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_GRIDS))
+def test_grid_from_csv_refuses_malformed_grids(name):
+    with pytest.raises(ValueError):
+        grid_from_csv(_MALFORMED_GRIDS[name])
+
+
+def test_grid_from_csv_reads_printed_coordinates():
+    # 12 printed digits of thirds and sevenths still name their nodes; a
+    # row-major file with masked values reads back node for node
+    for box in (((0.0, 1.0), (-1.0, 2.0 / 7.0)), ((1e6, 1e6 + 1.0 / 3.0), (-3.0, 3.0))):
+        vals = np.arange(7 * 4, dtype=float).reshape(7, 4)
+        vals[2, 1] = -np.inf
+        g = GridFn(box, vals)
+        back = grid_from_csv(grid_to_csv(g))
+        assert np.array_equal(back.values, g.values)
+        assert np.allclose(back.box, g.box, rtol=1e-11, atol=0.0)
+
+
+_SPECIAL_1D = GridFn(((-1.0, 1.0),), [0.25, np.inf, -0.0, -np.inf, 1 / 3, 2.5e-13, 1e20])
+_SPECIAL_2D = GridFn(((-0.3, 0.7), (0.0, 1.0)), [
+    [1 / 3, -0.0, np.inf, 0.1, -2.0],
+    [np.inf, -np.inf, 5e-7, 0.0, 7.0],
+    [-0.0, 3.0, -1e-300, np.inf, 2 / 3],
+    [1e15, -np.inf, 0.5, -0.0, 9.0],
+])
+
+
+@pytest.mark.parametrize("g,grid_digest,env_digest", [
+    (_SPECIAL_1D, "5de8aa9ba3cb43c46455c5b058a0016e2bc7d7d8c78990ebbd7f0625e020fe60",
+     "d2d731c0e3dce75f248826b446da5f10ef621c9b11e0737852da0161024590e6"),
+    (_SPECIAL_2D, "2be7f0c7fe8c3beec326796cba1f47040f8444e18a8b3699bebe3c4632b81cc2",
+     "41db4de85e3f1282bc2421bbbf9b362332c542354219aeaa9e93f38e3039b2e5"),
+])
+def test_grid_csv_bytes_are_pinned(g, grid_digest, env_digest):
+    # sha256 of the text written when each value went through its own
+    # inf/-inf special case: +-inf print as inf/-inf, -0.0 as -0
+    import hashlib
+
+    res = EnvelopeResult(g, np.arange(g.values.size)[::-1].reshape(g.shape), 0.1)
+    assert hashlib.sha256(grid_to_csv(g).encode()).hexdigest() == grid_digest
+    assert hashlib.sha256(envelope_to_csv(res).encode()).hexdigest() == env_digest
 
 
 def test_envelope_csv_columns():

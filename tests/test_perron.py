@@ -863,6 +863,31 @@ def test_masked_posdef_2d_rejects_masked_diagonal_neighbours():
     assert res.path == "sweep" and np.isfinite(res.u.values[interior]).all()
 
 
+def test_masked_solution_csv_is_pinned():
+    # sha256 of solution_csv when it picked each node's role with a per-node
+    # branch; the masked 41^2 disc fixture above carries all six row classes
+    # (200 FIXED, 145 MASKED, 16 SKIPPED, plus INTERIOR, BOUNDARY, OUTSIDE)
+    import hashlib
+
+    from conedeg.perron import _node_roles
+
+    xs = np.linspace(-1.0, 1.0, 41)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    exact = 0.5 * X * X
+    exact[np.hypot(X, Y) < 0.35] = np.inf
+    interior, _ = _node_roles(np.isfinite(exact))
+    bump = np.where(interior, 0.05, 0.0)
+    box = ((-1, 1), (-1, 1))
+    P = DirichletProblem(LAPLACE, TRACE, GridFn(box, exact - bump), GridFn(box, exact + bump))
+    text = solution_csv(perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=10)), P)
+    classes = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+    counts = {name: classes.count(name) for name in ("FIXED", "MASKED", "SKIPPED")}
+    assert counts == {"FIXED": 200, "MASKED": 145, "SKIPPED": 16}
+    assert {"INTERIOR", "BOUNDARY", "OUTSIDE"} <= set(classes)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fb86a25109aa6ad02093bdb2b275e85435a0d21f6ad1c8697037b3777d2f7fd0"
+
+
 def test_solve_start_validation():
     P, xs = _interval_problem(11, 0.0, 1.0)
     cfg = SolverConfig(tol=1e-8)

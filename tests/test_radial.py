@@ -648,10 +648,12 @@ def test_build_counterexample_validation():
 def test_certificate_csv_shape(beta_sign_cert):
     rows_csv = certificate_rows_csv(beta_sign_cert)
     lines = rows_csv.strip().split("\n")
-    assert lines[3] == "r,w,v,mu_w,nu_w,mu_v,nu_v,verdict"
-    assert "# claim: verdict=pass" in lines[2]
-    assert len(lines) == 4 + len(beta_sign_cert.rows)
-    assert lines[4].endswith(",ok")
+    # the table alone: the CLI writes the report header
+    assert lines[0] == "r,w,v,mu_w,nu_w,mu_v,nu_v,verdict"
+    assert not any(line.startswith("#") for line in lines)
+    assert beta_sign_cert.verdict == "pass"
+    assert len(lines) == 1 + len(beta_sign_cert.rows)
+    assert lines[1].endswith(",ok")
     roots_csv = certificate_roots_csv(beta_sign_cert)
     rlines = roots_csv.strip().split("\n")
     assert rlines[0] == "i,t_i,bracket_lo,bracket_hi"
@@ -765,7 +767,7 @@ def _replay_quartic_roots(q, lo=-10.0, hi=10.0, probes=1024, width=1e-12):
         roots.append(radial.RootBracket(len(roots), t_hat, a, b))
     if vals[-1] == 0.0:
         roots.append(radial.RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
-    return radial.RootReport(roots=roots, probe_lo=lo, probe_hi=hi, probe_points=probes + 1)
+    return radial.RootReport(roots=roots)
 
 
 def _replay_sign_scan_delta(variant, alpha, roots, t0, r0):

@@ -356,6 +356,14 @@ def test_constants_cascade_rejects_an_overflowing_value_bound():
         first_variation_constants(example_varying_quad(), M=400.0, R=1.0)
 
 
+@pytest.mark.parametrize("M,R", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+def test_constants_cascade_rejects_non_finite_box_bounds(M, R):
+    # an infinite R reached the probe's uniform draw and a NaN passed the
+    # positivity test
+    with pytest.raises(ValueError, match="positive finite working-box bounds"):
+        first_variation_constants(example_varying_quad(), M=M, R=R)
+
+
 def test_constants_cascade_skips_an_overflowing_weight_size():
     # e^(a R^2) overflows for the first candidate a = 2^6 at R = 4; the
     # cascade moves on to smaller sizes, which meet the bound
