@@ -78,7 +78,7 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
 def test_bad_numeric_bound_is_usage(args, flag, capsys):
     # each exited 1 with numpy's or the verifier's message, and --x-radius 0
     # exited 0 on a sample whose value draws were all 0
-    assert dispatch(args + ["--jets" if args[0] == "first-variation" else "--samples", "5"]) == EXIT_USAGE
+    assert dispatch(args) == EXIT_USAGE
     assert f"usage error: {flag} must be" in capsys.readouterr().err
 
 
