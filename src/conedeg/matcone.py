@@ -329,17 +329,21 @@ def classify(m: SymMatrix | np.ndarray, spec: ConeSpec, tol: float = 1e-9) -> tu
     jumps across the boundary band in the wrong direction (membership signs
     of all sigma_j are preserved under positive scaling).
     """
+    _check_tol(tol)
     margin = cone_margin(eigen_sym(m), spec)
-    return _margin_class(margin, tol), margin
+    return ConeClass(_margin_class(margin, tol)), margin
 
 
-def _margin_class(margin: float, tol: float) -> ConeClass:
-    """The verdict for a margin: INTERIOR above tol, OUTSIDE below -tol."""
-    if margin > tol:
-        return ConeClass.INTERIOR
-    if margin < -tol:
-        return ConeClass.OUTSIDE
-    return ConeClass.BOUNDARY
+def _check_tol(tol: float) -> None:
+    """ValueError unless 0 < tol < inf: the one rule for every margin tolerance."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+
+
+def _margin_class(margin, tol: float):
+    """The ConeClass value of a margin or of each in an array: INTERIOR (2)
+    above tol, OUTSIDE (0) below -tol, BOUNDARY (1) between and for NaN."""
+    return 1 + (margin > tol) - (margin < -tol)
 
 
 @dataclass

@@ -56,9 +56,9 @@ from typing import Sequence
 import numpy as np
 
 from .envelopes import GridFn, _boundary_mask, _node_table
-from .matcone import ConeSpec
+from .matcone import ConeSpec, _check_tol
 from .operators import OperatorSpec, eval_L
-from .viscosity import GridVerifyReport, _Stencil, _ambient_dim, grid_verify
+from .viscosity import _CLASS_NAMES, GridVerifyReport, _Stencil, _ambient_dim, grid_verify
 
 __all__ = [
     "SolverConfig",
@@ -99,8 +99,7 @@ class SolverConfig:
     max_sweeps: int = 50_000
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
+        _check_tol(self.tol)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -728,7 +727,7 @@ def solution_csv(result: PerronResult, problem: DirichletProblem) -> str:
     """
     roles = _ROLE_NAMES[problem.boundary_mask + 2 * problem.interior_mask].ravel()
     rows = result.residual.rows
-    roles[[row.node_index for row in rows]] = [row.cls.name for row in rows]
+    roles[rows["node_index"]] = _CLASS_NAMES[rows["cls"]]
     return _node_table(problem.sub, ("u", "%.12g", result.u.values),
                        ("residual_class", "%s", roles), numbered=True)
 

@@ -23,6 +23,7 @@ from .matcone import (
     ConeClass,
     ConeSpec,
     SymMatrix,
+    _check_tol,
     _margin_class,
     _sym_eigvals,
     _symmetrized,
@@ -47,7 +48,6 @@ from .operators import (
 
 __all__ = [
     "PerturbationParams",
-    "NodeVerdict",
     "GridVerifyReport",
     "EnvelopeErrorReport",
     "TouchReport",
@@ -72,8 +72,6 @@ __all__ = [
 
 def jet_classify(j: Jet2, F: OperatorSpec, U: ConeSpec, tol: float = 1e-8):
     """Cone verdict and margin of F at a single jet."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     return classify(eval_F(j, F), U, tol)
 
 
@@ -168,37 +166,40 @@ def _interior_jets(g: GridFn, ambient_n: int | None):
     return (nodes, ok, st.x, *st.jet(g.values.ravel()))
 
 
-@dataclass(frozen=True)
-class NodeVerdict:
-    node_index: int
-    cls: ConeClass
-    margin: float
+_VERDICT_ROW = np.dtype([("node_index", np.int64), ("cls", np.int8), ("margin", np.float64)])
+_CLASS_NAMES = np.array([c.name for c in ConeClass], dtype=object)  # by ConeClass value
 
 
 @dataclass
 class GridVerifyReport:
     """Per-node cone verdicts for a grid-sampled function.
 
-    sub_failures lists nodes whose discrete F leaves the closed cone (breaks
-    the subsolution signature); super_failures lists nodes whose discrete F
-    lands strictly inside (breaks the supersolution signature).  tol is the
-    effective tolerance including the grid term.
+    rows is a _VERDICT_ROW structured array, one row per checked node in
+    ascending order: node_index, cls (a ConeClass value) and margin.
+    skipped lists the interior nodes with a non-finite stencil; tol is the
+    effective tolerance including the grid term.  Read off the rows: counts,
+    sub_failures (OUTSIDE: F leaves the closed cone, against a subsolution)
+    and super_failures (INTERIOR: F lies inside, against a supersolution).
     """
 
     operator: str
     cone: str
     tol: float
-    rows: list[NodeVerdict] = field(default_factory=list)
-    skipped: list[int] = field(default_factory=list)
-    sub_failures: list[int] = field(default_factory=list)
-    super_failures: list[int] = field(default_factory=list)
+    rows: np.ndarray
+    skipped: list[int]
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {c.name: 0 for c in ConeClass}
-        for row in self.rows:
-            out[row.cls.name] += 1
-        return out
+        tally = np.bincount(self.rows["cls"], minlength=len(ConeClass)).tolist()
+        return {c.name: tally[c.value] for c in ConeClass}
+
+    @property
+    def sub_failures(self) -> list[int]:
+        return self.rows["node_index"][self.rows["cls"] == ConeClass.OUTSIDE.value].tolist()
+
+    @property
+    def super_failures(self) -> list[int]:
+        return self.rows["node_index"][self.rows["cls"] == ConeClass.INTERIOR.value].tolist()
 
     @property
     def consistent_sub(self) -> bool:
@@ -213,14 +214,8 @@ class GridVerifyReport:
         return self.consistent_sub and self.consistent_super
 
     def summary(self) -> str:
-        tags = [
-            name
-            for name, ok in (
-                ("subsolution", self.consistent_sub),
-                ("supersolution", self.consistent_super),
-            )
-            if ok
-        ]
+        tags = [name for name, ok in (("subsolution", self.consistent_sub),
+                                      ("supersolution", self.consistent_super)) if ok]
         label = "consistent with " + " and ".join(tags) if tags else "no clean signature"
         c = self.counts
         return (
@@ -242,29 +237,22 @@ def grid_verify(
     The effective tolerance is tol + 4 h^2, absorbing the truncation error
     of the centered stencil on fields with bounded fourth derivatives.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     heff = max(psi.h)
     tol_eff = tol + 4.0 * heff * heff
-    report = GridVerifyReport(operator=format_operator(F), cone=format_cone(U), tol=tol_eff)
     nodes, ok, x, s, p, H = _interior_jets(psi, ambient_n)
     margins = cone_margin(_sym_eigvals(H + eval_L(F, x, s, p)), U)
-    checked = nodes[ok]
-    report.rows = [
-        NodeVerdict(idx, _margin_class(margin, tol_eff), margin)
-        for idx, margin in zip(checked.tolist(), margins.tolist())
-    ]
-    report.skipped = nodes[~ok].tolist()
-    report.sub_failures = checked[margins < -tol_eff].tolist()
-    report.super_failures = checked[margins > tol_eff].tolist()
-    return report
+    rows = np.empty(margins.size, _VERDICT_ROW)
+    rows["node_index"], rows["cls"], rows["margin"] = nodes[ok], _margin_class(margins, tol_eff), margins
+    return GridVerifyReport(format_operator(F), format_cone(U), tol_eff, rows, nodes[~ok].tolist())
 
 
 def verify_rows_csv(report: GridVerifyReport) -> str:
-    lines = ["node_index,class,margin"]
-    for row in report.rows:
-        lines.append(f"{row.node_index},{row.cls.name},{row.margin:.12g}")
-    return "\n".join(lines) + "\n"
+    """node_index,class,margin: one "%d,%s,%.12g" row per checked node."""
+    rows = report.rows
+    cells = zip(rows["node_index"].tolist(), _CLASS_NAMES[rows["cls"]], rows["margin"].tolist())
+    table = "%d,%s,%.12g\n" * len(rows) % tuple(itertools.chain.from_iterable(cells))
+    return "node_index,class,margin\n" + table
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +447,40 @@ def first_variation_hat(j: Jet2, P: PerturbationParams, F: OperatorSpec):
 # envelope regularization error
 
 
-@dataclass(frozen=True)
-class EnvelopeErrorRow:
-    node_index: int
-    displacement: float
-    grad_norm: float
-    margin: float  # cone margin before any penalty
-    a_required: float  # smallest workable penalty coefficient; inf if none
+_ENVELOPE_ROW = np.dtype([("node_index", np.int64), ("displacement", np.float64), ("grad_norm", np.float64),
+                          ("margin", np.float64), ("a_required", np.float64)])
 
 
 @dataclass
 class EnvelopeErrorReport:
+    """Penalty fit of envelope_error_check.
+
+    rows is an _ENVELOPE_ROW structured array, one row per checked node in
+    ascending order: margin is the cone margin before any penalty, a_required
+    the smallest workable penalty coefficient (inf if none).  skipped counts
+    nodes with a non-finite stencil, edge_attained those whose envelope is
+    attained at a boundary node.  Read off the rows: checked, violations
+    (infinite a_required) and fitted_a (largest finite a_required, or 0.0).
+    """
+
     side: str
     eps: float
-    fitted_a: float
-    checked: int
-    skipped: int  # unresolved stencil (non-finite neighbor)
-    edge_attained: int = 0  # envelope attained at a boundary node: no interior transport
-    violations: list[int] = field(default_factory=list)
-    rows: list[EnvelopeErrorRow] = field(default_factory=list)
+    skipped: int
+    edge_attained: int
+    rows: np.ndarray
+
+    @property
+    def checked(self) -> int:
+        return len(self.rows)
+
+    @property
+    def violations(self) -> list[int]:
+        return self.rows["node_index"][np.isinf(self.rows["a_required"])].tolist()
+
+    @property
+    def fitted_a(self) -> float:
+        a_req = self.rows["a_required"]
+        return float(a_req[np.isfinite(a_req)].max(initial=0.0))
 
     @property
     def ok(self) -> bool:
@@ -517,21 +520,18 @@ def envelope_error_check(
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
+    _check_tol(tol)
     finite = np.isfinite(w.values)
     if np.any(np.abs(w.values[finite]) > M):
         raise ValueError("amplitude bound violated: need |w| <= M")
     res = lower_envelope(w, eps) if side == "super" else upper_envelope(w, eps)
     heff = max(w.h)
     tol_eff = tol + 4.0 * heff * heff
-    report = EnvelopeErrorReport(side=side, eps=eps, fitted_a=0.0, checked=0, skipped=0)
     nodes, ok, x, s, p, H = _interior_jets(res.env, ambient_n)
-    report.skipped = int(np.count_nonzero(~ok))
     argpt = res.argpt.ravel()
     edge = _boundary_mask(w.shape).ravel()[argpt[nodes[ok]]]
-    report.edge_attained = int(np.count_nonzero(edge))
     idx = nodes[ok][~edge]
     x, s, p, H = x[~edge], s[~edge], p[~edge], H[~edge]
-    report.checked = len(idx)
     coords = res.env.node_coords()
     dist = np.sqrt(_sq_norm(coords[argpt[idx]] - coords[idx])).tolist()
     pn = np.sqrt(_sq_norm(p)).tolist()
@@ -547,7 +547,7 @@ def envelope_error_check(
     def feasible(mg: np.ndarray) -> np.ndarray:
         return mg <= tol_eff if want_out else mg >= -tol_eff
 
-    m0 = margin_at(np.zeros(len(idx)), np.ones(len(idx), dtype=bool))
+    m0 = cone_margin(lam, U)
     search = ~feasible(m0) & (cof > 0.0)
     hi = np.ones(len(idx))
     grow = search.copy()
@@ -562,12 +562,10 @@ def envelope_error_check(
         good = feasible(margin_at(mid, bisect))
         hi[bisect] = np.where(good, mid, hi[bisect])
         lo[bisect] = np.where(good, lo[bisect], mid)
-    a_req = np.where(feasible(m0), 0.0, np.where(bisect, hi, math.inf))
-    bounded = np.isfinite(a_req)
-    report.violations = idx[~bounded].tolist()
-    report.fitted_a = float(a_req[bounded].max(initial=0.0))
-    report.rows = list(map(EnvelopeErrorRow, idx.tolist(), dist, pn, m0.tolist(), a_req.tolist()))
-    return report
+    rows = np.empty(len(idx), _ENVELOPE_ROW)
+    rows["node_index"], rows["displacement"], rows["grad_norm"], rows["margin"] = idx, dist, pn, m0
+    rows["a_required"] = np.where(feasible(m0), 0.0, np.where(bisect, hi, math.inf))
+    return EnvelopeErrorReport(side, eps, int(np.count_nonzero(~ok)), int(np.count_nonzero(edge)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +617,7 @@ def touching_experiment(
     """
     if w.box != v.box or w.shape != v.shape:
         raise ValueError("grids mismatched: w and v must share box and shape")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     mask = np.isfinite(w.values) & np.isfinite(v.values)
     if not np.any(mask):
         raise ValueError("no unmasked nodes to compare")
@@ -752,8 +749,7 @@ def moving_sphere_check(
     """
     if n < 3:
         raise ValueError("the inversion comparison needs n >= 3")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     centers = [np.asarray(x, dtype=float) for x in xs]
     for x in centers:
         if x.shape != (n,):

@@ -372,8 +372,7 @@ def test_conformal_newton_matches_quad_one_half(direction, path):
     assert conf.monotone_ok == quad.monotone_ok and conf.sandwich_ok == quad.sandwich_ok
     assert conf.u.values.tobytes() == quad.u.values.tobytes()
     assert conf.last_update.hex() == quad.last_update.hex()
-    assert ([(r.node_index, r.cls, r.margin.hex()) for r in conf.residual.rows]
-            == [(r.node_index, r.cls, r.margin.hex()) for r in quad.residual.rows])
+    assert conf.residual.rows.tobytes() == quad.residual.rows.tobytes()
 
 
 def _rising_annulus(npts):
@@ -555,7 +554,7 @@ def test_newton_iterates_stay_on_their_side(alpha, beta, direction, side):
     prev = P.sup.values if direction == "descending" else P.sub.values
     for cap in range(1, 200):
         res = perron_solve(P, SolverConfig(tol=1e-6, max_sweeps=cap), direction=direction)
-        margins = np.array([row.margin for row in grid_verify(res.u, P.F, P.U).rows])
+        margins = grid_verify(res.u, P.F, P.U).rows["margin"]
         assert (side * margins).max() <= 1e-9
         assert (side * (res.u.values - prev)).max() <= perron_mod._MONOTONE_SLACK
         prev = res.u.values
@@ -588,7 +587,7 @@ def test_newton_iterates_stay_on_their_side_2d(which, direction, side):
     prev = P.sup.values if direction == "descending" else P.sub.values
     for cap in range(1, 200):
         res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=cap), direction=direction)
-        margins = np.array([row.margin for row in grid_verify(res.u, P.F, P.U).rows])
+        margins = grid_verify(res.u, P.F, P.U).rows["margin"]
         assert (side * margins).max() <= 2e-12
         assert (side * (res.u.values - prev)).max() <= perron_mod._MONOTONE_SLACK
         prev = res.u.values
@@ -712,7 +711,7 @@ def test_converged_newton_margins_within_tol(tol, direction):
     for P in (radial_sandwich_problem(101)[0], box_sandwich_problem(33)[0], oblong):
         res = perron_solve(P, cfg, direction=direction)
         assert res.converged and res.path == "newton"
-        margins = np.array([row.margin for row in res.residual.rows])
+        margins = res.residual.rows["margin"]
         assert len(margins) == P.interior_mask.sum()
         assert np.abs(margins).max() <= cfg.tol * (1.0 + 1e-12)
 

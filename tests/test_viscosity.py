@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg import viscosity
+from conedeg.matcone import _margin_class
 from conedeg.envelopes import GridFn, dyadic_w, lower_envelope, upper_envelope
-from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, cone_margin, eigen_sym, parse_cone
+from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, cone_margin, eigen_sym, parse_cone
 from conedeg.operators import (
     FieldOracle,
     Jet2,
@@ -218,8 +219,28 @@ def _replay_jets(g: GridFn, ambient_n) -> list:
     return jets
 
 
+def _class_of_margin(margin: float, tol: float) -> ConeClass:
+    """The verdict for one margin: INTERIOR above tol, OUTSIDE below -tol."""
+    if margin > tol:
+        return ConeClass.INTERIOR
+    if margin < -tol:
+        return ConeClass.OUTSIDE
+    return ConeClass.BOUNDARY
+
+
+def test_margin_class_array_rule_at_the_band_edges():
+    tol = 1e-6
+    up, down = np.nextafter(tol, np.inf), np.nextafter(-tol, -np.inf)
+    margins = np.array([0.0, -0.0, tol, -tol, up, down, np.inf, -np.inf, np.nan])
+    B, I, O = ConeClass.BOUNDARY, ConeClass.INTERIOR, ConeClass.OUTSIDE
+    want = [B, B, B, B, I, O, I, O, B]
+    assert _margin_class(margins, tol).tolist() == [c.value for c in want]
+    assert [_class_of_margin(m, tol) for m in margins.tolist()] == want
+
+
 def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, ambient_n):
-    """grid_verify one node at a time: a Jet2 per interior node, jet_classify each."""
+    """grid_verify one node at a time: a Jet2 per interior node, its margin
+    from jet_classify and its class from _class_of_margin."""
     heff = max(g.h)
     tol_eff = tol + 4.0 * heff * heff
     rows, skipped, sub, sup = [], [], [], []
@@ -227,8 +248,8 @@ def _replay_grid_verify(g: GridFn, F: OperatorSpec, U: ConeSpec, tol: float, amb
         if jet is None:
             skipped.append(idx)
             continue
-        cls, margin = jet_classify(jet, F, U, tol_eff)
-        rows.append((idx, cls, margin))
+        _, margin = jet_classify(jet, F, U, tol_eff)
+        rows.append((idx, _class_of_margin(margin, tol_eff), margin))
         if margin < -tol_eff:
             sub.append(idx)
         if margin > tol_eff:
@@ -271,7 +292,7 @@ def test_stacked_grid_verify_matches_per_node_replay_property(layout, data, op, 
     rep = grid_verify(g, F, U, tol=1e-6, ambient_n=ambient_n)
     rows, skipped, sub, sup = _replay_grid_verify(g, F, U, 1e-6, ambient_n)
     # bitwise: float.hex tells -0.0 from 0.0 and every last bit
-    assert [(r.node_index, r.cls, r.margin.hex()) for r in rep.rows] == [
+    assert [(idx, ConeClass(cls), margin.hex()) for idx, cls, margin in rep.rows.tolist()] == [
         (idx, cls, margin.hex()) for idx, cls, margin in rows
     ]
     assert (rep.skipped, rep.sub_failures, rep.super_failures) == (skipped, sub, sup)
@@ -304,8 +325,8 @@ def test_grid_verify_rows_pinned_by_digest():
         for op in ("quad:1:0.3", "genL:tanh_quad", "conformal"):
             for U in (ConeSpec("trace"), ConeSpec.posdef()):
                 rep = grid_verify(g, parse_operator(op), U, ambient_n=ambient_n)
-                for row in rep.rows:
-                    digest.update(f"{row.node_index},{row.cls.name},{row.margin.hex()};".encode())
+                for idx, cls, margin in rep.rows.tolist():
+                    digest.update(f"{idx},{ConeClass(cls).name},{margin.hex()};".encode())
                 digest.update(f"|{rep.skipped}\n".encode())
     assert digest.hexdigest() == _VERIFY_DIGEST
 
@@ -317,6 +338,38 @@ def test_verify_rows_csv_shape():
     assert lines[0] == "node_index,class,margin"
     assert len(lines) == 20
     assert lines[1].split(",")[1] == "INTERIOR"
+
+
+# sha256 of verify_rows_csv over the pinned fields (quad:1:0.3, trace cone),
+# taken while the rows were still one object per node
+_VERIFY_CSV_DIGEST = "0f16883720d9a5bdb9f134cd8c3ac5c79c38cca85175d58b88230be1127b215e"
+
+
+def test_verify_rows_csv_pinned_by_digest():
+    digest = hashlib.sha256()
+    for g, ambient_n in _pinned_verify_fields():
+        rep = grid_verify(g, parse_operator("quad:1:0.3"), ConeSpec("trace"), ambient_n=ambient_n)
+        digest.update(verify_rows_csv(rep).encode())
+    assert digest.hexdigest() == _VERIFY_CSV_DIGEST
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["grid_verify", "jet_classify", "classify", "envelope_error_check",
+                                   "touching_experiment", "moving_sphere_check"])
+def test_verifiers_reject_a_tolerance_that_is_not_positive_and_finite(entry, tol):
+    g = _sampled(lambda x: 5.0 * x * x, ((-1, 1),), (21,))
+    F, U = OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace")
+    calls = {
+        "grid_verify": lambda: grid_verify(g, F, U, tol=tol),
+        "jet_classify": lambda: jet_classify(_jet([0.0], 0.0, [0.0], [[1.0]]), F, U, tol=tol),
+        "classify": lambda: classify(SymMatrix.eye(3), U, tol=tol),
+        "envelope_error_check": lambda: envelope_error_check(g, 1e-2, F, U, 5.0, tol=tol),
+        "touching_experiment": lambda: touching_experiment(g, g, F, U, tol),
+        "moving_sphere_check": lambda: moving_sphere_check(FieldOracle.constant(3.0, 3), 3,
+                                                           [np.zeros(3)], [0.1], tol=tol),
+    }
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +653,7 @@ def test_envelope_error_dyadic_report():
     rep = envelope_error_check(g, 1e-3, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0)
     assert rep.checked + rep.edge_attained == 511
     assert rep.skipped == 0
-    assert rep.rows
+    assert len(rep.rows)
 
 
 def test_envelope_error_fits_positive_a_when_needed():
@@ -609,8 +662,9 @@ def test_envelope_error_fits_positive_a_when_needed():
     g = _sampled(lambda x: 0.5 * x * x, ((-1, 1),), (201,))
     rep = envelope_error_check(g, 5e-2, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0)
     assert not rep.ok
-    assert any(math.isinf(r.a_required) for r in rep.rows)
-    assert any(0.0 < r.a_required < math.inf for r in rep.rows)
+    a_req = rep.rows["a_required"]
+    assert np.isinf(a_req).any()
+    assert ((0.0 < a_req) & (a_req < math.inf)).any()
     assert rep.fitted_a > 0.0
 
 
@@ -705,8 +759,7 @@ def test_stacked_envelope_error_check_matches_per_node_replay_property(layout, s
     got = {
         "fitted_a": rep.fitted_a.hex(), "checked": rep.checked, "skipped": rep.skipped,
         "edge_attained": rep.edge_attained, "violations": rep.violations,
-        "rows": [(r.node_index, r.displacement.hex(), r.grad_norm.hex(), r.margin.hex(),
-                  r.a_required.hex()) for r in rep.rows],
+        "rows": [(idx, d.hex(), pn.hex(), m0.hex(), a.hex()) for idx, d, pn, m0, a in rep.rows.tolist()],
     }
     assert got == _replay_envelope_error_check(w, eps, F, U, M, side, 1e-6, ambient_n)
 
