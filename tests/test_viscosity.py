@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg import viscosity
-from conedeg.matcone import _margin_class
 from conedeg.envelopes import GridFn, dyadic_w, lower_envelope, upper_envelope
-from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, cone_margin, eigen_sym, parse_cone
+from conedeg.matcone import (ConeClass, ConeSpec, SymMatrix, _margin_class, classify, cone_margin, eigen_sym,
+                             parse_cone)
 from conedeg.operators import (
     FieldOracle,
     Jet2,
