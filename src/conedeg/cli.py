@@ -352,6 +352,8 @@ def _envelope_source(ns) -> GridFn:
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
     eps = _positive_floats(ns.eps, "eps")
+    if ns.lipschitz is not None and not 0.0 <= ns.lipschitz < math.inf:
+        raise UsageError("--lipschitz must be nonnegative and finite")
     src = _envelope_source(ns)
     report = check_envelope_properties(src, eps, ns.side, lipschitz_K=ns.lipschitz)
     body = [
@@ -457,8 +459,9 @@ def _perron_problem(ns):
 
 def _solver_config(ns, h: float) -> SolverConfig:
     """--tol-scale (a multiple of the grid spacing h) and --max-sweeps."""
-    if ns.tol_scale <= 0.0 or ns.max_sweeps < 1:
-        raise UsageError("--tol-scale and --max-sweeps must be positive")
+    _positive_finite(ns, "tol_scale")
+    if ns.max_sweeps < 1:
+        raise UsageError("--max-sweeps must be positive")
     return SolverConfig(tol=ns.tol_scale * h, max_sweeps=ns.max_sweeps)
 
 

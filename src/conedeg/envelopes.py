@@ -264,6 +264,8 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must be positive and strictly decreasing")
+    if lipschitz_K is not None and not 0.0 <= lipschitz_K < math.inf:
+        raise ValueError("lipschitz_K must be nonnegative and finite")
     up = side == "upper"
     compute = upper_envelope if up else lower_envelope
     h = src.h

@@ -74,12 +74,25 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
     (["probe-L", "--x-radius", "0"], "--x-radius"),
     (["probe-L", "--s-bound", "nan"], "--s-bound"),
     (["probe-L", "--growth", "nan"], "--growth"),
+    (["perron", "--problem", "interval-linear", "--grid", "41", "--tol-scale", "nan"], "--tol-scale"),
+    (["uniqueness", "--problem", "interval-linear", "--grid", "41", "--tol-scale", "inf"],
+     "--tol-scale"),
+    (["envelope", "--lipschitz", "inf"], "--lipschitz"),
+    (["envelope", "--lipschitz", "nan"], "--lipschitz"),
+    (["envelope", "--lipschitz", "-1"], "--lipschitz"),
 ])
 def test_bad_numeric_bound_is_usage(args, flag, capsys):
     # each exited 1 with numpy's or the verifier's message, and --x-radius 0
     # exited 0 on a sample whose value draws were all 0
     assert dispatch(args) == EXIT_USAGE
     assert f"usage error: {flag} must be" in capsys.readouterr().err
+
+
+def test_ctex_flag_the_kind_does_not_take_is_usage(capsys):
+    # --alpha was ignored by the smooth-profile kinds, yet echoed in the header
+    for kind in ("bprime", "holder"):
+        assert dispatch(["ctex", "--kind", kind, "--alpha", "5", "--rgrid", "9"]) == EXIT_USAGE
+        assert f"the {kind} family takes no parameter 'alpha'" in capsys.readouterr().err
 
 
 def test_nan_in_a_positive_list_is_usage(capsys):

@@ -299,6 +299,15 @@ def test_properties_smooth_gaussian():
     assert rep.approach_worst < 0.05
 
 
+def test_lipschitz_constant_must_be_finite_and_nonnegative():
+    # inf passed the check vacuously, nan failed it silently, -1 hit a math domain error
+    g = _sampled(lambda x: math.exp(-8 * x * x), ((-1.0, 1.0),), (201,))
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="lipschitz_K must be nonnegative and finite"):
+            check_envelope_properties(g, [0.1], side="lower", lipschitz_K=bad)
+    assert check_envelope_properties(g, [0.1], side="lower", lipschitz_K=0.0).rows[0].lipschitz_ok is not None
+
+
 def test_properties_step_function():
     g = _sampled(lambda x: 1.0 if x > 0 else 0.0, ((-1.0, 1.0),), (801,))
     for side in ("upper", "lower"):

@@ -199,19 +199,19 @@ def test_quartic_requires_leading_coefficient():
 
 def test_quartic_roots_main_family():
     q = QuarticSpec.p4_shifted(Fraction(-3))
-    report = quartic_roots(q)
-    assert report.count == 4
+    roots = quartic_roots(q)
+    assert len(roots) == 4
     expected = (
         -4.146008327483273,
         -0.6221146840135188,
         1.5381626518682436,
         3.2299603596285476,
     )
-    for rb, want in zip(report.roots, expected):
+    for rb, want in zip(roots, expected):
         assert rb.t == pytest.approx(want, abs=1e-9)
         assert rb.lo <= rb.t <= rb.hi or (rb.hi - rb.lo) < 1e-11
         assert abs(float(quartic_eval(q, rb.t))) < 1e-8
-    ts = [rb.t for rb in report.roots]
+    ts = [rb.t for rb in roots]
     assert ts[0] < -2.0 < ts[1] < 0.0 < ts[2] < 9.0 / 4.0 < ts[3]
 
 
@@ -219,24 +219,23 @@ def test_quartic_roots_polish_residual():
     # Newton polish should reach evaluation-noise level, far below the
     # bisection width; the certificates rely on this headroom
     for q in (QuarticSpec.p4_shifted(Fraction(-3)), QuarticSpec.p4_tilde_shifted(Fraction(-36, 25))):
-        for rb in quartic_roots(q).roots:
+        for rb in quartic_roots(q):
             assert abs(float(quartic_eval(q, rb.t))) < 1e-9
 
 
 def test_quartic_roots_degenerate_count_is_reported():
     # alpha = -2 leaves only two real roots; no roots are invented
-    report = quartic_roots(QuarticSpec.p4_shifted(Fraction(-2)))
-    assert report.count == 2
+    assert len(quartic_roots(QuarticSpec.p4_shifted(Fraction(-2)))) == 2
 
 
 def test_quartic_roots_exact_grid_hit():
     # (t^2 - 1)(t^2 - 4) has roots on probe points for a 1024-point grid? not
     # necessarily; use a quartic with a root exactly at an endpoint instead
     q = QuarticSpec(1, 0, 0, -10000)  # t^4 = 10^4, roots at -10 and 10
-    report = quartic_roots(q)
-    assert report.count == 2
-    assert report.roots[0].t == pytest.approx(-10.0, abs=1e-12)
-    assert report.roots[-1].t == pytest.approx(10.0, abs=1e-12)
+    roots = quartic_roots(q)
+    assert len(roots) == 2
+    assert roots[0].t == pytest.approx(-10.0, abs=1e-12)
+    assert roots[-1].t == pytest.approx(10.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -568,24 +567,23 @@ def test_beta_sign_certificate_passes(beta_sign_cert):
     assert cert.touching == [2.0]
     # 2001 grid points minus the puncture at r0
     assert len(cert.rows) == 2000
-    assert all(row.ok for row in cert.rows)
+    assert cert.rows["ok"].all()
 
 
 def test_beta_sign_eigenvalue_bounds(beta_sign_cert):
     # radial eigenvalue of the root profiles vanishes to 1e-9 absolutely,
     # even where the 4/3-power of the distance to the cusp amplifies noise
-    worst = max(abs(row.mu_w) for row in beta_sign_cert.rows)
-    assert worst <= 1e-9
-    for row in beta_sign_cert.rows:
-        if row.r > 2.0:
-            assert row.nu_w > 0.0 and row.nu_v > 0.0
-        else:
-            assert row.nu_w < 0.0 and row.mu_v > 0.0 and row.nu_v > 0.0
+    rows = beta_sign_cert.rows
+    assert np.abs(rows["mu_w"]).max() <= 1e-9
+    right = rows["r"] > 2.0
+    assert np.all(rows["nu_w"][right] > 0.0) and np.all(rows["nu_v"][right] > 0.0)
+    left = rows[~right]
+    assert np.all(left["nu_w"] < 0.0) and np.all(left["mu_v"] > 0.0) and np.all(left["nu_v"] > 0.0)
 
 
 def test_beta_sign_ordering_strict(beta_sign_cert):
-    gaps = [row.w - row.v for row in beta_sign_cert.rows]
-    assert min(gaps) > 1e-9
+    gaps = beta_sign_cert.rows["w"] - beta_sign_cert.rows["v"]
+    assert gaps.min() > 1e-9
     assert beta_sign_cert.params["min_gap_over_rho23"] > 0.1
 
 
@@ -593,7 +591,7 @@ def test_beta_sign_out_of_range_alpha_is_unresolved():
     cert = build_counterexample("beta_sign", alpha=-2.0)
     assert cert.verdict == "unresolved"
     assert cert.clauses["roots_resolved"] is False
-    assert cert.rows == []
+    assert len(cert.rows) == 0
 
 
 def test_nondec_certificate_passes(nondec_cert):
@@ -606,8 +604,7 @@ def test_nondec_certificate_passes(nondec_cert):
     assert 1.6 < ts[2] < 2.0 < ts[3]
     assert cert.clauses["profiles_in_interp_region"]
     assert cert.clauses["interp_L_matches_on_profiles"]
-    worst = max(abs(row.mu_w) for row in cert.rows)
-    assert worst <= 1e-9
+    assert np.abs(cert.rows["mu_w"]).max() <= 1e-9
 
 
 def test_nondec_rejects_other_alpha():
@@ -623,10 +620,10 @@ def test_bprime_certificate_passes():
     # the bump is smooth, the grid is not punctured, and the touching radius
     # is an actual grid point with w = v = 0 there
     assert len(cert.rows) == 2001
-    mid = min(cert.rows, key=lambda row: abs(row.r - 2.0))
-    assert abs(mid.w) < 1e-12
-    assert abs(mid.nu_w) < 1e-12
-    assert cert.rows[0].w > 0.0 and cert.rows[-1].w > 0.0
+    mid = cert.rows[np.argmin(np.abs(cert.rows["r"] - 2.0))]
+    assert abs(mid["w"]) < 1e-12
+    assert abs(mid["nu_w"]) < 1e-12
+    assert cert.rows["w"][0] > 0.0 and cert.rows["w"][-1] > 0.0
 
 
 def test_holder_certificate_passes():
@@ -634,8 +631,8 @@ def test_holder_certificate_passes():
     assert cert.verdict == "pass"
     assert all(cert.clauses.values()), cert.clauses
     assert cert.touching == [0.0]
-    assert all(row.ok for row in cert.rows)
-    assert all(row.w > 0.0 for row in cert.rows)
+    assert cert.rows["ok"].all()
+    assert np.all(cert.rows["w"] > 0.0)
 
 
 def test_build_counterexample_validation():
@@ -711,6 +708,12 @@ def test_stacked_radial_F_eigs_match_per_radius_calls_property(jets, n):
 # reference: each lambda12_t call takes one radius through Python's pow.
 
 
+def _replay_p(t, alpha, variant):
+    if variant == "P4":
+        return 64.0 * t**4 + 324.0 * alpha * t**2 + 729.0 * t
+    return 6400.0 * t**4 + 32400.0 * alpha * t**2 + 729.0 * t
+
+
 def _replay_lambda12_t(t, r, r0, alpha, variant):
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -719,12 +722,11 @@ def _replay_lambda12_t(t, r, r0, alpha, variant):
         raise ValueError("profile is not twice differentiable at r = r0")
     if variant == "P4":
         d, k, b, tt = 59049.0, 8.0, 6561.0, 19683.0
-        p = radial._p4(t, alpha)
     elif variant == "P4tilde":
         d, k, b, tt = 1476225.0, 2.0, 164025.0, 492075.0
-        p = radial._p4_tilde(t, alpha)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    p = _replay_p(t, alpha, variant)
     t13 = cbrt(t)
     denom = abs(rho) ** (4.0 / 3.0)
     lam1 = -(2.0 / d) * t13 * (k * p + b) / denom
@@ -767,7 +769,7 @@ def _replay_quartic_roots(q, lo=-10.0, hi=10.0, probes=1024, width=1e-12):
         roots.append(radial.RootBracket(len(roots), t_hat, a, b))
     if vals[-1] == 0.0:
         roots.append(radial.RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
-    return radial.RootReport(roots=roots)
+    return roots
 
 
 def _replay_sign_scan_delta(variant, alpha, roots, t0, r0):
@@ -806,14 +808,13 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
         fences = [-2.0, -8.0 / 5.0, 8.0 / 5.0, 2.0]
     cert = CtexCertificate(kind=kind, params={"alpha": alpha, "r0": r0, "variant": variant})
 
-    report = _replay_quartic_roots(q)
-    cert.roots = report.roots
-    if report.count != 4:
+    cert.roots = _replay_quartic_roots(q)
+    if len(cert.roots) != 4:
         cert.clauses["roots_resolved"] = False
-        cert.notes.append(f"expected 4 simple roots, found {report.count} at probe resolution")
+        cert.notes.append(f"expected 4 simple roots, found {len(cert.roots)} at probe resolution")
         return cert
     cert.clauses["roots_resolved"] = True
-    ts = [rb.t for rb in report.roots]
+    ts = [rb.t for rb in cert.roots]
     if kind == "beta_sign":
         interlace = ts[0] < -2.0 < ts[1] < 0.0 < ts[2] < 9.0 / 4.0 < ts[3]
     else:
@@ -835,7 +836,7 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
             continue
         q_val = float(quartic_eval(q, t0))
         k, tt = (8.0, 19683.0) if variant == "P4" else (2.0, 492075.0)
-        p_val = radial._p4(t0, alpha) if variant == "P4" else radial._p4_tilde(t0, alpha)
+        p_val = _replay_p(t0, alpha, variant)
         if q_val > 0.0 and k * p_val > tt * attempt_delta / (r0 + attempt_delta):
             delta = attempt_delta
             break
@@ -867,6 +868,7 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
     sign_ok = True
     min_gap_scaled = math.inf
     w_jets = []
+    rows = []
     for r in np.linspace(r0 - delta, r0 + delta, rgrid):
         r = float(r)
         if abs(r - r0) < 1e-12:
@@ -891,7 +893,8 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
         min_gap_scaled = min(min_gap_scaled, gap / abs(r - r0) ** (2.0 / 3.0))
         w_ok &= row_w
         v_ok &= row_v
-        cert.rows.append(radial.GridRow(r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w and row_v))
+        rows.append((r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w and row_v))
+    cert.rows = np.array(rows, dtype=radial._CERT_ROW)
 
     r, w_val, w_d, w_dd, mu_w, nu_w, scale = np.array(w_jets).T
     tol = 1e-9 * scale
@@ -909,10 +912,9 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
     if kind == "nondec":
         cert.clauses["interp_L_matches_on_profiles"] = interp_agree
     cert.clauses["ordering"] = min_gap_scaled > 0.0
-    cert.clauses["touching_only_at_r0"] = all(row.w - row.v > radial._EIG_TOL for row in cert.rows)
-    cert.clauses["boundary_gap"] = (
-        cert.rows[0].w - cert.rows[0].v > 0.0 and cert.rows[-1].w - cert.rows[-1].v > 0.0
-    )
+    gaps = [w - v for _, w, v, *_ in rows]
+    cert.clauses["touching_only_at_r0"] = all(gap > radial._EIG_TOL for gap in gaps)
+    cert.clauses["boundary_gap"] = gaps[0] > 0.0 and gaps[-1] > 0.0
     cert.touching = [r0]
     cert.params["min_gap_over_rho23"] = min_gap_scaled
     cert.notes.append(
@@ -953,6 +955,72 @@ def _replay_cusp_pair_values(cert, rgrid=None):
         w[i] = cbrt(tw) * rho ** (2.0 / 3.0)
         v[i] = cbrt(tv) * rho ** (2.0 / 3.0)
     return radii, w, v
+
+
+# the smooth-profile certificates before their rows became columns: one
+# radial_F_eigs call and one libm profile call per radius
+
+_HOLDER_NOTE = ("both fields solve the trace equation exactly; the lower-order term is "
+                "only Holder continuous in the gradient, which is what permits touching")
+
+
+def _replay_radial_row(prof, op, r):
+    mu_w, nu_w = radial_F_eigs(r, prof.dpsi(r), prof.ddpsi(r), op)
+    mu_v, nu_v = radial_F_eigs(r, 0.0, 0.0, op)
+    return prof.psi(r), mu_w, nu_w, mu_v, nu_v
+
+
+def _replay_bprime(rgrid, r0=2.0, delta=0.5):
+    cert = CtexCertificate(
+        kind="bprime",
+        params={"r0": r0, "delta": delta, "a": "0", "b": "-t", "domain": (r0 - 1.0, r0 + 1.0)},
+    )
+    prof = RadialProfile.tanh_bump(delta, r0)
+    op = OperatorSpec.rot_inv(lambda t: 0.0, lambda t: -t, name="rotinv:zero:neg_t")
+    slopes = np.linspace(1e-4, delta * 0.499, 64)
+    cert.clauses["slope_radius_margin"] = all(r0 > s / abs(-s) for s in slopes)
+    all_ok, touching, rows = True, [], []
+    for r in np.linspace(r0 - 1.0, r0 + 1.0, rgrid).tolist():
+        w_val, mu_w, nu_w, mu_v, nu_v = _replay_radial_row(prof, op, r)
+        scale = 1.0 + max(abs(mu_w), abs(nu_w))
+        row_ok = nu_w <= radial._EIG_TOL * scale
+        row_ok &= abs(mu_v) <= radial._EIG_TOL and abs(nu_v) <= radial._EIG_TOL
+        all_ok &= row_ok
+        if abs(w_val) <= 1e-12:
+            touching.append(r)
+        rows.append((r, w_val, 0.0, mu_w, nu_w, mu_v, nu_v, row_ok))
+    cert.rows = np.array(rows, dtype=radial._CERT_ROW)
+    cert.clauses["w_supersolution"] = all_ok
+    cert.clauses["v_subsolution"] = True
+    cert.clauses["nu_zero_at_r0"] = abs(radial_F_eigs(r0, prof.dpsi(r0), prof.ddpsi(r0), op)[1]) <= 1e-12
+    cert.clauses["touching_only_at_r0"] = touching == [r0] or (
+        len(touching) == 1 and abs(touching[0] - r0) < 1e-9
+    )
+    cert.clauses["boundary_gap"] = rows[0][1] > 0.0 and rows[-1][1] > 0.0
+    cert.touching = [r0]
+    return cert
+
+
+def _replay_holder(rgrid, gamma=0.5, n=3):
+    cert = CtexCertificate(kind="holder", params={"gamma": gamma, "n": n, "lam": 1.0 / (1.0 - gamma)})
+    prof = RadialProfile.holder_solution(gamma, n)
+    op = OperatorSpec.rot_inv(lambda t: 0.0, lambda t: -(t**gamma) / n if t > 0.0 else 0.0)
+    all_ok, rows = True, []
+    for r in np.geomspace(1e-6, 1.0, rgrid).tolist():
+        w_val, mu_w, nu_w, mu_v, nu_v = _replay_radial_row(prof, op, r)
+        trace_res = mu_w + (n - 1) * nu_w
+        scale = 1.0 + abs(mu_w) + abs(nu_w)
+        row_ok = abs(trace_res) <= 1e-10 * scale and abs(mu_v) <= 1e-14 and abs(nu_v) <= 1e-14
+        all_ok &= row_ok
+        rows.append((r, w_val, 0.0, mu_w, nu_w, mu_v, nu_v, row_ok))
+    cert.rows = np.array(rows, dtype=radial._CERT_ROW)
+    cert.clauses["w_exact_solution"] = all_ok
+    cert.clauses["v_exact_solution"] = True
+    cert.clauses["ordering"] = all(row[1] > 0.0 for row in rows)
+    cert.clauses["touching_only_at_origin"] = rows[0][1] < 1e-8 and rows[-1][1] > 1e-3
+    cert.touching = [0.0]
+    cert.notes.append(_HOLDER_NOTE)
+    return cert
 
 
 def _bits(obj):
@@ -1022,6 +1090,26 @@ def test_cusp_pair_values_raise_as_per_radius_replay():
     good = build_counterexample("beta_sign", rgrid=11)
     for cert, grid in [(c, None) for c in bad] + [(good, -1), (good, 2.5), (good, 0)]:
         assert _outcome(cusp_pair_values, cert, grid) == _outcome(_replay_cusp_pair_values, cert, grid)
+
+
+@pytest.mark.parametrize("rgrid", [9, 10, 101, 2001])
+@pytest.mark.parametrize("kind,params", [
+    ("bprime", {}), ("bprime", {"r0": 3.5, "delta": 0.8}), ("bprime", {"r0": 1.25, "delta": 0.1}),
+    ("bprime", {"r0": 0.9}),  # radii below zero: radial_F_eigs raises
+    ("holder", {}), ("holder", {"gamma": 0.25, "n": 2}), ("holder", {"gamma": 0.8, "n": 5}),
+    ("holder", {"gamma": 1.5}),  # holder_solution raises
+])
+def test_column_certificates_match_per_radius_replay(kind, params, rgrid):
+    replay = _replay_bprime if kind == "bprime" else _replay_holder
+    assert (_outcome(build_counterexample, kind, rgrid=rgrid, **params)
+            == _outcome(replay, rgrid, **params))
+
+
+def test_build_counterexample_refuses_parameters_of_other_kinds():
+    for kind, name in [("bprime", "alpha"), ("holder", "alpha"), ("beta_sign", "r0"),
+                       ("nondec", "gamma"), ("holder", "delta"), ("bprime", "n")]:
+        with pytest.raises(ValueError, match=f"the {kind} family takes no parameter '{name}'"):
+            build_counterexample(kind, **{name: 1.0})
 
 
 @_PROPERTY
