@@ -152,7 +152,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
 
     p = command("envelope", "property suite for quadratic-penalty envelopes")
     p.add_argument("--side", choices=("lower", "upper"), default="lower")
-    p.add_argument("--eps", default="1e-2,1e-3,1e-4", help="comma-separated widths")
+    p.add_argument("--eps", default="1e-2,1e-3,1e-4",
+                   help="comma-separated widths, strictly decreasing")
     p.add_argument("--grid", type=int, default=401)
     p.add_argument("--source", choices=("gaussian", "step", "dyadic", "random", "file"),
                    default="gaussian")
@@ -352,6 +353,8 @@ def _envelope_source(ns) -> GridFn:
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
     eps = _positive_floats(ns.eps, "eps")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise UsageError("--eps must be strictly decreasing")
     if ns.lipschitz is not None and not 0.0 <= ns.lipschitz < math.inf:
         raise UsageError("--lipschitz must be nonnegative and finite")
     src = _envelope_source(ns)

@@ -27,18 +27,24 @@ crossing): c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with
 w_a = 1 / h_a^2, S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on
 radial grids (0 otherwise).  The Jacobian couples each node to its two
 neighbours per axis (an M-matrix for small h): a tridiagonal system in 1D
-(Thomas algorithm), a block-tridiagonal one in 2D, eliminated line by line
-with one LAPACK solve per axis-0 line.
+(Thomas algorithm).  In 2D it is x - sum_a (w_a / S)(x_-a + x_+a) plus a
+first-order term, solved matrix-free by restarted GMRES (Saad & Schultz
+1986) right-preconditioned by the constant-coefficient part, which a DST-I
+along each axis diagonalizes (Buzbee, Golub & Nielson 1970); the solve
+takes about ten iterations at every grid size.
 G is concave for b > 0 and convex for b < 0, and
-G(u + t d) = (1 - t) G(u) - b t^2 |p(d)|^2 / S holds exactly along a Newton
-direction d.  So the full step keeps the sign of G on the side where the
-quadratic term helps (ascending for b >= 0, descending for b <= 0); on the
-other side the step is shortened in closed form until every node keeps half
-its margin.  A node already on the cone boundary admits no shortened step;
-when the step would be that short (below _MIN_NEWTON_STEP), the iteration
-takes one crossing sweep instead, whose last group moves only halfway, which
-keeps the run's side and leaves every moved node strictly inside.  No run
-looks at the other end of the bracket except to clamp into it.
+G(u + t d) = (1 - t) G(u) + t e - b t^2 |p(d)|^2 / S holds exactly along a
+direction d, e = G'(u) d + G(u) being the solve's error (0 for an exact
+Newton direction).  So the full step keeps the sign of G on the side where
+the quadratic term helps (ascending for b >= 0, descending for b <= 0), and
+is taken there when e keeps that side up to rounding; on the other side the
+step is shortened in closed form until every node keeps half its margin,
+with t |e| charged against it.  A node already on the cone boundary admits
+no shortened step; when the step would be that short (below
+_MIN_NEWTON_STEP) or the solve fails, the iteration takes one crossing
+sweep instead, whose last group moves only halfway, which keeps the run's
+side and leaves every moved node strictly inside.  No run looks at the
+other end of the bracket except to clamp into it.
 
 Supported cones: the trace-positive cone (margin affine in the center value,
 crossing in closed form) and the positive-definite cone / its full k = n
@@ -89,7 +95,7 @@ class SolverConfig:
     stops once the largest margin itself does.  max_sweeps caps the
     iterations: red-black crossing sweeps, or Newton iterations on the
     Newton path (each a margin check followed, if it fails, by one step: a
-    tridiagonal solve in 1D, a block-tridiagonal one in 2D).  A Newton step
+    tridiagonal solve in 1D, a preconditioned Krylov solve in 2D).  A Newton step
     that moves no node ends the run unconverged before the cap: every later
     step would repeat it.  So do 8 iterations in a row whose margin sets no
     new minimum: the run creeps at the rounding floor.
@@ -213,8 +219,10 @@ class _SweepGroup(_Stencil):
 _VALUE_KINDS = ("quad_var", "isotropic", "general_l")
 
 
-def _moves(u: np.ndarray, st: _Stencil, F: OperatorSpec, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t): the nodes' values and their moves to the crossing, given the flat field u.
+def _moves(
+    u: np.ndarray, st: _Stencil, F: OperatorSpec, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, p, t): the nodes' values, slopes and moves to the crossing, given the flat field u.
 
     The jet (s, p, H) is the one grid_verify classifies, and one eval_L
     gives M = H + L(x, s, p).  Moving the center value by t lowers H by
@@ -245,7 +253,7 @@ def _moves(u: np.ndarray, st: _Stencil, F: OperatorSpec, mode: str) -> tuple[np.
         if F.kind not in _VALUE_KINDS:
             break
         arg = np.where(t > -np.inf, s + t, arg)
-    return s, t
+    return s, p, t
 
 
 def _mineig_crossing_2d(a0, d0, b, sx: float, sy: float) -> np.ndarray:
@@ -296,7 +304,7 @@ def _sweep(
     """
     moves = []
     for weight, st in zip((1.0, last_weight), groups):
-        s, t = _moves(flat, st, problem.F, mode)
+        s, _, t = _moves(flat, st, problem.F, mode)
         # np.minimum/np.maximum: the same values as np.clip, at half its call cost
         c = np.minimum(np.maximum(s + t, st.lo), st.hi)
         diff = c - s
@@ -349,45 +357,86 @@ def _solve_tridiagonal(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) ->
     return np.array(x)
 
 
-def _solve_block_tridiagonal(
-    lower: Sequence[np.ndarray], upper: Sequence[np.ndarray], rhs: np.ndarray
-) -> np.ndarray:
-    """x with x + sum_a (lower[a] x_-a + upper[a] x_+a) = rhs on an (m0, m1) grid.
+# the 2D Newton direction is a restarted GMRES solve that stops once
+# |G'(u) d + g|_2 <= _KRYLOV_TOL |d|_2: a backward error of about 4.5
+# rounding units, above the floor a float64 d sets (about 2.5e-16 at every
+# grid size from 17^2 to 513^2); it restarts every _KRYLOV_RESTART iterations
+# and gives up (NaN) after _KRYLOV_CAP
+_KRYLOV_TOL = 1e-15
+_KRYLOV_RESTART = 20
+_KRYLOV_CAP = 60
 
-    x_-a and x_+a are the neighbours along axis a; couplings that reach past
-    the grid multiply nothing.  Block Thomas elimination over the axis-0
-    lines: each diagonal block is tridiagonal (the axis-1 couplings), each
-    off-diagonal block is diagonal (the axis-0 couplings), and each line is
-    one LAPACK solve with m1 + 1 right-hand sides.  A singular block yields
-    NaN.
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """DST-I along the last axis: sum_j x_j sin(pi j k / (m + 1)), j, k = 1..m.
+
+    The rfft of the odd extension (0, x, 0, -reversed x) has -2 times it as
+    its imaginary part.  Applied twice it is (m + 1) / 2 times the identity.
     """
-    (lo0, lo1), (up0, up1) = lower, upper
-    m0, m1 = rhs.shape
-    # after the forward pass line i reads x_i + ratio[i] x_(i+1) = x[i]
-    ratio = np.empty((m0, m1, m1))
-    x = np.empty((m0, m1))
-    k = np.arange(m1)
-    block_rhs = np.zeros((m1, m1 + 1))
-    for i in range(m0):
-        if i:
-            block = lo0[i][:, None] * -ratio[i - 1]
-            block_rhs[:, m1] = rhs[i] - lo0[i] * x[i - 1]
-        else:
-            block = np.zeros((m1, m1))
-            block_rhs[:, m1] = rhs[0]
-        block[k, k] += 1.0
-        block[k[1:], k[:-1]] += lo1[i, 1:]
-        block[k[:-1], k[1:]] += up1[i, :-1]
-        block_rhs[k, k] = up0[i]
-        try:
-            sol = np.linalg.solve(block, block_rhs)
-        except np.linalg.LinAlgError:
-            return np.full((m0, m1), np.nan)
-        ratio[i] = sol[:, :m1]
-        x[i] = sol[:, m1]
-    for i in range(m0 - 2, -1, -1):
-        x[i] -= ratio[i] @ x[i + 1]
-    return x
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    ext[..., 1 : m + 1] = x
+    ext[..., m + 2 :] = -x[..., ::-1]
+    return -0.5 * np.fft.rfft(ext)[..., 1 : m + 1].imag
+
+
+def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
+    """x with apply(x) = b: restarted GMRES, right-preconditioned (Saad & Schultz 1986).
+
+    apply and precondition map arrays shaped like b.  Arnoldi runs on flat
+    vectors with classical Gram-Schmidt done twice, and Givens rotations
+    track the residual norm.  A window ends once that estimate drops below
+    _KRYLOV_TOL times the size of x (in the first window, of the
+    preconditioned residual), after _KRYLOV_RESTART iterations, or when the
+    Krylov space closes; x then takes the window's correction and the true
+    residual is formed.  x is returned once |b - apply(x)|_2 <= _KRYLOV_TOL
+    |x|_2, and NaN if _KRYLOV_CAP iterations do not get there.
+    """
+    shape = b.shape
+    x = np.zeros(b.size)
+    r = b.ravel()
+    xnorm = 0.0
+    iterations = 0
+    while iterations < _KRYLOV_CAP:
+        beta = float(np.linalg.norm(r))
+        basis = np.empty((_KRYLOV_RESTART + 1, b.size))
+        basis[0] = r / beta
+        tri = np.zeros((_KRYLOV_RESTART, _KRYLOV_RESTART))
+        rotations, rhs = [], [beta]
+        for j in range(min(_KRYLOV_RESTART, _KRYLOV_CAP - iterations)):
+            z = precondition(basis[j].reshape(shape))
+            if j == 0:
+                scale = max(xnorm, beta * float(np.linalg.norm(z)))
+            w = apply(z).ravel()
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            again = basis[: j + 1] @ w
+            w -= again @ basis[: j + 1]
+            col = (h + again).tolist()
+            sub = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            diag = math.hypot(col[j], sub)
+            if diag == 0.0:
+                return np.full(shape, np.nan)
+            c, s = col[j] / diag, sub / diag
+            col[j] = diag
+            tri[: j + 1, j] = col
+            rotations.append((c, s))
+            rhs.append(-s * rhs[j])
+            rhs[j] *= c
+            iterations += 1
+            if abs(rhs[-1]) <= _KRYLOV_TOL * scale or sub == 0.0:
+                break
+            basis[j + 1] = w / sub
+        k = len(rotations)
+        y = np.linalg.solve(tri[:k, :k], rhs[:k])
+        x += precondition((y @ basis[:k]).reshape(shape)).ravel()
+        r = b.ravel() - apply(x.reshape(shape)).ravel()
+        xnorm = float(np.linalg.norm(x))
+        if np.linalg.norm(r) <= _KRYLOV_TOL * xnorm:
+            return x.reshape(shape)
+    return np.full(shape, np.nan)
 
 
 class _TraceCrossing:
@@ -400,7 +449,9 @@ class _TraceCrossing:
     tr L = b |p|^2 with b = alpha - n beta, and the radial tangent entries
     add a p_0 to tr H with a = (n - 1) / r (0 off radial grids): the
     Jacobian and the damped step read these, the weights w_a / S and the
-    slopes p of the shared jet.
+    slopes p of the shared jet.  residual(u) also linearizes G at u from
+    the slopes of its own jet: newton_direction and jacobian read that
+    G'(u), x + sum_a (lower_a x_-a + upper_a x_+a).
     """
 
     def __init__(self, problem: DirichletProblem):
@@ -418,6 +469,14 @@ class _TraceCrossing:
         self.b = problem.F.alpha - amb * problem.F.beta
         self.a = 0.0 if self.group.radii is None else (amb - 1.0) / self.group.radii
         self.inner = (slice(1, -1),) * g.dim
+        if g.dim == 2:
+            # the k = 0 part x - sum_a (w_a / S)(x_-a + x_+a) of G'(u) has the
+            # DST-I eigenvalues 1 - sum_a 2 (w_a / S) cos(pi j_a / (m_a + 1)),
+            # and 2 / (m_a + 1) per axis undoes the two DST-I passes
+            (m0, m1), (w0, w1) = self.shape, self.weight
+            c0, c1 = (np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) for m in self.shape)
+            eig = 1.0 - 2.0 * w0 * c0[:, None] - 2.0 * w1 * c1
+            self.inv_eig = 4.0 / ((m0 + 1) * (m1 + 1)) / eig
 
     def slopes(self, u: np.ndarray) -> list[np.ndarray]:
         """The centered gradient on the interior, one array per grid axis."""
@@ -425,34 +484,58 @@ class _TraceCrossing:
         return [p[:, ax].reshape(self.shape) for ax in range(len(self.h))]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return -_moves(u.ravel(), self.group, self.F, "trace")[1].reshape(self.shape)
+        _, p, t = _moves(u.ravel(), self.group, self.F, "trace")
+        self.lower, self.upper = [], []
+        for ax, (h, wt) in enumerate(zip(self.h, self.weight)):
+            # (w_a / S) / (2 h_a) = 1 / (2 h_a S), which is 0.25 h in 1D
+            pa = p[:, ax].reshape(self.shape)
+            k = 0.5 * h * wt * ((self.a if ax == 0 else 0.0) + 2.0 * self.b * pa)
+            self.lower.append(k - wt)
+            self.upper.append(-wt - k)
+        return -t.reshape(self.shape)
 
     def newton_direction(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """d with G'(u) d = -g on the interior and d = 0 on the grid edge."""
-        lower, upper = [], []
-        for ax, (pa, h, wt) in enumerate(zip(self.slopes(u), self.h, self.weight)):
-            # (w_a / S) / (2 h_a) = 1 / (2 h_a S), which is 0.25 h in 1D
-            k = 0.5 * h * wt * ((self.a if ax == 0 else 0.0) + 2.0 * self.b * pa)
-            lower.append(k - wt)
-            upper.append(-wt - k)
+        """d with G'(u) d = -g on the interior and d = 0 on the grid edge.
+
+        u is the field of the last residual call.  The Thomas algorithm
+        solves the 1D system; in 2D, GMRES preconditioned by the DST-I
+        inverse of G'(u)'s k = 0 part (NaN when it misses its target).
+        """
         d = np.zeros_like(u)
         if u.ndim == 1:
-            d[self.inner] = _solve_tridiagonal(lower[0], upper[0], -g)
+            d[self.inner] = _solve_tridiagonal(self.lower[0], self.upper[0], -g)
         else:
-            d[self.inner] = _solve_block_tridiagonal(lower, upper, -g)
+            d[self.inner] = _gmres(self.jacobian, self.precondition, -g)
         return d
 
-    def damped_step(self, d: np.ndarray, slack: np.ndarray) -> float:
-        """Largest t in [0, 1] with (1 - t) slack / 2 >= |b| t^2 |p(d)|^2 / S.
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """G'(u) x for x on the 2D interior, zero beyond it."""
+        pad = np.zeros(tuple(m + 2 for m in x.shape))
+        pad[self.inner] = x
+        (lo0, lo1), (up0, up1) = self.lower, self.upper
+        return (x + lo0 * pad[:-2, 1:-1] + up0 * pad[2:, 1:-1]
+                + lo1 * pad[1:-1, :-2] + up1 * pad[1:-1, 2:])
 
-        slack is the margin on the run's own side, s G(u) >= 0.  Along d,
-        s G(u + t d) = (1 - t) slack - |b| t^2 |p(d)|^2 / S exactly when
-        s b > 0, so the step keeps at least half of every node's slack.
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The inverse of x - sum_a (w_a / S)(x_-a + x_+a), applied to r."""
+        x = _dst1(_dst1(r).T).T * self.inv_eig
+        return _dst1(_dst1(x).T).T
+
+    def damped_step(self, d: np.ndarray, slack: np.ndarray, err=0.0) -> float:
+        """Largest t in [0, 1] with (1 - t) slack / 2 >= t err + |b| t^2 |p(d)|^2 / S.
+
+        slack is the margin on the run's own side, s G(u) >= 0, and err is
+        charged for the error e = G'(u) d + G(u) of an inexact direction.
+        Along d, s G(u + t d) = (1 - t) slack + t s e - |b| t^2 |p(d)|^2 / S
+        exactly when s b > 0, so with err >= |e| the step keeps at least
+        half of every node's slack.
         """
         quad = self.scale * abs(self.b) * sum(pa * pa for pa in self.slopes(d))
         half = 0.5 * slack
-        root = half + np.sqrt(half * half + 4.0 * quad * half)
-        t = np.where(quad > 0.0, 2.0 * half / np.where(root > 0.0, root, 1.0), 1.0)
+        lin = half + err
+        root = lin + np.sqrt(lin * lin + 4.0 * quad * half)
+        steep = (quad > 0.0) | (err > 0.0)
+        t = np.where(steep, 2.0 * half / np.where(root > 0.0, root, 1.0), 1.0)
         return float(min(1.0, t.min(initial=1.0)))
 
 
@@ -466,8 +549,9 @@ def _newton_trace(
     larger, takes one step: the full Newton step where the quadratic term
     keeps the run's side (s b <= 0, s = +1 descending, -1 ascending), the
     closed-form shortened step otherwise, or, when that is shorter than
-    _MIN_NEWTON_STEP or the Jacobian solve fails, one crossing sweep whose
-    last group moves halfway; path is "newton+sweep" once such a sweep ran.
+    _MIN_NEWTON_STEP or the Jacobian solve fails or errs off the run's side,
+    one crossing sweep whose last group moves halfway; path is
+    "newton+sweep" once such a sweep ran.
     Every step is clamped into the sandwich.  A step that moves no node is a
     fixed point (every later step repeats it), so the run ends there,
     unconverged; so does a run whose scaled margin sets no new minimum for
@@ -497,7 +581,18 @@ def _newton_trace(
             if stalled >= _NEWTON_STALL:
                 break
         d = tc.newton_direction(u, g)
-        t = tc.damped_step(d, np.maximum(side * g, 0.0)) if damped else 1.0
+        # G(u + t d) = (1 - t) g + t e - b t^2 |p(d)|^2 / S with e = G'(u) d + g
+        # the Krylov solve's error (the 1D Thomas solve counts as exact).  e
+        # within eps max|u|, what writing the field rounds G by, is let pass;
+        # the damped step is charged for the rest, and a full step is refused
+        # if its error leaves the run's side by more
+        e = tc.jacobian(d[tc.inner]) + g if u.ndim == 2 else 0.0
+        allowance = np.finfo(float).eps * np.abs(u).max()
+        if damped:
+            err = np.maximum(np.abs(e) - allowance, 0.0)
+            t = tc.damped_step(d, np.maximum(side * g, 0.0), err)
+        else:
+            t = 1.0 if np.all(side * e >= -allowance) else 0.0
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
             new = np.clip(u + t * d, lo, hi)
         else:
@@ -556,9 +651,9 @@ def perron_solve(
     With the trace cone, a constant-coefficient quadratic operator (the
     conformal one among them) and no masked nodes, on a 1D, radial or 2D
     grid, the run takes monotone Newton steps (module docstring): each
-    solves the Jacobian system, tridiagonal in 1D and block-tridiagonal
-    over the axis-0 lines in 2D, and `sweeps` counts Newton iterations; it
-    stops once the largest margin falls below cfg.tol.  Everywhere else each red-black sweep
+    solves the Jacobian system, tridiagonal in 1D and by DST-preconditioned
+    GMRES in 2D, and `sweeps` counts Newton iterations; it stops once the
+    largest margin falls below cfg.tol.  Everywhere else each red-black sweep
     replaces every interior node by the cone-boundary crossing of its
     discrete jet, clamped into [sub, sup], and the run stops once the
     largest move, scaled by the margin slope, falls below cfg.tol.  The

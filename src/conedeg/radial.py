@@ -90,6 +90,8 @@ class RadialProfile:
         """
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if not n >= 1:
+            raise ValueError("the dimension n must be at least 1")
         lam = 1.0 / (1.0 - gamma)
         c = 1.0 / ((lam + 1.0) * (lam + n - 1.0) ** lam)
 
@@ -763,8 +765,8 @@ def _build_bprime(rgrid: int, r0: float, delta: float) -> CtexCertificate:
 
 
 def _build_holder(rgrid: int, gamma: float, n: int) -> CtexCertificate:
-    cert = CtexCertificate(kind="holder", params={"gamma": gamma, "n": n, "lam": 1.0 / (1.0 - gamma)})
     prof = RadialProfile.holder_solution(gamma, n)
+    cert = CtexCertificate(kind="holder", params={"gamma": gamma, "n": n, "lam": 1.0 / (1.0 - gamma)})
     # trace-normalized so that the trace of F is exactly (Laplacian - |grad|^gamma)
     op = OperatorSpec.rot_inv(
         lambda t: 0.0, lambda t: -(t**gamma) / n if t > 0.0 else 0.0,

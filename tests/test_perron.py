@@ -623,9 +623,66 @@ def test_trace_crossing_step_identity_2d(which):
             assert tc.damped_step(e, slack) == pytest.approx(min(1.0, roots.min()), rel=1e-9)
 
 
+def _solve_block_tridiagonal(lower, upper, rhs):
+    """x with x + sum_a (lower[a] x_-a + upper[a] x_+a) = rhs on an (m0, m1) grid.
+
+    The dense-solve oracle for the 2D Newton direction.  x_-a and x_+a are
+    the neighbours along axis a; couplings that reach past the grid multiply
+    nothing.  Block Thomas elimination over the axis-0 lines: each diagonal
+    block is tridiagonal (the axis-1 couplings), each off-diagonal block is
+    diagonal (the axis-0 couplings), and each line is one LAPACK solve with
+    m1 + 1 right-hand sides.  A singular block yields NaN.
+    """
+    (lo0, lo1), (up0, up1) = lower, upper
+    m0, m1 = rhs.shape
+    # after the forward pass line i reads x_i + ratio[i] x_(i+1) = x[i]
+    ratio = np.empty((m0, m1, m1))
+    x = np.empty((m0, m1))
+    k = np.arange(m1)
+    block_rhs = np.zeros((m1, m1 + 1))
+    for i in range(m0):
+        if i:
+            block = lo0[i][:, None] * -ratio[i - 1]
+            block_rhs[:, m1] = rhs[i] - lo0[i] * x[i - 1]
+        else:
+            block = np.zeros((m1, m1))
+            block_rhs[:, m1] = rhs[0]
+        block[k, k] += 1.0
+        block[k[1:], k[:-1]] += lo1[i, 1:]
+        block[k[:-1], k[1:]] += up1[i, :-1]
+        block_rhs[k, k] = up0[i]
+        try:
+            sol = np.linalg.solve(block, block_rhs)
+        except np.linalg.LinAlgError:
+            return np.full((m0, m1), np.nan)
+        ratio[i] = sol[:, :m1]
+        x[i] = sol[:, m1]
+    for i in range(m0 - 2, -1, -1):
+        x[i] -= ratio[i] @ x[i + 1]
+    return x
+
+
+def _block_thomas_direction(tc, u, g):
+    # the 2D Newton direction by the oracle, its couplings formed from the
+    # slopes of u as the solver formed them before its Krylov solve
+    lower, upper = [], []
+    for pa, h, wt in zip(tc.slopes(u), tc.h, tc.weight):
+        k = 0.5 * h * wt * 2.0 * tc.b * pa
+        lower.append(k - wt)
+        upper.append(-wt - k)
+    d = np.zeros_like(u)
+    d[1:-1, 1:-1] = _solve_block_tridiagonal(lower, upper, -g)
+    return d
+
+
+def _oblong_problem():
+    return _box_problem(OperatorSpec.quad_const(1.0, 0.0), _log_box_field,
+                        shape=(21, 13), box=((0.55, 0.95), (0.6, 0.8)))
+
+
 def test_block_tridiagonal_solve_matches_dense():
-    # the 2D Jacobian solve against a dense LAPACK solve of the same 5-point
-    # system on a non-square grid; a singular line block yields NaN
+    # the oracle against a dense LAPACK solve of the same 5-point system on a
+    # non-square grid; a singular line block yields NaN
     rng = np.random.default_rng(3)
     m0, m1 = 6, 4
     lo0, lo1, up0, up1 = (rng.uniform(-0.3, 0.3, (m0, m1)) for _ in range(4))
@@ -638,13 +695,134 @@ def test_block_tridiagonal_solve_matches_dense():
                 if 0 <= i + di < m0 and 0 <= j + dj < m1:
                     dense[row, (i + di) * m1 + j + dj] = coef[i, j]
     want = np.linalg.solve(dense, rhs.ravel()).reshape(m0, m1)
-    got = perron_mod._solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
+    got = _solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     lo1[0, 1], up1[0, 0] = 1.0, 1.0  # first line block [[1, 1], [1, 1], ...]
     lo1[0, 2:], up1[0, 1:] = 0.0, 0.0
     lo0[0] = 0.0
-    singular = perron_mod._solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
+    singular = _solve_block_tridiagonal((lo0, lo1), (up0, up1), rhs)
     assert np.isnan(singular).all()
+
+
+def test_dst1_matches_the_sine_sum():
+    # the rfft route against the defining sum, on an odd and an even length
+    rng = np.random.default_rng(5)
+    for m in (7, 12):
+        x = rng.normal(size=(3, m))
+        j = np.arange(1, m + 1)
+        want = x @ np.sin(np.pi * np.outer(j, j) / (m + 1))
+        np.testing.assert_allclose(perron_mod._dst1(x), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(perron_mod._dst1(perron_mod._dst1(x)), 0.5 * (m + 1) * x,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["box33", "box65", "box129", "oblong"])
+def test_krylov_direction_matches_block_thomas(which):
+    # the first Newton systems of both runs, solved by GMRES with the DST-I
+    # preconditioner and by block-Thomas elimination; the oblong box has
+    # h_0 != h_1 and unequal node counts
+    P = _oblong_problem() if which == "oblong" else box_sandwich_problem(int(which[3:]))[0]
+    tc = perron_mod._TraceCrossing(P)
+    for u in (P.sup.values, P.sub.values):
+        g = tc.residual(u)
+        d = tc.newton_direction(u, g)
+        want = _block_thomas_direction(tc, u, g)
+        assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _count_matvecs(tc):
+    calls = []
+    jacobian = tc.jacobian
+
+    def counted(x):
+        calls.append(1)
+        return jacobian(x)
+
+    tc.jacobian = counted
+    return calls
+
+
+def test_krylov_iterations_do_not_grow_with_the_grid():
+    # the DST-I preconditioner inverts the Laplacian part exactly, so the
+    # Krylov solve takes as many matrix-vector products at 257^2 as at 33^2
+    counts = []
+    for npts in (33, 257):
+        P = box_sandwich_problem(npts)[0]
+        tc = perron_mod._TraceCrossing(P)
+        g = tc.residual(P.sup.values)
+        calls = _count_matvecs(tc)
+        d = tc.newton_direction(P.sup.values, g)
+        assert np.isfinite(d).all()
+        e = tc.jacobian(d[tc.inner]) + g
+        assert np.linalg.norm(e) <= perron_mod._KRYLOV_TOL * np.linalg.norm(d) * (1.0 + 1e-6)
+        counts.append(len(calls) - 1)
+    assert max(counts) <= 12 and counts[1] <= counts[0] + 1
+
+
+@pytest.mark.parametrize("which, side, bare_breaks", [("b_pos", 1.0, True),
+                                                     ("b_neg", -1.0, False)])
+def test_truncated_krylov_step_keeps_half_the_slack(monkeypatch, which, side, bare_breaks):
+    # on the damped side a solve stopped far short of its target still gives
+    # a step t that keeps (1 - t) / 2 of every node's slack: damped_step
+    # charges t |e| for the error e = G'(u) d + g.  Left uncharged, the step
+    # breaks that bound where e points off the run's side (b_pos here)
+    monkeypatch.setattr(perron_mod, "_KRYLOV_TOL", 1e-3)
+    P = NEWTON_2D_PROBLEMS[which]()
+    tc = perron_mod._TraceCrossing(P)
+    u = P.sup.values if side > 0 else P.sub.values
+    g = tc.residual(u)
+    assert side * tc.b > 0.0
+    d = tc.newton_direction(u, g)
+    e = tc.jacobian(d[tc.inner]) + g
+    slack = np.maximum(side * g, 0.0)
+    assert np.abs(e).max() > 1e-3 * slack.max()  # far from exact
+    t = tc.damped_step(d, slack, np.abs(e))
+    assert 0.0 < t < 1.0
+    kept = side * tc.residual(u + t * d)
+    assert np.all(kept >= 0.5 * (1.0 - t) * slack - 1e-15)
+    bare = tc.damped_step(d, slack)
+    broken = side * tc.residual(u + bare * d) < 0.5 * (1.0 - bare) * slack - 1e-15
+    assert broken.any() == bare_breaks
+
+
+@pytest.mark.parametrize("which, direction, side", [("b_pos", "ascending", -1.0),
+                                                    ("b_neg", "descending", 1.0)])
+def test_truncated_krylov_undamped_side_takes_sweeps(monkeypatch, which, direction, side):
+    # on the undamped side a full step whose error leaves the run's side by
+    # more than eps max|u| is refused: the run sweeps and stays on its side
+    monkeypatch.setattr(perron_mod, "_KRYLOV_TOL", 1e-3)
+    P = NEWTON_2D_PROBLEMS[which]()
+    res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=3), direction=direction)
+    assert res.path == "newton+sweep" and res.monotone_ok
+    assert (side * grid_verify(res.u, P.F, P.U).rows["margin"]).max() <= 2e-12
+
+
+def test_krylov_cap_yields_nan_and_a_sweep(monkeypatch):
+    # a direction solve that misses its target within the cap returns NaN,
+    # and the iteration falls back to a crossing sweep
+    monkeypatch.setattr(perron_mod, "_KRYLOV_CAP", 3)
+    P = box_sandwich_problem(17)[0]
+    tc = perron_mod._TraceCrossing(P)
+    g = tc.residual(P.sup.values)
+    assert np.isnan(tc.newton_direction(P.sup.values, g)[tc.inner]).all()
+    res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=2))
+    assert res.path == "newton+sweep" and res.monotone_ok and res.sandwich_ok
+    assert np.any(res.u.values != P.sup.values)
+
+
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+def test_krylov_runs_match_block_thomas_runs(monkeypatch, direction):
+    # whole 2D Newton runs with either direction solve take the same steps:
+    # iteration count, path and flags agree, and the fields to 1e-11
+    problems = [box_sandwich_problem(33)[0], _oblong_problem()]
+    cfgs = [SolverConfig(tol=tol) for tol in (1e-6, 1e-9, 0.15 * problems[0].sub.h[0])]
+    krylov = [perron_solve(P, cfg, direction=direction) for P in problems for cfg in cfgs]
+    monkeypatch.setattr(perron_mod._TraceCrossing, "newton_direction", _block_thomas_direction)
+    for (P, cfg), fast in zip([(P, cfg) for P in problems for cfg in cfgs], krylov):
+        ref = perron_solve(P, cfg, direction=direction)
+        assert (fast.sweeps, fast.path, fast.converged) == (ref.sweeps, ref.path, ref.converged)
+        assert fast.monotone_ok and ref.monotone_ok and fast.sandwich_ok
+        assert np.abs(fast.u.values - ref.u.values).max() <= 1e-11
 
 
 def test_box_log_33_takes_newton_steps():

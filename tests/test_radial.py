@@ -635,6 +635,16 @@ def test_holder_certificate_passes():
     assert np.all(cert.rows["w"] > 0.0)
 
 
+@pytest.mark.parametrize("n", [0, -5, 0.5])
+def test_holder_refuses_dimension_below_one(n):
+    # n = 0 raised ZeroDivisionError while naming the operator, and n = -5
+    # certified a fail verdict for a dimension that does not exist
+    with pytest.raises(ValueError, match="dimension n must be at least 1"):
+        build_counterexample("holder", rgrid=9, n=n)
+    with pytest.raises(ValueError, match="dimension n must be at least 1"):
+        RadialProfile.holder_solution(0.5, n)
+
+
 def test_build_counterexample_validation():
     with pytest.raises(ValueError):
         build_counterexample("nope")
