@@ -7,11 +7,17 @@ resolved run (flags over config-file entries over defaults) and a single
 came out.  Identical configuration and seed produce byte-identical output:
 all randomness is seeded, nothing is timestamped.
 
+Each flag's accepted values are stated once, as its argparse type.  A
+--config file becomes --key=value tokens that the same subparser reads
+before the command line's own flags, whose later occurrences win.
+
 Exit codes: 0 when the expected outcome holds (including a counterexample
 certificate that resolves as designed), 2 when the run certifies a
 violation that is itself the expected deliverable (the cusp pair whose
-touching point never reaches the boundary), 1 on failures and unexpected
-outcomes, 64 on bad usage.  CI should treat only 1 as a regression.
+touching point never reaches the boundary), 64 when a value lies outside
+its flag's domain (from a flag or a config file) or a combination of
+flags is refused, 1 when the run failed.  CI should treat only 1 as a
+regression.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .envelopes import (
     dyadic_w,
     grid_from_csv,
 )
-from .matcone import _sym_eigvals, axiom_check, parse_cone
+from .matcone import _MAX_N, _sym_eigvals, axiom_check, cone_margin, parse_cone
 from .operators import (
     FieldOracle,
     OperatorSpec,
@@ -52,6 +58,7 @@ from .perron import (
     uniqueness_experiment,
 )
 from .radial import (
+    _MIN_RGRID,
     build_counterexample,
     certificate_rows_csv,
     cusp_family_operator,
@@ -114,18 +121,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _domain(parse: Callable, ok: Callable = lambda v: True, says: str = "",
+            keep_text: bool = False) -> Callable:
+    """An argparse type: parse(text) if ok accepts it, else a usage error that
+    says why (the parse error itself when says is empty).  keep_text returns
+    the text, so a list, cone or operator flag echoes as it was given."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{says}, got {text!r}" if says else str(exc))
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{says}, got {text!r}")
+        return text if keep_text else value
+
+    return convert
+
+
+def _integer(low: int, high: float = math.inf) -> Callable:
+    bound = f">= {low}" if high == math.inf else f"from {low} to {high}"
+    return _domain(int, lambda v: low <= v <= high, f"must be an integer {bound}")
+
+
+def _floats(text: str) -> list[float]:
+    """The values of a comma-separated list; empty items are skipped."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _all_positive(vals: list[float]) -> bool:
+    return bool(vals) and all(0.0 < v < math.inf for v in vals)  # NaN is not positive
+
+
+_COUNT = _integer(1)
+_SEED = _integer(0)
+_GRID = _integer(3)
+_DIM = _integer(1, _MAX_N)
+_POSITIVE = _domain(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_NONNEGATIVE = _domain(float, lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite")
+_FINITE = _domain(float, math.isfinite, "must be finite")
+_POSITIVE_LIST = _domain(_floats, _all_positive, "must list positive finite values", True)
+_DECREASING_LIST = _domain(
+    _floats, lambda vs: _all_positive(vs) and all(b < a for a, b in zip(vs, vs[1:])),
+    "must list positive finite values, strictly decreasing", True)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this file instead of stdout")
     sub.add_argument("--config", help="key=value file merged beneath the flags")
-    sub.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    sub.add_argument("--seed", type=_SEED, default=0, help="seed for every random draw")
 
 
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
     """The argument parser and each subcommand's actions, built once per process.
 
-    Parsing never writes to the parser: config-file values go onto the
-    namespace, so one parser serves every dispatch call.
+    Parsing never writes to the parser, so one parser serves every dispatch
+    call.
     """
     parser = _Parser(prog="conedeg", allow_abbrev=False,
                      description="certification runs, envelope studies, and solver benchmarks")
@@ -139,99 +191,92 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
         return sub
 
     p = command("cone-axioms", "sample the closure axioms of a matrix cone")
-    p.add_argument("--cone", default="gamma_k:2", help="cone text, e.g. gamma_k:2 or posdef")
-    p.add_argument("--n", type=int, default=3, help="matrix dimension")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--cone", type=_domain(parse_cone, keep_text=True), default="gamma_k:2",
+                   help="cone text, e.g. gamma_k:2 or posdef")
+    p.add_argument("--n", type=_DIM, default=3, help="matrix dimension")
+    p.add_argument("--samples", type=_COUNT, default=200)
 
     p = command("ctex", "build and certify a radial counterexample family")
     p.add_argument("--kind", required=True,
                    choices=("beta-sign", "nondec", "bprime", "holder"))
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_FINITE, default=None,
                    help="family parameter; omitted means the family default")
-    p.add_argument("--rgrid", type=int, default=2001, help="punctured radial grid size")
+    p.add_argument("--rgrid", type=_integer(_MIN_RGRID), default=2001,
+                   help="punctured radial grid size")
 
     p = command("envelope", "property suite for quadratic-penalty envelopes")
     p.add_argument("--side", choices=("lower", "upper"), default="lower")
-    p.add_argument("--eps", default="1e-2,1e-3,1e-4",
+    p.add_argument("--eps", type=_DECREASING_LIST, default="1e-2,1e-3,1e-4",
                    help="comma-separated widths, strictly decreasing")
-    p.add_argument("--grid", type=int, default=401)
+    p.add_argument("--grid", type=_GRID, default=401)
     p.add_argument("--source", choices=("gaussian", "step", "dyadic", "random", "file"),
                    default="gaussian")
     p.add_argument("--input", default=None, help="grid CSV, for --source file")
-    p.add_argument("--lipschitz", type=float, default=None,
+    p.add_argument("--lipschitz", type=_NONNEGATIVE, default=None,
                    help="known Lipschitz constant, enables the gradient cap check")
 
     command("dyadic", "sharpness of the envelope displacement bound at dyadic scales")
 
     p = command("first-variation", "positive-semidefiniteness of the perturbation gap")
-    p.add_argument("--s-bound", type=float, default=1.0, help="bound on the candidate value")
-    p.add_argument("--p-bound", type=float, default=1.0,
+    p.add_argument("--s-bound", type=_POSITIVE, default=1.0, help="bound on the candidate value")
+    p.add_argument("--p-bound", type=_POSITIVE, default=1.0,
                    help="gradient scale; jets are drawn with |p| <= 10 * this")
-    p.add_argument("--jets", type=int, default=1000)
+    p.add_argument("--jets", type=_COUNT, default=1000)
 
     p = command("perron", "solve a bracketed Dirichlet problem by monotone iteration")
     p.add_argument("--problem", choices=("annulus-psi1", "box-log", "interval-linear"),
                    default="annulus-psi1")
-    p.add_argument("--grid", type=int, default=250, help="nodes per axis")
-    p.add_argument("--n", type=int, default=3, help="ambient dimension of the radial problem")
-    p.add_argument("--tol-scale", type=float, default=0.15,
+    p.add_argument("--grid", type=_GRID, default=250, help="nodes per axis")
+    p.add_argument("--n", type=_DIM, default=3, help="ambient dimension of the radial problem")
+    p.add_argument("--tol-scale", type=_POSITIVE, default=0.15,
                    help="margin tolerance as a multiple of the grid spacing")
-    p.add_argument("--max-sweeps", type=int, default=2_000_000)
+    p.add_argument("--max-sweeps", type=_COUNT, default=2_000_000)
     p.add_argument("--dump", default=None, help="also write the full solution CSV here")
 
     p = command("uniqueness", "compare solver limits from opposite ends of the bracket")
     p.add_argument("--problem", choices=("annulus-psi1", "box-log", "interval-linear"),
                    default="interval-linear")
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--tol-scale", type=float, default=0.15)
-    p.add_argument("--max-sweeps", type=int, default=2_000_000)
+    p.add_argument("--grid", type=_GRID, default=64)
+    p.add_argument("--n", type=_DIM, default=3)
+    p.add_argument("--tol-scale", type=_POSITIVE, default=0.15)
+    p.add_argument("--max-sweeps", type=_COUNT, default=2_000_000)
 
     p = command("kelvin", "inversion involution and the inverted-family comparison")
     p.add_argument("--field", choices=("bubble", "constant", "harmonic"), default="bubble")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=40, help="involution sample points")
-    p.add_argument("--centers", type=int, default=3, help="inversion centers to try")
-    p.add_argument("--lambdas", default="0.05,0.1", help="inversion radii, comma-separated")
+    p.add_argument("--n", type=_integer(3), default=3)
+    p.add_argument("--samples", type=_COUNT, default=40, help="involution sample points")
+    p.add_argument("--centers", type=_COUNT, default=3, help="inversion centers to try")
+    p.add_argument("--lambdas", type=_POSITIVE_LIST, default="0.05,0.1",
+                   help="inversion radii, comma-separated")
 
     p = command("touching", "locate near-touching sets and judge their propagation")
     p.add_argument("--pair", choices=("cusp", "logpair", "random"), default="cusp")
-    p.add_argument("--alpha", type=float, default=-3.0, help="cusp family parameter")
-    p.add_argument("--grid", type=int, default=501)
-    p.add_argument("--trials", type=int, default=20, help="seeded pairs, for --pair random")
+    p.add_argument("--alpha", type=_FINITE, default=-3.0, help="cusp family parameter")
+    p.add_argument("--grid", type=_GRID, default=501)
+    p.add_argument("--trials", type=_COUNT, default=20, help="seeded pairs, for --pair random")
 
     p = command("probe-L", "sample the structural conditions on a gradient part")
-    p.add_argument("--operator", default="genL:tanh_quad", help="operator text")
-    p.add_argument("--x-radius", type=float, default=2.0, help="radius of the sample ball")
-    p.add_argument("--s-bound", type=float, default=8.0, help="bound on the value variable")
-    p.add_argument("--growth", type=float, default=2.0, help="gradient growth exponent")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--operator", type=_domain(parse_operator, keep_text=True),
+                   default="genL:tanh_quad", help="operator text")
+    p.add_argument("--x-radius", type=_POSITIVE, default=2.0,
+                   help="bound R on the sampled values |s|, not on the points")
+    p.add_argument("--s-bound", type=_POSITIVE, default=8.0,
+                   help="Lambda of the radial coercivity condition")
+    p.add_argument("--growth", type=_NONNEGATIVE, default=2.0,
+                   help="gradient growth exponent")
+    p.add_argument("--samples", type=_COUNT, default=200)
 
     return parser, registry
 
 
-def _coerce(action: argparse.Action, text: str):
-    kind = action.type or str
-    try:
-        value = kind(text)
-    except ValueError as exc:
-        raise UsageError(f"bad value {text!r} for --{action.dest.replace('_', '-')}: {exc}")
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"bad value {text!r} for --{action.dest.replace('_', '-')}; "
-            f"choose from {', '.join(map(str, action.choices))}"
-        )
-    return value
-
-
-def _config_overrides(path: str, actions: Sequence[argparse.Action]) -> dict:
-    """Parse a key=value config file against one subcommand's options."""
-    by_dest = {a.dest: a for a in actions if a.dest not in ("help", "config")}
+def _config_tokens(path: str, actions: Sequence[argparse.Action]) -> list[str]:
+    """A key=value config file as --key=value tokens for one subcommand."""
+    flags = {a.dest: a.option_strings[0] for a in actions if a.dest not in ("help", "config")}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    overrides: dict = {}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -239,21 +284,11 @@ def _config_overrides(path: str, actions: Sequence[argparse.Action]) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in by_dest:
+        flag = flags.get(key.strip().replace("-", "_"))
+        if flag is None:
             raise UsageError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-        overrides[dest] = _coerce(by_dest[dest], value.strip())
-    return overrides
-
-
-def _explicit_dests(argv: Sequence[str], actions: Sequence[argparse.Action]) -> set[str]:
-    """Dests the user spelled out on the command line (flags beat the file)."""
-    given: set[str] = set()
-    for action in actions:
-        for opt in action.option_strings:
-            if any(arg == opt or arg.startswith(opt + "=") for arg in argv):
-                given.add(action.dest)
-    return given
+        tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +296,11 @@ def _explicit_dests(argv: Sequence[str], actions: Sequence[argparse.Action]) -> 
 
 
 def _cmd_cone_axioms(ns) -> tuple[str, list[str], int]:
+    spec = parse_cone(ns.cone)
     try:
-        spec = parse_cone(ns.cone)
+        cone_margin(np.zeros(ns.n), spec)  # refuses a gamma_k order above n
     except ValueError as exc:
-        raise UsageError(str(exc))
-    if ns.n < 1 or ns.samples < 1:
-        raise UsageError("--n and --samples must be positive")
+        raise UsageError(f"--cone {ns.cone} in dimension --n {ns.n}: {exc}")
     report = axiom_check(spec, samples=ns.samples, seed=ns.seed, n=ns.n)
     body = ["axiom,ok,witness"]
     for name, (ok, witness) in report.results.items():
@@ -302,24 +336,6 @@ def _cmd_ctex(ns) -> tuple[str, list[str], int]:
     return claim, body, EXIT_PASS if cert.verdict == "pass" else EXIT_FAIL
 
 
-def _positive_floats(text: str, flag: str) -> list[float]:
-    """The comma-separated list of positive values given to --flag."""
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --{flag} list: {exc}")
-    if not vals or not all(v > 0.0 for v in vals):  # NaN is not positive
-        raise UsageError(f"--{flag} needs positive values")
-    return vals
-
-
-def _positive_finite(ns, *dests: str) -> None:
-    """Refuse a non-positive, infinite or NaN value of each named option."""
-    for dest in dests:
-        if not 0.0 < getattr(ns, dest) < math.inf:
-            raise UsageError(f"--{dest.replace('_', '-')} must be positive and finite")
-
-
 def _random_piecewise(rng: np.random.Generator, n: int) -> GridFn:
     # constant plateaus with jumps, plus a ramp; the stress case for envelopes
     xs = np.linspace(-1.0, 1.0, n)
@@ -330,8 +346,6 @@ def _random_piecewise(rng: np.random.Generator, n: int) -> GridFn:
 
 
 def _envelope_source(ns) -> GridFn:
-    if ns.grid < 3:
-        raise UsageError("--grid must be at least 3")
     xs = np.linspace(-1.0, 1.0, ns.grid)
     if ns.source == "gaussian":
         return GridFn(((-1.0, 1.0),), np.exp(-8.0 * xs * xs))
@@ -352,13 +366,8 @@ def _envelope_source(ns) -> GridFn:
 
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
-    eps = _positive_floats(ns.eps, "eps")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise UsageError("--eps must be strictly decreasing")
-    if ns.lipschitz is not None and not 0.0 <= ns.lipschitz < math.inf:
-        raise UsageError("--lipschitz must be nonnegative and finite")
     src = _envelope_source(ns)
-    report = check_envelope_properties(src, eps, ns.side, lipschitz_K=ns.lipschitz)
+    report = check_envelope_properties(src, _floats(ns.eps), ns.side, lipschitz_K=ns.lipschitz)
     body = [
         "eps,monotone_ok,curvature_ok,curvature_worst,displacement_ok,"
         "displacement_worst,gradient_ok,gradient_worst,lipschitz_ok,row_ok"
@@ -399,13 +408,10 @@ def _cmd_dyadic(ns) -> tuple[str, list[str], int]:
 
 
 def _cmd_first_variation(ns) -> tuple[str, list[str], int]:
-    if ns.jets < 1:
-        raise UsageError("--jets must be >= 1")
-    _positive_finite(ns, "s_bound", "p_bound")
     F = example_varying_quad()
     try:
         P = first_variation_constants(F, M=ns.s_bound, R=ns.p_bound)
-    except ValueError as exc:
+    except ValueError as exc:  # the weight bound overflows for a large M
         raise UsageError(str(exc))
     rng = np.random.default_rng(ns.seed)
     jets = []
@@ -438,33 +444,25 @@ def _cmd_first_variation(ns) -> tuple[str, list[str], int]:
 
 def _perron_problem(ns):
     """Problem, closed-form node values, and the error reference constant."""
-    if ns.grid < 3:
-        raise UsageError("--grid must be at least 3")
-    try:
-        if ns.problem == "annulus-psi1":
-            problem, exact = radial_sandwich_problem(ns.grid, n=ns.n)
-        elif ns.problem == "box-log":
-            problem, exact = box_sandwich_problem(ns.grid)
-        else:  # interval-linear: u = x on [0, 1]
-            xs = np.linspace(0.0, 1.0, ns.grid)
-            bump = 0.5 * xs * (1.0 - xs)
-            problem = DirichletProblem(
-                F=OperatorSpec.quad_const(0.0, 0.0),
-                U=parse_cone("trace"),
-                sub=GridFn(((0.0, 1.0),), xs - bump),
-                sup=GridFn(((0.0, 1.0),), xs + bump),
-            )
-            exact = xs
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if ns.problem == "annulus-psi1":
+        problem, exact = radial_sandwich_problem(ns.grid, n=ns.n)
+    elif ns.problem == "box-log":
+        problem, exact = box_sandwich_problem(ns.grid)
+    else:  # interval-linear: u = x on [0, 1]
+        xs = np.linspace(0.0, 1.0, ns.grid)
+        bump = 0.5 * xs * (1.0 - xs)
+        problem = DirichletProblem(
+            F=OperatorSpec.quad_const(0.0, 0.0),
+            U=parse_cone("trace"),
+            sub=GridFn(((0.0, 1.0),), xs - bump),
+            sup=GridFn(((0.0, 1.0),), xs + bump),
+        )
+        exact = xs
     return problem, exact, float(np.max(np.abs(exact)))
 
 
 def _solver_config(ns, h: float) -> SolverConfig:
     """--tol-scale (a multiple of the grid spacing h) and --max-sweeps."""
-    _positive_finite(ns, "tol_scale")
-    if ns.max_sweeps < 1:
-        raise UsageError("--max-sweeps must be positive")
     return SolverConfig(tol=ns.tol_scale * h, max_sweeps=ns.max_sweeps)
 
 
@@ -513,17 +511,13 @@ def _cmd_uniqueness(ns) -> tuple[str, list[str], int]:
 
 
 def _cmd_kelvin(ns) -> tuple[str, list[str], int]:
-    if ns.n < 3:
-        raise UsageError("the inversion comparison needs n >= 3")
-    if ns.samples < 1 or ns.centers < 1:
-        raise UsageError("--samples and --centers must be positive")
     makers = {
         "bubble": FieldOracle.bubble,
         "harmonic": FieldOracle.harmonic_power,
         "constant": lambda n: FieldOracle.constant(2.0, n),
     }
     oracle = makers[ns.field](ns.n)
-    lams = _positive_floats(ns.lambdas, "lambdas")
+    lams = _floats(ns.lambdas)
     rng = np.random.default_rng(ns.seed)
     tol = 1e-10
 
@@ -557,7 +551,7 @@ def _cmd_kelvin(ns) -> tuple[str, list[str], int]:
             centers.append(0.45 * z / max(1e-12, float(np.linalg.norm(z))))
         try:
             report = moving_sphere_check(oracle, ns.n, centers, lams, seed=ns.seed)
-        except ValueError as exc:
+        except ValueError as exc:  # a radius above the admissible start radius
             raise UsageError(str(exc))
         for t in report.trials:
             where = "(" + ";".join(f"{c:.4g}" for c in t.center) + f") lam={t.lam:g}"
@@ -597,7 +591,7 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
         try:
             cert = build_counterexample("beta_sign", rgrid=ns.grid, alpha=ns.alpha)
             rr, wv, vv = cusp_pair_values(cert, ns.grid)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:  # --grid below the radial minimum, or no certified pair
             raise UsageError(str(exc))
         box = ((float(rr[0]), float(rr[-1])),)
         rep = touching_experiment(
@@ -639,8 +633,6 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
         )
         return claim, body, EXIT_PASS if ok else EXIT_FAIL
 
-    if ns.trials < 1:
-        raise UsageError("--trials must be >= 1")
     F = OperatorSpec.quad_const(1.0, 0.7)
     U = parse_cone("posdef")
     rng = np.random.default_rng(ns.seed)
@@ -661,16 +653,7 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
 
 
 def _cmd_probe_l(ns) -> tuple[str, list[str], int]:
-    try:
-        spec = parse_operator(ns.operator)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if ns.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    _positive_finite(ns, "x_radius", "s_bound")
-    if not math.isfinite(ns.growth):
-        raise UsageError("--growth must be finite")
-    report = probe_L_conditions(spec, R=ns.x_radius, Lambda=ns.s_bound,
+    report = probe_L_conditions(parse_operator(ns.operator), R=ns.x_radius, Lambda=ns.s_bound,
                                 m=ns.growth, samples=ns.samples, seed=ns.seed)
     body = ["condition,ok,fitted_C,fitted_theta_bar,witness"]
     for name in ("grad_x_bound", "s_growth", "radial_coercive",
@@ -713,11 +696,14 @@ def dispatch(argv: Sequence[str]) -> int:
         if not getattr(ns, "command", None):
             raise UsageError("a subcommand is required")
         if ns.config:
-            overrides = _config_overrides(ns.config, registry[ns.command])
-            explicit = _explicit_dests(argv, registry[ns.command])
-            for dest, value in overrides.items():
-                if dest not in explicit:
-                    setattr(ns, dest, value)
+            # the file's tokens go before the command line's own flags, whose
+            # later occurrences win
+            at = argv.index(ns.command) + 1
+            tokens = _config_tokens(ns.config, registry[ns.command])
+            try:
+                ns = parser.parse_args(argv[:at] + tokens + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"{ns.config}: {exc}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -303,11 +303,13 @@ def cone_margin(lam: np.ndarray | Spectrum, spec: ConeSpec) -> float | np.ndarra
         margin = lam.max(axis=-1)
     elif spec.kind == "trace":
         margin = lam.sum(axis=-1)
-    elif spec.kind == "gamma_k":
-        margin = sigma_all(lam)[..., 1 : spec.k + 1].min(axis=-1)
-    elif spec.kind == "neg_gamma_c":
-        # inside iff -lam violates some closed gamma_k inequality
-        margin = (-sigma_all(-lam)[..., 1 : spec.k + 1]).max(axis=-1)
+    elif spec.kind in ("gamma_k", "neg_gamma_c"):
+        if spec.k > lam.shape[-1]:
+            raise ValueError(f"k={spec.k} exceeds the spectrum's length {lam.shape[-1]}")
+        if spec.kind == "gamma_k":
+            margin = sigma_all(lam)[..., 1 : spec.k + 1].min(axis=-1)
+        else:  # inside iff -lam violates some closed gamma_k inequality
+            margin = (-sigma_all(-lam)[..., 1 : spec.k + 1]).max(axis=-1)
     else:
         raise ValueError(f"unknown cone kind {spec.kind!r}")
     return float(margin) if lam.ndim == 1 else margin

@@ -550,7 +550,8 @@ def _newton_trace(
     keeps the run's side (s b <= 0, s = +1 descending, -1 ascending), the
     closed-form shortened step otherwise, or, when that is shorter than
     _MIN_NEWTON_STEP or the Jacobian solve fails or errs off the run's side,
-    one crossing sweep whose last group moves halfway; path is
+    one crossing sweep whose last group moves halfway (a damped run with a
+    zero-slack node sweeps without solving); path is
     "newton+sweep" once such a sweep ran.
     Every step is clamped into the sandwich.  A step that moves no node is a
     fixed point (every later step repeats it), so the run ends there,
@@ -580,19 +581,23 @@ def _newton_trace(
             stalled += 1
             if stalled >= _NEWTON_STALL:
                 break
-        d = tc.newton_direction(u, g)
-        # G(u + t d) = (1 - t) g + t e - b t^2 |p(d)|^2 / S with e = G'(u) d + g
-        # the Krylov solve's error (the 1D Thomas solve counts as exact).  e
-        # within eps max|u|, what writing the field rounds G by, is let pass;
-        # the damped step is charged for the rest, and a full step is refused
-        # if its error leaves the run's side by more
-        e = tc.jacobian(d[tc.inner]) + g if u.ndim == 2 else 0.0
-        allowance = np.finfo(float).eps * np.abs(u).max()
-        if damped:
-            err = np.maximum(np.abs(e) - allowance, 0.0)
-            t = tc.damped_step(d, np.maximum(side * g, 0.0), err)
+        if damped and np.any(side * g <= 0.0):
+            # a node with zero slack admits no shortened step: sweep unsolved
+            t = 0.0
         else:
-            t = 1.0 if np.all(side * e >= -allowance) else 0.0
+            d = tc.newton_direction(u, g)
+            # G(u + t d) = (1 - t) g + t e - b t^2 |p(d)|^2 / S with e = G'(u) d + g
+            # the Krylov solve's error (the 1D Thomas solve counts as exact).  e
+            # within eps max|u|, what writing the field rounds G by, is let pass;
+            # the damped step is charged for the rest, and a full step is refused
+            # if its error leaves the run's side by more
+            e = tc.jacobian(d[tc.inner]) + g if u.ndim == 2 else 0.0
+            allowance = np.finfo(float).eps * np.abs(u).max()
+            if damped:
+                err = np.maximum(np.abs(e) - allowance, 0.0)
+                t = tc.damped_step(d, np.maximum(side * g, 0.0), err)
+            else:
+                t = 1.0 if np.all(side * e >= -allowance) else 0.0
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
             new = np.clip(u + t * d, lo, hi)
         else:

@@ -533,6 +533,7 @@ class CtexCertificate:
 
 
 _EIG_TOL = 1e-9
+_MIN_RGRID = 9  # the smallest radial grid a certificate is built on
 
 # the parameters each kind takes; anything else is refused
 _CTEX_PARAMS = {"beta_sign": ("alpha",), "nondec": ("alpha",), "bprime": ("r0", "delta"),
@@ -548,7 +549,7 @@ def build_counterexample(kind: str, rgrid: int = 2001, **params) -> CtexCertific
     are not twice differentiable; there the vertical tangent makes the
     touching-test-function conditions vacuous).
     """
-    if rgrid < 9:
+    if rgrid < _MIN_RGRID:
         raise ValueError("rgrid too small to certify anything")
     if kind not in _CTEX_PARAMS:
         raise ValueError(f"unknown counterexample kind {kind!r}")

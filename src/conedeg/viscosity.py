@@ -322,7 +322,8 @@ def first_variation_constants(
     mm = float(F.m if m is None else m)
     C = 2.0
     for _ in range(6):
-        probe = probe_L_conditions(F, R=R, Lambda=8.0 * C, m=mm, samples=samples, seed=seed, n=n)
+        # the probe's R bounds the sampled values: the gap test's |s| <= M
+        probe = probe_L_conditions(F, R=M, Lambda=8.0 * C, m=mm, samples=samples, seed=seed, n=n)
         if not probe.all_ok():
             raise ValueError("operator fails the structural probes on the working box")
         fits = [

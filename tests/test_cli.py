@@ -82,12 +82,30 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
     (["envelope", "--lipschitz", "-1"], "--lipschitz"),
     (["envelope", "--eps", "1e-3,1e-2"], "--eps"),
     (["envelope", "--eps", "1e-2,1e-2"], "--eps"),
+    (["cone-axioms", "--seed", "-1"], "--seed"),
+    (["envelope", "--source", "random", "--seed", "-1"], "--seed"),
+    (["first-variation", "--jets", "5", "--seed", "-1"], "--seed"),
+    (["kelvin", "--seed", "-1"], "--seed"),
+    (["touching", "--pair", "random", "--seed", "-1"], "--seed"),
+    (["probe-L", "--seed", "-1"], "--seed"),
+    (["cone-axioms", "--n", "17"], "--n"),
+    (["perron", "--n", "17", "--grid", "21"], "--n"),
+    (["touching", "--pair", "logpair", "--grid", "2"], "--grid"),
+    (["ctex", "--kind", "beta-sign", "--alpha", "inf"], "--alpha"),
+    (["probe-L", "--growth", "-1"], "--growth"),
 ])
-def test_bad_numeric_bound_is_usage(args, flag, capsys):
-    # each exited 1 with numpy's or the verifier's message, and --x-radius 0
-    # exited 0 on a sample whose value draws were all 0
+def test_bad_numeric_bound_is_usage(args, flag, tmp_path, capsys):
+    # each exited 1 with numpy's or the verifier's message (the last eleven
+    # with a library error or a run on a negative seed), and --x-radius 0
+    # exited 0 on a sample whose value draws were all 0; the same value from
+    # a config file meets the same check
     assert dispatch(args) == EXIT_USAGE
-    assert f"usage error: {flag} must be" in capsys.readouterr().err
+    assert f"usage error: argument {flag}: must" in capsys.readouterr().err
+    at = args.index(flag)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={args[at + 1]}\n")
+    assert dispatch(args[:at] + args[at + 2:] + ["--config", str(cfg)]) == EXIT_USAGE
+    assert f"usage error: {cfg}: argument {flag}: must" in capsys.readouterr().err
 
 
 def test_ctex_flag_the_kind_does_not_take_is_usage(capsys):
@@ -102,7 +120,14 @@ def test_nan_in_a_positive_list_is_usage(capsys):
     assert dispatch(["kelvin", "--lambdas", "0.1,nan"]) == EXIT_USAGE
     assert dispatch(["envelope", "--eps", "nan"]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "--lambdas needs positive values" in err and "--eps needs positive values" in err
+    assert "argument --lambdas: must list positive" in err and "argument --eps: must list positive" in err
+
+
+def test_cone_order_above_the_dimension_is_usage(capsys):
+    # gamma_k:5 sampled in dimension 3 ran on gamma_3 margins and exited 0
+    for cone in ("gamma_k:5", "neg_gamma_c:4", "neg:gamma_k:5"):
+        assert dispatch(["cone-axioms", "--cone", cone, "--n", "3"]) == EXIT_USAGE
+        assert f"usage error: --cone {cone} in dimension --n 3" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -210,7 +235,7 @@ def test_config_bad_value_is_usage(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid=abc\n")
     assert dispatch(["perron", "--config", str(cfg)]) == EXIT_USAGE
-    assert "bad value 'abc' for --grid" in capsys.readouterr().err
+    assert f"{cfg}: argument --grid: must be an integer >= 3, got 'abc'" in capsys.readouterr().err
 
 
 def test_config_bad_choice_is_usage(tmp_path, capsys):

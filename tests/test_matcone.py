@@ -283,6 +283,15 @@ def test_dimension_mismatch_rejected():
         ConeSpec.gamma(4, n=3)
 
 
+def test_cone_order_above_the_spectrum_length_raises():
+    # gamma_4 and its complement on 3-vectors were scored on sigma_1..sigma_3
+    specs = (ConeSpec.gamma(4), ConeSpec.neg_gamma_complement(4), ConeSpec.negated(ConeSpec.gamma(4)))
+    for spec in specs:
+        for lam in (np.ones(3), np.ones((5, 3))):
+            with pytest.raises(ValueError, match="k=4 exceeds the spectrum's length 3"):
+                cone_margin(lam, spec)
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -144,6 +144,14 @@ def test_grid_verify_quadratic_bowl_interior():
     assert rep.super_failures
 
 
+def test_grid_verify_refuses_a_cone_order_above_the_matrix_dimension():
+    # a 2D field against gamma_4 gave a report labelled gamma_k:4 that held
+    # gamma_2 margins
+    g = _sampled(lambda x, y: 0.5 * (x * x + y * y), ((-1, 1), (-1, 1)), (9, 9))
+    with pytest.raises(ValueError, match="k=4 exceeds"):
+        grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), ConeSpec.gamma(4))
+
+
 def test_grid_verify_holder_pair_are_solutions():
     # the sublinear-gradient equation admits both the zero function and the
     # bent power profile; their sampled traces vanish at grid accuracy
@@ -443,6 +451,21 @@ def test_constants_cascade_rejects_an_unsettled_C(monkeypatch):
     with pytest.raises(ValueError, match="did not settle"):
         first_variation_constants(example_varying_quad(), M=1.0, R=1.0, samples=20)
     assert lambdas == [16.0 * 8.0**k for k in range(6)]
+
+
+def test_constants_cascade_probes_the_value_range_of_its_gap_test(monkeypatch):
+    # the gap inequalities are used on |s| <= M, and the probe's R bounds the
+    # sampled values: the cascade passed the x radius R there instead
+    real = viscosity.probe_L_conditions
+    value_bounds = []
+
+    def recording(F, *, R, **kw):
+        value_bounds.append(R)
+        return real(F, R=R, **kw)
+
+    monkeypatch.setattr(viscosity, "probe_L_conditions", recording)
+    first_variation_constants(example_varying_quad(), M=2.0, R=1.0, samples=20)
+    assert value_bounds and set(value_bounds) == {2.0}
 
 
 def test_tilde_gap_psd_on_random_jets(tanh_params):
