@@ -41,6 +41,7 @@ from .envelopes import (
 )
 from .matcone import _MAX_N, _sym_eigvals, axiom_check, cone_margin, parse_cone
 from .operators import (
+    _P_CAP,
     FieldOracle,
     OperatorSpec,
     example_varying_quad,
@@ -262,8 +263,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Act
                    help="bound R on the sampled values |s|, not on the points")
     p.add_argument("--s-bound", type=_POSITIVE, default=8.0,
                    help="Lambda of the radial coercivity condition")
-    p.add_argument("--growth", type=_NONNEGATIVE, default=2.0,
-                   help="gradient growth exponent")
+    cap = math.log(sys.float_info.max) / math.log(_P_CAP)  # |p|^m stays finite up to the probe's |p| cap
+    p.add_argument("--growth", type=_domain(float, lambda v: 0.0 <= v <= cap,
+                                            f"must be from 0 to {cap:.5g}, past which |p|^m at |p| = "
+                                            f"{_P_CAP:g} overflows a float"),
+                   default=2.0, help="gradient growth exponent")
     p.add_argument("--samples", type=_COUNT, default=200)
 
     return parser, registry

@@ -81,19 +81,24 @@ class OperatorSpec:
                | conformal() is the point (1, 1/2), named "conformal"
     quad_var   | alpha(x,s) p (x) p - beta(x,s) |p|^2 I
     rot_inv    | a(|p|) p (x) p + b(|p|) I
-    isotropic  | g(s, |p|^2) I, g called once on whole value and |p|^2 arrays
-    general_l  | arbitrary callable (x, s, p) -> symmetric matrix
+    isotropic  | g(s, |p|^2) I
+    general_l  | arbitrary callable (x, s, p) -> symmetric matrices
+
+    Every callable takes a whole stack in one call: x and p carry its
+    leading axes and the point axis last, s, |p| and |p|^2 the leading axes
+    alone.  It returns one value (one (n, n) matrix for L_fn) per node; a
+    scalar is broadcast, and any other shape raises ValueError naming it.
     """
 
     kind: str
     alpha: float = 0.0
     beta: float = 0.0
-    alpha_fn: Callable[[np.ndarray, float], float] | None = None
-    beta_fn: Callable[[np.ndarray, float], float] | None = None
-    a_fn: Callable[[float], float] | None = None
-    b_fn: Callable[[float], float] | None = None
+    alpha_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    beta_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    a_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    b_fn: Callable[[np.ndarray], np.ndarray] | None = None
     g_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    L_fn: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
+    L_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     m: float = 2.0
     name: str = ""
 
@@ -140,44 +145,40 @@ def eval_L(spec: OperatorSpec, x: np.ndarray, s, p: np.ndarray) -> np.ndarray:
     """The lower-order term L(x, s, p) as dense symmetric matrices, (..., n, n).
 
     x and p (broadcast together) hold points and gradients on their last
-    axis, s the values on the leading axes; one node has none.  Each node
-    gets the values a lone call gives it.  Closed-form kinds are evaluated on
-    the whole stack, and so is g of the isotropic kind, once on the value and
-    |p|^2 arrays; the other callable kinds call the user's functions per
-    node, with x and p as vectors and s and |p| as floats.
+    axis, s the values on the leading axes; one node has none.  Every kind
+    is evaluated on the whole stack, each callable of the spec in one call
+    (see OperatorSpec), so each node gets the values a lone call gives it.
     """
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     if x.shape != p.shape:
         x, p = np.broadcast_arrays(x, p)
     lead, n = p.shape[:-1], p.shape[-1]
     eye = _identity(n)
-    if spec.kind == "isotropic":
-        g = np.asarray(spec.g_fn(np.broadcast_to(np.asarray(s, dtype=float), lead), _sq_norm(p)),
-                       dtype=float)
-        if g.shape != lead:
-            raise ValueError(f"g_fn returned shape {g.shape}, expected {lead}")
-        return g[..., None, None] * eye
-    pp = p[..., :, None] * p[..., None, :]
-    p2 = _sq_norm(p)[..., None, None]
+    p2 = _sq_norm(p)
     if spec.kind == "quad_const":
-        return spec.alpha * pp - spec.beta * p2 * eye
-    s = np.asarray(s, dtype=float)
-    xs, ss = x.reshape(-1, n), (s if s.shape == lead else np.broadcast_to(s, lead)).ravel().tolist()
-    cell = lead + (1, 1)
+        return spec.alpha * (p[..., :, None] * p[..., None, :]) - spec.beta * p2[..., None, None] * eye
+    s = np.broadcast_to(np.asarray(s, dtype=float), lead)
+    if spec.kind == "isotropic":
+        return _stack_call(spec, "g_fn", lead, s, p2)[..., None, None] * eye
+    if spec.kind == "general_l":
+        out = _stack_call(spec, "L_fn", lead + (n, n), x, s, p)
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
+    pp = p[..., :, None] * p[..., None, :]
     if spec.kind == "quad_var":
-        return (_per_node(spec.alpha_fn, xs, ss).reshape(cell) * pp
-                - _per_node(spec.beta_fn, xs, ss).reshape(cell) * p2 * eye)
-    if spec.kind == "rot_inv":
-        ts = [math.sqrt(q) for q in p2.ravel().tolist()]
-        return _per_node(spec.a_fn, ts).reshape(cell) * pp + _per_node(spec.b_fn, ts).reshape(cell) * eye
-    if spec.kind != "general_l":
-        raise AssertionError(spec.kind)
-    out = [np.asarray(spec.L_fn(*node), dtype=float) for node in zip(xs, ss, p.reshape(-1, n))]
-    for val in out:
-        if val.shape != (n, n):
-            raise ValueError(f"L_fn returned shape {val.shape}, expected ({n}, {n})")
-    out = np.array(out, dtype=float).reshape(pp.shape)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+        return (_stack_call(spec, "alpha_fn", lead, x, s)[..., None, None] * pp
+                - _stack_call(spec, "beta_fn", lead, x, s)[..., None, None] * p2[..., None, None] * eye)
+    t = np.sqrt(p2)
+    a, b = _stack_call(spec, "a_fn", lead, t), _stack_call(spec, "b_fn", lead, t)
+    return a[..., None, None] * pp + b[..., None, None] * eye
+
+
+def _stack_call(spec: OperatorSpec, name: str, shape: tuple, *args) -> np.ndarray:
+    """spec's callable `name` called once on the stacked args, as a float array
+    of the given shape: a scalar return is broadcast, any other shape raises."""
+    out = np.asarray(getattr(spec, name)(*args), dtype=float)
+    if out.ndim and out.shape != shape:
+        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
+    return np.broadcast_to(out, shape)
 
 
 @functools.cache
@@ -207,8 +208,8 @@ def _sq_norm(p: np.ndarray) -> np.ndarray:
 def _libm(fn: Callable[..., float], a, *args: float) -> np.ndarray:
     """fn(entry, *args) for every entry of a, same shape, through libm.
 
-    fn is math.pow or math.log.  Array np.power can differ from libm pow by
-    an ulp (SIMD kernels), so the stacked closed forms map the scalar
+    fn is a math function (pow, log, tanh).  Array ufuncs can differ from
+    libm by an ulp (SIMD kernels), so the stacked closed forms map the scalar
     function instead: each entry is bitwise the float a lone call gives.
     """
     a = np.asarray(a, dtype=float)
@@ -595,53 +596,52 @@ def _grad_x_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -
         return np.zeros((m, n, n, n))  # x-independent by construction
     h = 1e-6
     step = h * np.eye(n)  # row k moves x along e_k
-    xk, sk, pk = x[:, None], s[:, None], p[:, None]
-    return (eval_L(spec, xk + step, sk, pk) - eval_L(spec, xk - step, sk, pk)) / (2 * h)
+    ends = eval_L(spec, np.stack([x[:, None] + step, x[:, None] - step]), s[:, None], p[:, None])
+    return (ends[0] - ends[1]) / (2 * h)
 
 
 def _grad_p_L(spec: OperatorSpec, x: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """d/dp of L on (m, n), (m,), (m, n) stacks: (m, n, n, n), index order (row, k, i, j).
 
     Exact for the quadratic kinds and for the rotationally invariant kind
-    off p = 0; central differences with a relative step for general L and
-    for rot_inv at p = 0, where a(|p|) and b(|p|) may have a kink.
+    off p = 0 (a' and b' by central differences in |p|); central differences
+    in p with a relative step for general L and for rot_inv at p = 0, where
+    a(|p|) and b(|p|) may have a kink.  Each callable is called once.
     """
-    n = p.shape[1]
+    m, n = p.shape
     eye = np.eye(n)
     sym = eye[:, :, None] * p[:, None, None, :] + p[:, None, :, None] * eye[:, None, :]  # e_k(x)p + p(x)e_k
     if spec.kind in ("quad_const", "quad_var"):
         if spec.kind == "quad_const":
             al, be = np.array([spec.alpha]), np.array([spec.beta])
         else:
-            ss = s.tolist()
-            al, be = _per_node(spec.alpha_fn, x, ss), _per_node(spec.beta_fn, x, ss)
+            al, be = _stack_call(spec, "alpha_fn", (m,), x, s), _stack_call(spec, "beta_fn", (m,), x, s)
         return al[:, None, None, None] * sym - (2.0 * be[:, None] * p)[:, :, None, None] * eye
-    out = np.empty((len(p), n, n, n))
+    out = np.empty((m, n, n, n))
     t = np.sqrt(_sq_norm(p))
-    live = (spec.kind == "rot_inv") & (t != 0.0)  # closed form; the rest take differences
-    if live.any():
-        tl = t[live].tolist()
-        a = _per_node(spec.a_fn, tl)
-        da = np.array([_fd1(spec.a_fn, v) for v in tl])
-        db = np.array([_fd1(spec.b_fn, v) for v in tl])
-        q, pl = p[live] / t[live][:, None], p[live]  # q_k = p_k / |p|
-        out[live] = (
-            a[:, None, None, None] * sym[live]
-            + (da[:, None] * q)[:, :, None, None] * (pl[:, None, :, None] * pl[:, None, None, :])
-            + (db[:, None] * q)[:, :, None, None] * eye
-        )
-    fd = ~live
-    if fd.any():
-        h = 1e-6 * (1.0 + t[fd])  # row k of h I moves p along e_k
-        step = h[:, None, None] * eye
-        xk, sk, pk = x[fd][:, None], s[fd][:, None], p[fd][:, None]
-        out[fd] = (eval_L(spec, xk, sk, pk + step) - eval_L(spec, xk, sk, pk - step)) / (2 * h)[:, None, None, None]
+    fd = (spec.kind != "rot_inv") | (t == 0.0)  # central differences in p; the rest closed form
+    h = 1e-6 * (1.0 + t[fd])  # row k of h I moves p along e_k
+    step, pk = h[:, None, None] * eye, p[fd][:, None]
+    ends = np.stack([pk + step, pk - step])  # (2, rows, k, n): p +- h e_k
+    if spec.kind == "rot_inv":
+        live = ~fd
+        tl, dt = t[live], 1e-7 * (1.0 + t[live])
+        # a at |p|, a and b at |p| +- dt and at the ends' |p +- h e_k|
+        tt = np.concatenate([tl, tl + dt, tl - dt, np.sqrt(_sq_norm(ends)).ravel()])
+        cuts = np.arange(1, 4) * len(tl)
+        a, a_hi, a_lo, a_ends = np.split(_stack_call(spec, "a_fn", tt.shape, tt), cuts)
+        _, b_hi, b_lo, b_ends = np.split(_stack_call(spec, "b_fn", tt.shape, tt), cuts)
+        da, db = (a_hi - a_lo) / (2 * dt), (b_hi - b_lo) / (2 * dt)
+        q, pl = p[live] / tl[:, None], p[live]  # q_k = p_k / |p|
+        out[live] = (a[:, None, None, None] * sym[live]
+                     + (da[:, None] * q)[:, :, None, None] * (pl[:, None, :, None] * pl[:, None, None, :])
+                     + (db[:, None] * q)[:, :, None, None] * eye)
+        cell = ends.shape[:-1] + (1, 1)
+        L_ends = a_ends.reshape(cell) * (ends[..., :, None] * ends[..., None, :]) + b_ends.reshape(cell) * eye
+    else:
+        L_ends = eval_L(spec, x[fd][:, None], s[fd][:, None], ends)
+    out[fd] = (L_ends[0] - L_ends[1]) / (2 * h)[:, None, None, None]
     return out
-
-
-def _fd1(f: Callable[[float], float], t: float) -> float:
-    h = 1e-7 * (1.0 + abs(t))
-    return (f(t + h) - f(t - h)) / (2 * h)
 
 
 def probe_L_conditions(
@@ -720,13 +720,8 @@ def probe_L_conditions(
     if len(grows):
         i = grows[-1]
         witness = {"x": x[i].tolist(), "s": float(lo[i]), "s_prime": float(hi[i]), "p": p[i].tolist()}
-    report.s_monotone = (
-        ConditionResult(ok=False, witness=mono_witness)
-        if mono_witness
-        else ConditionResult(ok=True)
-    )
-    if mono_witness is not None:
-        witness = witness or mono_witness
+    report.s_monotone = ConditionResult(ok=mono_witness is None, witness=mono_witness)
+    witness = witness or mono_witness
     report.s_growth = (
         ConditionResult(ok=False, witness=witness)
         if witness
@@ -807,8 +802,8 @@ def example_varying_quad() -> OperatorSpec:
     """Variable-coefficient quadratic family with non-decreasing alpha and
     non-increasing beta bounded below: alpha = tanh(s), beta = 2 - tanh(s)."""
     return OperatorSpec.quad_var(
-        alpha_fn=lambda x, s: math.tanh(s),
-        beta_fn=lambda x, s: 2.0 - math.tanh(s),
+        alpha_fn=lambda x, s: _libm(math.tanh, s),
+        beta_fn=lambda x, s: 2.0 - _libm(math.tanh, s),
         m=2.0,
         name="tanh_quad",
     )
@@ -837,7 +832,7 @@ _GENL_BUILTINS: dict[str, Callable[[], OperatorSpec]] = {
 }
 
 
-def _parse_radial_coeff(text: str) -> Callable[[float], float]:
+def _parse_radial_coeff(text: str) -> Callable[[np.ndarray], np.ndarray]:
     if text == "zero":
         return lambda t: 0.0
     if text == "neg_t":
@@ -845,8 +840,16 @@ def _parse_radial_coeff(text: str) -> Callable[[float], float]:
     if text.startswith("pow(") and text.endswith(")"):
         coef_s, gamma_s = text[4:-1].split(",")
         coef, gamma = float(coef_s), float(gamma_s)
-        return lambda t: coef * t**gamma if t > 0.0 else 0.0
+        return lambda t: _where_positive(t, lambda tp: coef * _libm(math.pow, tp, gamma))
     raise ValueError(f"unknown radial coefficient {text!r}")
+
+
+def _where_positive(t, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """fn on the entries t > 0 and 0.0 elsewhere, where libm pow may fail."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    out[t > 0.0] = fn(t[t > 0.0])
+    return out
 
 
 def parse_operator(text: str) -> OperatorSpec:

@@ -522,21 +522,25 @@ class _TraceCrossing:
         return _dst1(_dst1(x).T).T
 
     def damped_step(self, d: np.ndarray, slack: np.ndarray, err=0.0) -> float:
-        """Largest t in [0, 1] with (1 - t) slack / 2 >= t err + |b| t^2 |p(d)|^2 / S.
+        """_shortened_step with the quadratic term |b| |p(d)|^2 / S of the damped side."""
+        return _shortened_step(slack, err, self.scale * abs(self.b) * sum(pa * pa for pa in self.slopes(d)))
 
-        slack is the margin on the run's own side, s G(u) >= 0, and err is
-        charged for the error e = G'(u) d + G(u) of an inexact direction.
-        Along d, s G(u + t d) = (1 - t) slack + t s e - |b| t^2 |p(d)|^2 / S
-        exactly when s b > 0, so with err >= |e| the step keeps at least
-        half of every node's slack.
-        """
-        quad = self.scale * abs(self.b) * sum(pa * pa for pa in self.slopes(d))
-        half = 0.5 * slack
-        lin = half + err
-        root = lin + np.sqrt(lin * lin + 4.0 * quad * half)
-        steep = (quad > 0.0) | (err > 0.0)
-        t = np.where(steep, 2.0 * half / np.where(root > 0.0, root, 1.0), 1.0)
-        return float(min(1.0, t.min(initial=1.0)))
+
+def _shortened_step(slack: np.ndarray, err, quad) -> float:
+    """Largest t in [0, 1] with (1 - t) slack / 2 >= t err + quad t^2 at every node.
+
+    slack is the margin on the run's own side, s G(u) >= 0, err what the
+    error e = G'(u) d + G(u) of an inexact direction takes off it, and quad
+    what the quadratic term takes.  Along d, s G(u + t d) = (1 - t) slack
+    + t s e - s b t^2 |p(d)|^2 / S exactly, so with err >= -s e and quad >=
+    s b |p(d)|^2 / S the step keeps at least half of every node's slack.
+    """
+    half = 0.5 * slack
+    lin = half + err
+    root = lin + np.sqrt(lin * lin + 4.0 * quad * half)
+    steep = (quad > 0.0) | (err > 0.0)
+    t = np.where(steep, 2.0 * half / np.where(root > 0.0, root, 1.0), 1.0)
+    return float(min(1.0, t.min(initial=1.0)))
 
 
 def _newton_trace(
@@ -546,12 +550,12 @@ def _newton_trace(
 
     Returns (iterations, converged, monotone, last move, path).  Each
     iteration checks the largest margin against cfg.tol and, if it is
-    larger, takes one step: the full Newton step where the quadratic term
-    keeps the run's side (s b <= 0, s = +1 descending, -1 ascending), the
-    closed-form shortened step otherwise, or, when that is shorter than
-    _MIN_NEWTON_STEP or the Jacobian solve fails or errs off the run's side,
-    one crossing sweep whose last group moves halfway (a damped run with a
-    zero-slack node sweeps without solving); path is
+    larger, takes one step: the closed-form shortened Newton step, which is
+    the full step unless the direction's error, or on the damped side (s b >
+    0, s = +1 descending, -1 ascending) the quadratic term, would leave the
+    run's side; or one crossing sweep whose last group moves halfway, when
+    that step is shorter than _MIN_NEWTON_STEP or the Jacobian solve fails
+    (a damped run with a zero-slack node sweeps without solving); path is
     "newton+sweep" once such a sweep ran.
     Every step is clamped into the sandwich.  A step that moves no node is a
     fixed point (every later step repeats it), so the run ends there,
@@ -588,16 +592,13 @@ def _newton_trace(
             d = tc.newton_direction(u, g)
             # G(u + t d) = (1 - t) g + t e - b t^2 |p(d)|^2 / S with e = G'(u) d + g
             # the Krylov solve's error (the 1D Thomas solve counts as exact).  e
-            # within eps max|u|, what writing the field rounds G by, is let pass;
-            # the damped step is charged for the rest, and a full step is refused
-            # if its error leaves the run's side by more
+            # off the run's side within eps max|u|, what writing the field rounds
+            # G by, is let pass; the step is charged for the rest, and for the
+            # quadratic term on the damped side only
             e = tc.jacobian(d[tc.inner]) + g if u.ndim == 2 else 0.0
-            allowance = np.finfo(float).eps * np.abs(u).max()
-            if damped:
-                err = np.maximum(np.abs(e) - allowance, 0.0)
-                t = tc.damped_step(d, np.maximum(side * g, 0.0), err)
-            else:
-                t = 1.0 if np.all(side * e >= -allowance) else 0.0
+            err = np.maximum(-side * e - np.finfo(float).eps * np.abs(u).max(), 0.0)
+            slack = np.maximum(side * g, 0.0)
+            t = tc.damped_step(d, slack, err) if damped else _shortened_step(slack, err, 0.0)
         if t >= _MIN_NEWTON_STEP and np.isfinite(d).all():
             new = np.clip(u + t * d, lo, hi)
         else:

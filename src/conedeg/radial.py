@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .matcone import eigen_sym
-from .operators import FieldOracle, OperatorSpec, _cusp_g, _libm, _radial_jets, eval_F, eval_L
+from .operators import FieldOracle, OperatorSpec, _cusp_g, _libm, _radial_jets, _where_positive, eval_F, eval_L
 
 __all__ = [
     "RadialProfile",
@@ -273,6 +273,8 @@ class QuarticSpec:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.c4 == 0:
             raise ValueError("quartic needs c4 != 0")
+        if max(abs(self.c4), abs(self.c2), abs(self.c1), abs(self.c0)) > np.finfo(float).max:
+            raise ValueError("a quartic coefficient overflows a float")
 
     @classmethod
     def p4_shifted(cls, alpha: Fraction | float) -> "QuarticSpec":
@@ -290,7 +292,10 @@ class QuarticSpec:
         a = Fraction(alpha) if not isinstance(alpha, float) else Fraction(alpha).limit_denominator(10**9)
         c = _CUSP_VARIANTS[variant]
         k = Fraction(c.k)
-        return cls(k * Fraction(c.p4), k * Fraction(c.p2) * a, k * Fraction(c.p1), Fraction(c.b))
+        try:
+            return cls(k * Fraction(c.p4), k * Fraction(c.p2) * a, k * Fraction(c.p1), Fraction(c.b))
+        except ValueError as exc:  # alpha scales the t^2 coefficient
+            raise ValueError(f"alpha = {float(a):g}: {exc}") from None
 
 
 def quartic_eval(q: QuarticSpec, t: "Fraction | int | float"):
@@ -410,8 +415,7 @@ def monotone_interp_L(p_norm, s, alpha=_ALPHA_FIXED):
     p4 = p2 * p2
     s_lo, s_hi = -_HOLE / p2, _HOLE / p2
     width = s_hi - s_lo
-    y_lo = _VAL_LO * p4
-    y_hi = _VAL_HI * p4
+    y_lo, y_hi = _VAL_LO * p4, _VAL_HI * p4
     d = _SLOPE * p4 * p2
     tau = (s - s_lo) / width
     h00 = (1 + 2 * tau) * (1 - tau) ** 2
@@ -443,8 +447,7 @@ def _interp_strip_g(s, p_norm) -> np.ndarray:
     p4 = q * q
     s_lo, s_hi = -hole / q, hole / q
     width = s_hi - s_lo
-    y_lo = float(_VAL_LO) * p4
-    y_hi = float(_VAL_HI) * p4
+    y_lo, y_hi = float(_VAL_LO) * p4, float(_VAL_HI) * p4
     d = float(_SLOPE) * p4 * q
     tau = (si - s_lo) / width
     sq = _libm(math.pow, 1 - tau, 2)
@@ -525,9 +528,7 @@ class CtexCertificate:
 
     @property
     def verdict(self) -> str:
-        if not self.clauses:
-            return "unresolved"
-        if self.clauses.get("roots_resolved", True) is False:
+        if not self.clauses or self.clauses.get("roots_resolved") is False:
             return "unresolved"
         return "pass" if all(self.clauses.values()) else "fail"
 
@@ -738,15 +739,11 @@ def _build_bprime(rgrid: int, r0: float, delta: float) -> CtexCertificate:
         params={"r0": r0, "delta": delta, "a": "0", "b": "-t", "domain": (r0 - 1.0, r0 + 1.0)},
     )
     prof = RadialProfile.tanh_bump(delta, r0)
-
-    def b_fn(t: float) -> float:
-        return -t
-
-    op = OperatorSpec.rot_inv(lambda t: 0.0, b_fn, name="rotinv:zero:neg_t")
+    op = OperatorSpec.rot_inv(lambda t: 0.0, lambda t: -t, name="rotinv:zero:neg_t")
     # the slope-to-radius inequality that drives the sign of nu: every slope
     # s the profile attains must satisfy r0 > s / |b(s)|
     slopes = np.linspace(1e-4, delta * 0.499, 64)
-    cert.clauses["slope_radius_margin"] = all(r0 > s / abs(b_fn(s)) for s in slopes)
+    cert.clauses["slope_radius_margin"] = bool(np.all(r0 > slopes / np.abs(op.b_fn(slopes))))
 
     rows = cert.rows = _radial_rows(prof, op, np.linspace(r0 - 1.0, r0 + 1.0, rgrid))
     mu_w, nu_w, w = rows["mu_w"], rows["nu_w"], rows["w"]
@@ -770,7 +767,7 @@ def _build_holder(rgrid: int, gamma: float, n: int) -> CtexCertificate:
     cert = CtexCertificate(kind="holder", params={"gamma": gamma, "n": n, "lam": 1.0 / (1.0 - gamma)})
     # trace-normalized so that the trace of F is exactly (Laplacian - |grad|^gamma)
     op = OperatorSpec.rot_inv(
-        lambda t: 0.0, lambda t: -(t**gamma) / n if t > 0.0 else 0.0,
+        lambda t: 0.0, lambda t: _where_positive(t, lambda tp: -_libm(math.pow, tp, gamma) / n),
         name=f"rotinv:zero:pow({-1.0/n:g},{gamma:g})",
     )
     rows = cert.rows = _radial_rows(prof, op, np.geomspace(1e-6, 1.0, rgrid))

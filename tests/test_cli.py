@@ -65,6 +65,15 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("args", [["ctex", "--kind", "beta-sign", "--alpha", "1e308"],
+                                  ["touching", "--pair", "cusp", "--alpha", "1e308"]])
+def test_cusp_alpha_past_the_float_range_is_usage(args, capsys):
+    # a finite alpha whose quartic coefficient overflows a float exited 1 with
+    # "integer division result too large for a float"
+    assert dispatch(args) == EXIT_USAGE
+    assert "usage error: alpha = 1e+308: a quartic coefficient overflows a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args,flag", [
     (["first-variation", "--p-bound", "inf"], "--p-bound"),
     (["first-variation", "--s-bound", "inf"], "--s-bound"),
@@ -93,9 +102,10 @@ def test_first_variation_box_bounds_past_the_float_range(capsys):
     (["touching", "--pair", "logpair", "--grid", "2"], "--grid"),
     (["ctex", "--kind", "beta-sign", "--alpha", "inf"], "--alpha"),
     (["probe-L", "--growth", "-1"], "--growth"),
+    (["probe-L", "--growth", "400"], "--growth"),
 ])
 def test_bad_numeric_bound_is_usage(args, flag, tmp_path, capsys):
-    # each exited 1 with numpy's or the verifier's message (the last eleven
+    # each exited 1 with numpy's or the verifier's message (the last twelve
     # with a library error or a run on a negative seed), and --x-radius 0
     # exited 0 on a sample whose value draws were all 0; the same value from
     # a config file meets the same check

@@ -10,9 +10,9 @@ from conedeg import operators
 from conedeg.matcone import ConeClass, ConeSpec, SymMatrix, classify, eigen_sym
 from conedeg.operators import (
     _LEAD_SAMPLES,
-    _fd1,
     _fit_radial_coercive,
     _grad_x_L,
+    _libm,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -297,6 +297,62 @@ def test_isotropic_kind_contract():
     assert not _grad_x_L(spec, x, np.ones(6), p).any()
 
 
+# each callable kind: its callables' names, a builder from {name: callable},
+# and the argument shapes each callable sees on a (4, 5)-node stack in 3D
+_CALLABLE_KINDS = {
+    "quad_var": (("alpha_fn", "beta_fn"), lambda f: OperatorSpec.quad_var(f["alpha_fn"], f["beta_fn"]),
+                 [(4, 5, 3), (4, 5)]),
+    "rot_inv": (("a_fn", "b_fn"), lambda f: OperatorSpec.rot_inv(f["a_fn"], f["b_fn"]), [(4, 5)]),
+    "general_l": (("L_fn",), lambda f: OperatorSpec.general_l(f["L_fn"], m=2.0), [(4, 5, 3), (4, 5), (4, 5, 3)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CALLABLE_KINDS))
+def test_callable_kinds_take_the_whole_stack(kind):
+    names, build, shapes = _CALLABLE_KINDS[kind]
+    calls = []
+
+    def constant(name, value):
+        def fn(*args):
+            calls.append((name, [np.shape(a) for a in args]))
+            return value
+        return fn
+
+    x, p = np.random.default_rng(2).normal(size=(2, 4, 5, 3))
+    s = np.arange(5.0)  # one value per column, broadcast along the rows
+    spec = build({name: constant(name, 2.0) for name in names})
+    got = eval_L(spec, x, s, p)
+    # one call per callable on the whole stack, the scalar broadcast to every node
+    assert calls == [(name, shapes) for name in names]
+    for idx in np.ndindex(4, 5):
+        assert got[idx].tobytes() == _lone_L(spec, x[idx], s[idx[1]], p[idx]).tobytes()
+    # the probe's p-gradient also calls each once, with p = 0 rows present
+    calls.clear()
+    p2 = p.reshape(20, 3).copy()
+    p2[:3] = 0.0
+    operators._grad_p_L(spec, x.reshape(20, 3), np.ones(20), p2)
+    assert [name for name, _ in calls] == list(names)
+    for bad in names:
+        spec = build({name: (lambda *args: np.zeros(3)) if name == bad else constant(name, 1.0)
+                      for name in names})
+        with pytest.raises(ValueError, match=f"{bad} returned shape"):
+            eval_L(spec, x, s, p)
+
+
+def _at_node(fn, *args):
+    """An OperatorSpec callable at one node: its arguments as arrays with no
+    leading axes (x and p vectors, s and |p| 0-d), its value as a float or
+    an (n, n) matrix.  The per-node oracles read the callables through it."""
+    out = np.asarray(fn(*(np.asarray(a, dtype=float) for a in args)), dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def _fd1(f, t: float) -> float:
+    """The central difference of a radial coefficient at one |p|."""
+    h = 1e-7 * (1.0 + abs(t))
+    return (_at_node(f, t + h) - _at_node(f, t - h)) / (2 * h)
+
+
 def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.ndarray:
     """L at one node, written out with np.outer and the vector dot p @ p."""
     n = len(p)
@@ -305,13 +361,13 @@ def _lone_L(spec: OperatorSpec, x: np.ndarray, s: float, p: np.ndarray) -> np.nd
     if spec.kind == "quad_const":
         return spec.alpha * pp - spec.beta * p2 * np.eye(n)
     if spec.kind == "quad_var":
-        return spec.alpha_fn(x, s) * pp - spec.beta_fn(x, s) * p2 * np.eye(n)
+        return _at_node(spec.alpha_fn, x, s) * pp - _at_node(spec.beta_fn, x, s) * p2 * np.eye(n)
     if spec.kind == "rot_inv":
         t = math.sqrt(p2)
-        return spec.a_fn(t) * pp + spec.b_fn(t) * np.eye(n)
+        return _at_node(spec.a_fn, t) * pp + _at_node(spec.b_fn, t) * np.eye(n)
     if spec.kind == "isotropic":
-        return float(spec.g_fn(np.float64(s), np.float64(p2))) * np.eye(n)
-    out = np.asarray(spec.L_fn(x, s, p), dtype=float)
+        return _at_node(spec.g_fn, s, p2) * np.eye(n)
+    out = np.broadcast_to(_at_node(spec.L_fn, x, s, p), (n, n))
     return 0.5 * (out + out.T)
 
 
@@ -328,7 +384,8 @@ def test_stacked_eval_L_matches_lone_nodes_property(shape, data):
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
     p = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     s = data.draw(hnp.arrays(np.float64, shape[:-1], elements=st.floats(-2.0, 2.0)))
-    skew = OperatorSpec.general_l(lambda x, s, p: np.outer(x, p) + s * np.eye(len(p)), m=2.0)
+    skew = OperatorSpec.general_l(
+        lambda x, s, p: x[..., :, None] * p[..., None, :] + s[..., None, None] * np.eye(p.shape[-1]), m=2.0)
     texts = ("conformal", "quad:1.5:-0.25", "genL:tanh_quad", "rotinv:pow(0.5,1.5):neg_t",
              "genL:cubic_mix")
     for spec in [parse_operator(t) for t in texts] + [skew]:
@@ -679,13 +736,13 @@ def _loop_grad_p_L(spec, x, s, p):
         if spec.kind == "quad_const":
             al, be = spec.alpha, spec.beta
         else:
-            al, be = spec.alpha_fn(x, s), spec.beta_fn(x, s)
+            al, be = _at_node(spec.alpha_fn, x, s), _at_node(spec.beta_fn, x, s)
         for k in range(n):
             out[k] = al * (np.outer(eye[k], p) + np.outer(p, eye[k])) - 2.0 * be * p[k] * eye
         return out
     t = float(np.linalg.norm(p))
     if spec.kind == "rot_inv" and t != 0.0:
-        da, db, a = _fd1(spec.a_fn, t), _fd1(spec.b_fn, t), spec.a_fn(t)
+        da, db, a = _fd1(spec.a_fn, t), _fd1(spec.b_fn, t), _at_node(spec.a_fn, t)
         for k in range(n):
             out[k] = (
                 a * (np.outer(eye[k], p) + np.outer(p, eye[k]))
@@ -809,14 +866,16 @@ def _hexed(v):
 
 
 def _x_dependent_quad():
-    return OperatorSpec.quad_var(lambda x, s: 1.0 + 0.3 * math.sin(x[0] + s),
-                                 lambda x, s: 0.5 + 0.2 * x[1] * x[2], name="x_quad")
+    return OperatorSpec.quad_var(lambda x, s: 1.0 + 0.3 * _libm(math.sin, x[..., 0] + s),
+                                 lambda x, s: 0.5 + 0.2 * x[..., 1] * x[..., 2], name="x_quad")
 
 
 def _x_dependent_general():
     # grad_x L = I != 0 at p = 0, and L grows in s at p = 0: both witnesses fire
-    return OperatorSpec.general_l(lambda x, s, p: (x[0] + s) * np.eye(len(p)) + np.outer(p, p),
-                                  m=2.0, name="x_general")
+    def L_fn(x, s, p):
+        return (x[..., 0] + s)[..., None, None] * np.eye(p.shape[-1]) + p[..., :, None] * p[..., None, :]
+
+    return OperatorSpec.general_l(L_fn, m=2.0, name="x_general")
 
 
 _PROBE_SPECS = {
@@ -848,14 +907,14 @@ def test_stacked_probe_matches_per_sample_replay(name, seed, samples, R, m):
         assert _hexed((res.ok, res.fitted_C, res.fitted_theta_bar, res.witness)) == _hexed(expect), cond
 
 
-def test_probe_rejects_non_finite_L():
-    def L_fn(x, s, p):
-        out = math.tanh(s) * np.outer(p, p)
-        if float(np.linalg.norm(p)) > 100.0:
-            out[0, 0] = math.nan  # LAPACK returns zeros for such a matrix, no error
-        return out
+def _nan_beyond_100(x, s, p):
+    out = _libm(math.tanh, s)[..., None, None] * (p[..., :, None] * p[..., None, :])
+    out[..., 0, 0][np.linalg.norm(p, axis=-1) > 100.0] = math.nan  # LAPACK returns zeros for such a matrix
+    return out
 
-    spec = OperatorSpec.general_l(L_fn, m=2.0, name="nan_beyond_100")
+
+def test_probe_rejects_non_finite_L():
+    spec = OperatorSpec.general_l(_nan_beyond_100, m=2.0, name="nan_beyond_100")
     with pytest.raises(ValueError, match="finite"):
         probe_L_conditions(spec, R=1.0, Lambda=8.0, m=2.0, samples=40, seed=0)
     # the stacked coercivity check refuses the same matrices on its own
@@ -867,13 +926,7 @@ def test_probe_rejects_non_finite_L():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_coercivity_fit_rejects_non_finite_L_past_the_leading_block(sign):
-    def L_fn(x, s, p):
-        out = math.tanh(s) * np.outer(p, p)
-        if float(np.linalg.norm(p)) > 100.0:
-            out[0, 0] = math.nan
-        return out
-
-    spec = OperatorSpec.general_l(L_fn, m=2.0, name="nan_beyond_100")
+    spec = OperatorSpec.general_l(_nan_beyond_100, m=2.0, name="nan_beyond_100")
     # |p| ascending: the NaN samples come last, and every check fails within
     # the leading block, so no eigen-solve ever reaches them
     pts = sorted(_probe_points(seed=0, samples=40), key=lambda q: float(np.linalg.norm(q[3])))

@@ -11,7 +11,7 @@ from conedeg.envelopes import GridFn
 from conedeg.matcone import (
     ConeClass, ConeSpec, SymMatrix, classify, cone_margin, eigen_sym, parse_cone,
 )
-from conedeg.operators import Jet2, OperatorSpec, _radial_jets, eval_F
+from conedeg.operators import Jet2, OperatorSpec, _radial_jets, _sq_norm, eval_F
 from conedeg.perron import (
     DirichletProblem,
     SolverConfig,
@@ -399,13 +399,14 @@ def test_callable_kinds_sweep_like_quad_const(monkeypatch, which, cone):
     # general_l operators equal to quad_const(alpha, beta) give bitwise its
     # field, sweep count and last move; rot_inv forms |p|^2 as a squared
     # square root, so it agrees within 10 tol.  The runs are capped to keep
-    # the per-node callables cheap, and most nodes are still strictly inside
+    # them cheap, and most nodes are still strictly inside
     # the sandwich there, so the crossings, not the clamps, set the field
     monkeypatch.setattr(perron_mod, "_newton_applies", lambda *args: False)
     alpha, beta = 1.0, 0.25
 
     def L_fn(x, s, p):
-        return alpha * np.outer(p, p) - beta * (p @ p) * np.eye(len(p))
+        pp, p2 = p[..., :, None] * p[..., None, :], _sq_norm(p)[..., None, None]
+        return alpha * pp - beta * p2 * np.eye(p.shape[-1])
 
     build, cap = CALLABLE_SWEEP_PROBLEMS[which]
     U = TRACE if cone == "trace" else ConeSpec.posdef()
@@ -470,7 +471,7 @@ def _replay_sweep(P: DirichletProblem, u: np.ndarray) -> np.ndarray:
 # operators whose lower-order term reads the field value, and the geometries
 # and cones their capped runs are replayed on
 VALUE_DEPENDENT = {
-    "quad_var": OperatorSpec.quad_var(lambda x, s: 1.0 + math.tanh(s), lambda x, s: 0.25),
+    "quad_var": OperatorSpec.quad_var(lambda x, s: 1.0 + np.tanh(s), lambda x, s: 0.25),
     "isotropic": OperatorSpec.isotropic(lambda s, t2: s * np.sqrt(1.0 + t2), m=1.0),
     # +inf at s = +-inf: a node sent to -inf and then evaluated there would
     # jump to the upper field
@@ -787,14 +788,26 @@ def test_truncated_krylov_step_keeps_half_the_slack(monkeypatch, which, side, ba
 
 @pytest.mark.parametrize("which, direction, side", [("b_pos", "ascending", -1.0),
                                                     ("b_neg", "descending", 1.0)])
-def test_truncated_krylov_undamped_side_takes_sweeps(monkeypatch, which, direction, side):
-    # on the undamped side a full step whose error leaves the run's side by
-    # more than eps max|u| is refused: the run sweeps and stays on its side
+def test_truncated_krylov_undamped_side_takes_shortened_steps(monkeypatch, which, direction, side):
+    # on the undamped side a solve error that leaves the run's side by more
+    # than eps max|u| shortens the step rather than refusing it: the capped
+    # runs take Newton steps shorter than 1 and no sweep, and each iterate
+    # stays on its side and on the run's side of the previous one
     monkeypatch.setattr(perron_mod, "_KRYLOV_TOL", 1e-3)
+    steps, step = [], perron_mod._shortened_step
+    monkeypatch.setattr(perron_mod, "_shortened_step", lambda *args: steps.append(step(*args)) or steps[-1])
     P = NEWTON_2D_PROBLEMS[which]()
-    res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=3), direction=direction)
-    assert res.path == "newton+sweep" and res.monotone_ok
-    assert (side * grid_verify(res.u, P.F, P.U).rows["margin"]).max() <= 2e-12
+    prev = P.sup.values if direction == "descending" else P.sub.values
+    for cap in range(1, 20):
+        res = perron_solve(P, SolverConfig(tol=1e-8, max_sweeps=cap), direction=direction)
+        assert res.path == "newton" and res.monotone_ok
+        assert (side * grid_verify(res.u, P.F, P.U).rows["margin"]).max() <= 2e-12
+        assert (side * (res.u.values - prev)).max() <= perron_mod._MONOTONE_SLACK
+        prev = res.u.values
+        if res.converged:
+            break
+    assert res.converged
+    assert perron_mod._MIN_NEWTON_STEP <= min(steps) and max(steps) < 1.0
 
 
 def test_krylov_cap_yields_nan_and_a_sweep(monkeypatch):

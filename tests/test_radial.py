@@ -367,7 +367,20 @@ def test_interp_operator_matches_polynomial_outside_strip():
 # The closures below are the per-node L_fn of the cusp, interpolated and
 # cubic_mix operators from before those became the isotropic kind, and
 # _scalar_interp_g is the float branch monotone_interp_L had then.  They
-# are kept as the bitwise reference for the array forms.
+# are kept as the bitwise reference for the array forms, called once per
+# node through _node_by_node.
+
+
+def _node_by_node(L_fn):
+    """A general_l L_fn on whole stacks from one that takes a lone node (x and
+    p vectors, s a float): called once per node, in row order."""
+
+    def stacked(x, s, p):
+        lead, n = p.shape[:-1], p.shape[-1]
+        nodes = zip(x.reshape(-1, n), s.ravel().tolist(), p.reshape(-1, n))
+        return np.array([L_fn(*node) for node in nodes], dtype=float).reshape(lead + (n, n))
+
+    return stacked
 
 
 def _scalar_interp_g(p_norm, s):
@@ -401,14 +414,14 @@ def _per_node_cusp_operator(variant, alpha):
         val = -(s**3 * t2**5 + alpha * s * t2**3 + c4 * t2**2)
         return val * np.eye(len(p))
 
-    return OperatorSpec.general_l(L_fn, m=10.0, name=f"cusp:{variant}:{alpha:g}")
+    return OperatorSpec.general_l(_node_by_node(L_fn), m=10.0, name=f"cusp:{variant}:{alpha:g}")
 
 
 def _per_node_interp_operator():
     def L_fn(x, s, p):
         return _scalar_interp_g(float(np.linalg.norm(p)), float(s)) * np.eye(len(p))
 
-    return OperatorSpec.general_l(L_fn, m=10.0, name="interp_strip")
+    return OperatorSpec.general_l(_node_by_node(L_fn), m=10.0, name="interp_strip")
 
 
 def _per_node_cubic_mix(coef=-36.0 / 25.0):
@@ -417,7 +430,7 @@ def _per_node_cubic_mix(coef=-36.0 / 25.0):
         val = -(s**3 * t2**5 + coef * s * t2**3 + t2**2)
         return val * np.eye(len(p))
 
-    return OperatorSpec.general_l(L_fn, m=10.0, name="cubic_mix")
+    return OperatorSpec.general_l(_node_by_node(L_fn), m=10.0, name="cubic_mix")
 
 
 _ISOTROPIC_BUILTINS = {
@@ -1014,7 +1027,7 @@ def _replay_bprime(rgrid, r0=2.0, delta=0.5):
 def _replay_holder(rgrid, gamma=0.5, n=3):
     cert = CtexCertificate(kind="holder", params={"gamma": gamma, "n": n, "lam": 1.0 / (1.0 - gamma)})
     prof = RadialProfile.holder_solution(gamma, n)
-    op = OperatorSpec.rot_inv(lambda t: 0.0, lambda t: -(t**gamma) / n if t > 0.0 else 0.0)
+    op = OperatorSpec.rot_inv(lambda t: 0.0, lambda t: -(float(t) ** gamma) / n if t > 0.0 else 0.0)
     all_ok, rows = True, []
     for r in np.geomspace(1e-6, 1.0, rgrid).tolist():
         w_val, mu_w, nu_w, mu_v, nu_v = _replay_radial_row(prof, op, r)

@@ -157,7 +157,7 @@ def test_grid_verify_holder_pair_are_solutions():
     # bent power profile; their sampled traces vanish at grid accuracy
     prof = RadialProfile.holder_solution(0.5, 3)
     op = OperatorSpec.rot_inv(
-        lambda t: 0.0, lambda t: -(t**0.5) / 3.0 if t > 0 else 0.0, name="holder"
+        lambda t: 0.0, lambda t: -(np.maximum(t, 0.0) ** 0.5) / 3.0, name="holder"
     )
     rs = np.linspace(0.25, 1.0, 501)
     g = GridFn(((0.25, 1.0),), np.array([prof.psi(float(r)) for r in rs]))
