@@ -297,7 +297,7 @@ def test_isotropic_kind_contract():
     assert not _grad_x_L(spec, x, np.ones(6), p).any()
 
 
-# each callable kind: its callables' names, a builder from {name: callable},
+# each callable kind: its callables' names, its spec made from {name: callable},
 # and the argument shapes each callable sees on a (4, 5)-node stack in 3D
 _CALLABLE_KINDS = {
     "quad_var": (("alpha_fn", "beta_fn"), lambda f: OperatorSpec.quad_var(f["alpha_fn"], f["beta_fn"]),
