@@ -189,11 +189,6 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _per_node(fn, *args) -> np.ndarray:
-    """fn called once per node on the zipped per-node arguments, as a flat array."""
-    return np.array([fn(*a) for a in zip(*args)], dtype=float)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis (broadcast), by batched matmul: bitwise each row's a @ b."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -368,7 +363,7 @@ def _point_values(u: "FieldOracle | Callable[[np.ndarray], float]", y: np.ndarra
     """
     if isinstance(u, FieldOracle):
         return np.asarray(u.value(y), dtype=float)
-    return _per_node(u, y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
+    return np.array([u(q) for q in y.reshape(-1, y.shape[-1])], dtype=float).reshape(y.shape[:-1])
 
 
 def kelvin_transform(u_value: "FieldOracle | Callable[[np.ndarray], float]",
@@ -682,7 +677,7 @@ def probe_L_conditions(
         pts.append((x, s_lo, s_hi, mag * direction))
     pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))  # p = 0 corner case
     xs, s_lo, s_hi, ps = (np.array(col, dtype=float) for col in zip(*pts))
-    pm = np.array([q**m for q in np.sqrt(_sq_norm(ps)).tolist()])  # Python ** per sample
+    pm = _libm(math.pow, np.sqrt(_sq_norm(ps)), m)
 
     eps = 1e-9
 
@@ -730,14 +725,14 @@ def probe_L_conditions(
 
     # --- radial coercivity: the sub-unit regime is the verdict; the
     # mirrored super-unit regime excludes it and is reported for reference
-    report.radial_coercive = _fit_radial_coercive(spec, xs, s_lo, ps, Lambda, m, sign=+1, eps=eps)
-    report.radial_coercive_sup = _fit_radial_coercive(spec, xs, s_lo, ps, Lambda, m, sign=-1, eps=eps)
+    report.radial_coercive, report.radial_coercive_sup = _fit_radial_coercive(
+        spec, xs, s_lo, ps, pm, Lambda, eps)
     return report
 
 
-def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult:
+def _fit_radial_coercive(spec, x, s, p, pm, Lambda, eps) -> tuple[ConditionResult, ConditionResult]:
     """Fit (C, theta_bar) for the radial coercivity inequality on (m, n),
-    (m,), (m, n) sample stacks.
+    (m,), (m, n) sample stacks and their |p|^m: the sign=+1 and -1 results.
 
     sign=+1: p.grad_p L - L + theta Lambda |grad_p L| I - theta I
              <= C p(x)p - (1/C)|p|^m I,  for all theta in [0, theta_bar].
@@ -745,7 +740,9 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
              p.grad_p L - L - theta Lambda |grad_p L| I + theta I
              >= -C p(x)p + (1/C)|p|^m I.
 
-    The constraint is affine in theta, so feasibility over [0, theta_bar]
+    Both share grad_p L, m0 = p.grad_p L - L, p(x)p, the floor and the slope,
+    built and checked finite (ValueError) once, before either scan.  The
+    constraint is affine in theta, so feasibility over [0, theta_bar]
     reduces to the endpoints.  Each gap matrix is eigen-solved at most once,
     and a witness is the first violation in sample-major order.
     """
@@ -753,7 +750,6 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
     m0 = np.einsum("rk,rkij->rij", p, gp) - eval_L(spec, x, s, p)
     m0_arr = 0.5 * (m0 + np.swapaxes(m0, 1, 2))
     pp = p[:, :, None] * p[:, None, :]
-    pm = np.array([q**m for q in np.sqrt(_sq_norm(p)).tolist()])
     floor = -eps * (1.0 + np.abs(pm) + np.abs(m0_arr).max(axis=(1, 2)))
     slope = Lambda * np.sqrt(np.sum((gp * gp).reshape(len(p), -1), axis=1)) - 1.0
     # checked here for every sample, as a check may stop before the last one
@@ -764,7 +760,7 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
     c_grid = [2.0**j for j in range(-2, 22)]
     theta_grid = [2.0**-j for j in range(40, -1, -1)]  # ascending, up to 1
 
-    def feasible(c: float, thetas: list[float]) -> dict | None:
+    def feasible(sign: int, c: float, thetas: list[float]) -> dict | None:
         # gap(theta) = C p(x)p - (|p|^m/C) I - sign*m0 - theta(Lambda g - 1) I,
         # required PSD for both variants after folding the signs; the leading
         # block of samples is eigen-solved first and the rest only if it
@@ -779,19 +775,22 @@ def _fit_radial_coercive(spec, x, s, p, Lambda, m, sign, eps) -> ConditionResult
                 return {"p": p[rows][i].tolist(), "theta": thetas[t], "C": c, "violation": float(low[i, t])}
         return None
 
-    # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
-    for c in c_grid:
-        witness = feasible(c, [0.0, theta_grid[0]])
-        if witness is None:
-            break
-    else:
-        return ConditionResult(ok=False, witness=witness)
-    best_theta = theta_grid[0]
-    for theta_bar in theta_grid[1:]:
-        if feasible(c, [theta_bar]) is not None:
-            break
-        best_theta = theta_bar
-    return ConditionResult(ok=True, fitted_C=c, fitted_theta_bar=best_theta)
+    def fit(sign: int) -> ConditionResult:
+        # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
+        for c in c_grid:
+            witness = feasible(sign, c, [0.0, theta_grid[0]])
+            if witness is None:
+                break
+        else:
+            return ConditionResult(ok=False, witness=witness)
+        best_theta = theta_grid[0]
+        for theta_bar in theta_grid[1:]:
+            if feasible(sign, c, [theta_bar]) is not None:
+                break
+            best_theta = theta_bar
+        return ConditionResult(ok=True, fitted_C=c, fitted_theta_bar=best_theta)
+
+    return fit(+1), fit(-1)
 
 
 # ---------------------------------------------------------------------------

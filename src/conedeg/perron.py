@@ -16,11 +16,12 @@ tr(H + L) / S for the trace cone (S = sum_a 2 / h_a^2), the root of the
 smallest eigenvalue for the positive cone.  The move is monotone in the
 field, so each descending sweep maps a discrete supersolution to a smaller
 one.  The sweep count grows like the square of the node count.  Sweeps run
-for the positive cone, callable operators and masked grids, and one sweep is
-the Newton path's fallback step.
+for the positive cone on radial and 2D grids, callable operators and masked
+grids, and one sweep is the Newton path's fallback step.
 
-Monotone Newton (trace cone on 1D, radial or 2D grids, constant-coefficient
-quadratic operator such as the conformal one, no masked nodes): the run solves
+Monotone Newton (trace cone on 1D, radial or 2D grids, and the positive cone
+on a 1D interval, where lambda_min = trace; constant-coefficient quadratic
+operator such as the conformal one, no masked nodes): the run solves
 G(u) = u - c(u) = 0 by Newton steps, G being minus the sweep's trace-cone move
 (so the stop test reads grid_verify's margin, and a fallback sweep the same
 crossing): c(u) = (sum_a w_a (u_-a + u_+a) + a p_0 + b |p|^2) / S with
@@ -181,7 +182,8 @@ class DirichletProblem:
 
 
 def _crossing_mode(U: ConeSpec, amb: int) -> str:
-    if U.kind == "trace" or (U.kind == "gamma_k" and U.k == 1):
+    # with 1 x 1 matrices lambda_min(M) = tr M: the positive cone is the trace cone
+    if U.kind == "trace" or (U.kind == "gamma_k" and U.k == 1) or (U.kind == "posdef" and amb == 1):
         return "trace"
     if U.kind == "posdef" or (U.kind == "gamma_k" and U.k == amb):
         return "mineig"
@@ -229,11 +231,10 @@ def _moves(
     t diag(2 / h_a^2), so t is one expression per cone mode: tr M / S
     with S = sum_a 2 / h_a^2 for the trace cone; for the positive cone the
     root of lambda_min in t, which is _mineig_crossing_2d in 2D and M_00 / S
-    in 1D, on radial grids only where the tangent entries of M are
-    nonnegative (-inf elsewhere; an isotropic L keeps the radial jet
-    diagonal).  Value-dependent operators take s from u and then from the
-    crossing s + t, three passes in all; a node sent to -inf keeps its
-    value argument, so it stays there.
+    on radial grids where the tangent entries of M are nonnegative (-inf
+    elsewhere; an isotropic L keeps the radial jet diagonal).  Value-dependent
+    operators take s from u and then from the crossing s + t, three passes
+    in all; a node sent to -inf keeps its value argument, so it stays there.
     """
     s, p, H = st.jet(u)
     arg = s
@@ -246,10 +247,8 @@ def _moves(
         elif len(st.center) == 2:
             t = _mineig_crossing_2d(M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], *st.center)
         else:
-            t = M[:, 0, 0] / st.center[0]
-            if st.radii is not None:
-                tangent = np.diagonal(M, axis1=1, axis2=2)[:, 1:].min(axis=1)
-                t = np.where(tangent >= 0.0, t, -np.inf)
+            tangent = np.diagonal(M, axis1=1, axis2=2)[:, 1:].min(axis=1)
+            t = np.where(tangent >= 0.0, M[:, 0, 0] / st.center[0], -np.inf)
         if F.kind not in _VALUE_KINDS:
             break
         arg = np.where(t > -np.inf, s + t, arg)
@@ -654,19 +653,20 @@ def perron_solve(
 ) -> PerronResult:
     """Monotone iteration from the upper field (or lower, ascending).
 
-    With the trace cone, a constant-coefficient quadratic operator (the
-    conformal one among them) and no masked nodes, on a 1D, radial or 2D
-    grid, the run takes monotone Newton steps (module docstring): each
-    solves the Jacobian system, tridiagonal in 1D and by DST-preconditioned
-    GMRES in 2D, and `sweeps` counts Newton iterations; it stops once the
-    largest margin falls below cfg.tol.  Everywhere else each red-black sweep
-    replaces every interior node by the cone-boundary crossing of its
-    discrete jet, clamped into [sub, sup], and the run stops once the
-    largest move, scaled by the margin slope, falls below cfg.tol.  The
-    result's path names which of the two ran, and whether a Newton run fell
-    back to a sweep.  Either way monotone_ok records whether every nodal
-    move went the run's way within _MONOTONE_SLACK, and the residual report
-    then re-classifies every interior node with the same centered stencils.
+    With the trace cone (or posdef on a 1D interval, the same cone there), a
+    constant-coefficient quadratic operator (the conformal one among them) and
+    no masked nodes, on a 1D, radial or 2D grid, the run takes monotone Newton
+    steps (module docstring): each solves the Jacobian system, tridiagonal in
+    1D and by DST-preconditioned GMRES in 2D, and `sweeps` counts Newton
+    iterations; it stops once the largest margin falls below cfg.tol.
+    Everywhere else each red-black sweep replaces every interior node by the
+    cone-boundary crossing of its discrete jet, clamped into [sub, sup], and
+    the run stops once the largest move, scaled by the margin slope, falls
+    below cfg.tol.  The result's path names which of the two ran, and whether
+    a Newton run fell back to a sweep.  Either way monotone_ok records whether
+    every nodal move went the run's way within _MONOTONE_SLACK, and the
+    residual report then re-classifies every interior node with the same
+    centered stencils.
     """
     if direction not in ("descending", "ascending"):
         raise ValueError("direction must be 'descending' or 'ascending'")
@@ -791,10 +791,8 @@ class TranslationBoundReport:
         return self.interior_max <= self.band_max + self.slack
 
 
-def translation_gradient_bound(
-    psi: GridFn, band: np.ndarray, *, slack_coef: float = 1.0
-) -> TranslationBoundReport:
-    """Check max interior |grad| <= max over the band, with O(h) slack.
+def translation_gradient_bound(psi: GridFn, band: np.ndarray) -> TranslationBoundReport:
+    """Check max interior |grad| <= max over the band, with slack h_max.
 
     band marks the near-boundary nodes expected to carry the largest
     gradient; it must intersect the interior, since gradients are formed
@@ -813,7 +811,7 @@ def translation_gradient_bound(
     interior_max = float(mag.max())
     band_max = float(mag[band.ravel()[idx]].max())
     hmax = max(psi.h)
-    return TranslationBoundReport(interior_max, band_max, hmax, slack_coef * hmax)
+    return TranslationBoundReport(interior_max, band_max, hmax, hmax)
 
 
 # a node's role by boundary + 2 * interior: neither (masked), boundary, interior

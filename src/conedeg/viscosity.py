@@ -36,6 +36,7 @@ from .operators import (
     Jet2,
     OperatorSpec,
     _dot,
+    _libm,
     _point_values,
     _sq_norm,
     eval_F,
@@ -382,16 +383,14 @@ def _first_variation(
     """Perturbed jets and gap matrices of a jet stack; sign=+1 raises, -1 lowers.
 
     x, s, p, H are (m, n), (m,), (m, n), (m, n, n).  Returns the perturbed
-    (s, p, H) and the gaps, every matrix checked as SymMatrix.from_dense
-    checks it, each row bitwise what a lone first_variation_tilde/_hat call
-    gives it.  ValueError if any row leaves the working set.
+    (s, p, H) and the gaps, each row bitwise what a lone first_variation_tilde/_hat
+    call gives it.  H is checked as SymMatrix.from_dense checks it, the outputs
+    for finiteness: ValueError for them, or for a row outside the working set.
     """
     H = _symmetrized(np.asarray(H, dtype=float))
-    # exact chain-rule jet (g, dg, ddg) of e^{alpha|x|^2} + e^{-beta psi} - tau;
-    # math.exp and Python ** per row: np.exp and np.power differ from them in
-    # the last bit on some inputs
-    phi = np.array([math.exp(P.alpha * q) for q in _sq_norm(x).tolist()])
-    es = np.array([math.exp(-P.beta * v) for v in s.tolist()])
+    # exact chain-rule jet (g, dg, ddg) of e^{alpha|x|^2} + e^{-beta psi} - tau
+    phi = _libm(math.exp, P.alpha * _sq_norm(x))
+    es = _libm(math.exp, -P.beta * s)
     g = phi + es - P.tau
     if np.any((np.abs(s) > P.M) | (g < -P.delta)):
         raise ValueError("jet outside the working set (|s| <= M and profile >= -delta)")
@@ -404,15 +403,16 @@ def _first_variation(
         + (P.beta**2 * es)[:, None, None] * pp
     )
     step = sign * P.mu
-    s2, p2, H2 = s + step * g, p + step * dg, _symmetrized(H + step * ddg)
-    base = _symmetrized(H + eval_L(F, x, s, p))
-    moved = _symmetrized(H2 + eval_L(F, x, s2, p2))
-    # mu K0 [(1 + |p|^m) I + p (x) p]
-    pm = np.array([q**P.m for q in np.sqrt(_sq_norm(p)).tolist()])
-    bonus = P.mu * P.K0 * ((1.0 + pm)[:, None, None] * eye + pp)
-    scaled = (1.0 - step * P.beta * es)[:, None, None] * base  # (1 -+ mu beta e^{-beta s}) F[j]
+    s2, p2, H2 = s + step * g, p + step * dg, H + step * ddg
+    # (1 -+ mu beta e^{-beta s}) F[j], F[perturbed] and mu K0 [(1 + |p|^m) I + p (x) p]
+    scaled = (1.0 - step * P.beta * es)[:, None, None] * (H + eval_L(F, x, s, p))
+    moved = H2 + eval_L(F, x, s2, p2)
+    bonus = P.mu * P.K0 * ((1.0 + _libm(math.pow, np.sqrt(_sq_norm(p)), P.m))[:, None, None] * eye + pp)
     gap = moved - scaled - bonus if sign > 0 else scaled - bonus - moved
-    return s2, p2, H2, _symmetrized(gap)
+    # a non-finite entry of F[j] or F[perturbed] leaves its gap entry non-finite
+    if not (np.isfinite(H2).all() and np.isfinite(gap).all()):
+        raise ValueError("matrix entries must be finite")
+    return s2, p2, H2, gap
 
 
 def _one_jet(j: Jet2, P: PerturbationParams, F: OperatorSpec, sign: int):
@@ -534,9 +534,9 @@ def envelope_error_check(
     idx = nodes[ok][~edge]
     x, s, p, H = x[~edge], s[~edge], p[~edge], H[~edge]
     coords = res.env.node_coords()
-    dist = np.sqrt(_sq_norm(coords[argpt[idx]] - coords[idx])).tolist()
-    pn = np.sqrt(_sq_norm(p)).tolist()
-    cof = np.array([d * (1.0 + d / eps) * q**F.m for d, q in zip(dist, pn)])
+    dist = np.sqrt(_sq_norm(coords[argpt[idx]] - coords[idx]))
+    pn = np.sqrt(_sq_norm(p))
+    cof = dist * (1.0 + dist / eps) * _libm(math.pow, pn, F.m)
     lam = _sym_eigvals(H + eval_L(F, x, s, p))
     want_out = side == "super"
 

@@ -13,6 +13,7 @@ from conedeg.operators import (
     _fit_radial_coercive,
     _grad_x_L,
     _libm,
+    _sq_norm,
     FieldOracle,
     Jet2,
     OperatorSpec,
@@ -601,6 +602,14 @@ def _stack(pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, s, p
 
 
+def _fit_both(spec, pts, m: float = 2.0) -> dict:
+    """One _fit_radial_coercive call on a point list at Lambda = 8: sign -> result."""
+    x, s, p = _stack(pts)
+    pm = _libm(math.pow, np.sqrt(_sq_norm(p)), m)  # as probe_L_conditions forms it
+    sub, sup = _fit_radial_coercive(spec, x, s, p, pm, 8.0, eps=1e-9)
+    return {1: sub, -1: sup}
+
+
 def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
     """The same (C, theta_bar) search with one eigen_sym call per gap matrix."""
     prepared = []
@@ -639,21 +648,23 @@ def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
     return True, c, best, None
 
 
-@pytest.mark.parametrize("text", ["genL:tanh_quad", "quad:1:1", "quad:1:-1"])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_stacked_coercivity_fit_matches_per_matrix_loop(text, sign):
+@pytest.mark.parametrize("text", ["genL:tanh_quad", "quad:1:1", "quad:1:-1", "rotinv:zero:pow(-0.5,1.5)",
+                                  "genL:cubic_mix"])
+@pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
+def test_stacked_coercivity_fit_matches_per_matrix_loop(text, m):
     spec = parse_operator(text)
     pts = _probe_points(seed=5, samples=60, R=2.0)
-    got = _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
-    ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
-    assert got.ok == ok
-    assert got.fitted_C == c and got.fitted_theta_bar == theta_bar
-    if witness is None:
-        assert got.witness is None
-    else:
-        for key in ("p", "theta", "C"):
-            assert got.witness[key] == witness[key], key
-        assert got.witness["violation"] == pytest.approx(witness["violation"], rel=1e-12)
+    both = _fit_both(spec, pts, m)
+    for sign, got in both.items():
+        ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, 8.0, m, sign, 1e-9)
+        assert got.ok == ok, sign
+        assert got.fitted_C == c and got.fitted_theta_bar == theta_bar, sign
+        if witness is None:
+            assert got.witness is None, sign
+        else:
+            for key in ("p", "theta", "C"):
+                assert got.witness[key] == witness[key], (sign, key)
+            assert got.witness["violation"] == pytest.approx(witness["violation"], rel=1e-12), sign
 
 
 def _padded_points():
@@ -678,7 +689,7 @@ _COERCIVE_EXIT_CASES = {
 def test_coercivity_fit_early_exit_matches_per_matrix_loop(case):
     make_points, text, sign, ok, first = _COERCIVE_EXIT_CASES[case]
     spec, pts = parse_operator(text), make_points()
-    got = _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
+    got = _fit_both(spec, pts)[sign]
     want = _fit_radial_coercive_per_matrix(spec, pts, 8.0, 2.0, sign, 1e-9)
     assert _hexed((got.ok, got.fitted_C, got.fitted_theta_bar, got.witness)) == _hexed(want)
     assert got.ok == ok
@@ -921,18 +932,17 @@ def test_probe_rejects_non_finite_L():
     pts = _probe_points(seed=0, samples=40)
     assert any(np.linalg.norm(p) > 100.0 for *_, p in pts)
     with pytest.raises(ValueError, match="finite"):
-        _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=1, eps=1e-9)
+        _fit_both(spec, pts)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_coercivity_fit_rejects_non_finite_L_past_the_leading_block(sign):
+def test_coercivity_fit_rejects_non_finite_L_past_the_leading_block():
     spec = OperatorSpec.general_l(_nan_beyond_100, m=2.0, name="nan_beyond_100")
-    # |p| ascending: the NaN samples come last, and every check fails within
-    # the leading block, so no eigen-solve ever reaches them
+    # |p| ascending: the NaN samples come last, and every check of either
+    # variant fails within the leading block, so no eigen-solve reaches them
     pts = sorted(_probe_points(seed=0, samples=40), key=lambda q: float(np.linalg.norm(q[3])))
     assert all(np.linalg.norm(q[3]) <= 100.0 for q in pts[:_LEAD_SAMPLES])
     with pytest.raises(ValueError, match="finite"):
-        _fit_radial_coercive(spec, *_stack(pts), 8.0, 2.0, sign=sign, eps=1e-9)
+        _fit_both(spec, pts)
 
 
 def test_probe_rejects_zero_samples():

@@ -927,10 +927,14 @@ def test_radial_sandwich_is_certified():
     assert sub_rep.consistent_sub and not sub_rep.consistent_super
 
 
-def test_solve_posdef_1d():
-    P, xs = _interval_problem(21, 0.0, 1.0, U=ConeSpec.posdef())
-    res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=50_000))
-    assert res.converged
+@pytest.mark.parametrize("npts", [21, 81])
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+def test_solve_posdef_1d(npts, direction):
+    # with 1 x 1 matrices lambda_min = trace: the trace cone's Newton path
+    P, xs = _interval_problem(npts, 0.0, 1.0, U=ConeSpec.posdef())
+    res = perron_solve(P, SolverConfig(tol=1e-9, max_sweeps=50_000), direction=direction)
+    assert res.path == "newton"
+    assert res.solved and res.monotone_ok and res.sandwich_ok
     assert np.abs(res.u.values - xs).max() <= 1e-9
 
 

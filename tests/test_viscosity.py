@@ -19,6 +19,7 @@ from conedeg.operators import (
     Jet2,
     OperatorSpec,
     eval_F,
+    eval_L,
     example_varying_quad,
     parse_operator,
 )
@@ -618,6 +619,52 @@ def test_stacked_first_variation_matches_per_jet_replay_property(tanh_params, se
     for sign in (1, -1):
         with pytest.raises(ValueError, match="working set"):
             _first_variation(x, s_bad, p, H, P, F, sign)
+
+
+def _nan_across(r: float, sign: int):
+    """A general L (tanh_quad's) that is NaN on the side of |p| = r the sign's
+    step moves toward at x = 0: beyond r for sign=-1, inside r for sign=+1."""
+    F = example_varying_quad()
+
+    def L_fn(x, s, p):
+        out = eval_L(F, x, s, p)
+        far = sign * (np.linalg.norm(p, axis=-1) - r) < 0.0
+        out[..., 0, 0][far] = math.nan
+        return out
+
+    return OperatorSpec.general_l(L_fn, m=2.0, name="nan_across")
+
+
+@pytest.mark.parametrize("sign, lone", [(1, first_variation_tilde), (-1, first_variation_hat)])
+def test_first_variation_rejects_a_non_finite_gap(tanh_params, sign, lone):
+    # at x = 0 the step scales p by 1 - sign mu beta e^{-beta s}: the jet's L
+    # is finite, the perturbed jet's NaN, so only the gap is not finite
+    P, r, s = tanh_params, 100.0, 0.25
+    p0 = r / (1.0 - 0.5 * sign * P.mu * P.beta * math.exp(-P.beta * s))
+    F = _nan_across(r, sign)
+    x, p, H = np.zeros((1, 3)), np.array([[p0, 0.0, 0.0]]), np.eye(3)[None]
+    assert np.isfinite(eval_L(F, x, np.array([s]), p)).all()
+    with pytest.raises(ValueError, match="finite"):
+        _first_variation(x, np.array([s]), p, H, P, F, sign)
+    with pytest.raises(ValueError, match="finite"):
+        lone(_jet(x[0], s, p[0], H[0]), P, F)
+
+
+def test_first_variation_rejects_an_asymmetric_or_nan_hessian(tanh_params):
+    P, F = tanh_params, example_varying_quad()
+    x, s, p = np.zeros((1, 3)), np.array([0.25]), np.ones((1, 3))
+    skew = np.eye(3)
+    skew[0, 1] = 1e-3
+    nan = np.eye(3)
+    nan[2, 2] = math.nan
+    for sign, lone in ((1, first_variation_tilde), (-1, first_variation_hat)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            _first_variation(x, s, p, skew[None], P, F, sign)
+        with pytest.raises(ValueError, match="finite"):
+            _first_variation(x, s, p, nan[None], P, F, sign)
+        # SymMatrix itself checks only finiteness: the jet's H reaches the check
+        with pytest.raises(ValueError, match="not symmetric"):
+            lone(Jet2(x[0], 0.25, p[0], SymMatrix(skew)), P, F)
 
 
 # ---------------------------------------------------------------------------
