@@ -384,8 +384,9 @@ def _first_variation(
 
     x, s, p, H are (m, n), (m,), (m, n), (m, n, n).  Returns the perturbed
     (s, p, H) and the gaps, each row bitwise what a lone first_variation_tilde/_hat
-    call gives it.  H is checked as SymMatrix.from_dense checks it, the outputs
-    for finiteness: ValueError for them, or for a row outside the working set.
+    call gives it.  H is checked as SymMatrix.from_dense checks it; the perturbed
+    Hessians and the gaps, symmetric by construction, are checked once, for
+    finiteness.  ValueError if a check fails or a row leaves the working set.
     """
     H = _symmetrized(np.asarray(H, dtype=float))
     # exact chain-rule jet (g, dg, ddg) of e^{alpha|x|^2} + e^{-beta psi} - tau
