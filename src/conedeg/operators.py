@@ -11,6 +11,7 @@ the e^{2 psi} change of gauge.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -741,10 +742,12 @@ def _fit_radial_coercive(spec, x, s, p, pm, Lambda, eps) -> tuple[ConditionResul
              >= -C p(x)p + (1/C)|p|^m I.
 
     Both share grad_p L, m0 = p.grad_p L - L, p(x)p, the floor and the slope,
-    built and checked finite (ValueError) once, before either scan.  The
-    constraint is affine in theta, so feasibility over [0, theta_bar]
-    reduces to the endpoints.  Each gap matrix is eigen-solved at most once,
-    and a witness is the first violation in sample-major order.
+    built and checked finite (ValueError) once.  Both grids are bisected, as
+    feasibility is monotone in each: d/dC of the gap, p(x)p + |p|^m/C^2 I, is
+    PSD, and the gap is affine in theta and feasible at theta = 0.  Each gap
+    matrix is eigen-solved at most once, the leading _LEAD_SAMPLES rows first
+    (400-sample genL:tanh_quad probe: 22 ms, 28 ms with whole stacks), and a
+    witness is the first violation in sample-major order.
     """
     gp = _grad_p_L(spec, x, s, p)
     m0 = np.einsum("rk,rkij->rij", p, gp) - eval_L(spec, x, s, p)
@@ -762,9 +765,8 @@ def _fit_radial_coercive(spec, x, s, p, pm, Lambda, eps) -> tuple[ConditionResul
 
     def feasible(sign: int, c: float, thetas: list[float]) -> dict | None:
         # gap(theta) = C p(x)p - (|p|^m/C) I - sign*m0 - theta(Lambda g - 1) I,
-        # required PSD for both variants after folding the signs; the leading
-        # block of samples is eigen-solved first and the rest only if it
-        # passes, as (samples, thetas, n, n) stacks
+        # required PSD for both variants after folding the signs, solved as
+        # (samples, thetas, n, n) stacks, the rest only if the lead block passes
         for rows in (slice(0, _LEAD_SAMPLES), slice(_LEAD_SAMPLES, None)):
             base = c * pp[rows] - (pm[rows] / c)[:, None, None] * eye - sign * m0_arr[rows]
             shift = np.array(thetas)[None, :] * slope[rows, None]
@@ -776,19 +778,16 @@ def _fit_radial_coercive(spec, x, s, p, pm, Lambda, eps) -> tuple[ConditionResul
         return None
 
     def fit(sign: int) -> ConditionResult:
-        # smallest sample-feasible C at vanishing theta_bar, then push theta_bar up
-        for c in c_grid:
-            witness = feasible(sign, c, [0.0, theta_grid[0]])
-            if witness is None:
-                break
-        else:
-            return ConditionResult(ok=False, witness=witness)
-        best_theta = theta_grid[0]
-        for theta_bar in theta_grid[1:]:
-            if feasible(sign, c, [theta_bar]) is not None:
-                break
-            best_theta = theta_bar
-        return ConditionResult(ok=True, fitted_C=c, fitted_theta_bar=best_theta)
+        # the smallest feasible C at vanishing theta_bar, then the first theta_bar
+        # above it that fails; when no C passes, the largest was tried last
+        tried = {}  # C -> its witness, None if feasible
+        k = bisect.bisect_left(c_grid, True, key=lambda c: tried.setdefault(
+            c, feasible(sign, c, [0.0, theta_grid[0]])) is None)
+        if k == len(c_grid):
+            return ConditionResult(ok=False, witness=tried[c_grid[-1]])
+        c = c_grid[k]
+        t = bisect.bisect_left(theta_grid, True, 1, key=lambda th: feasible(sign, c, [th]) is not None)
+        return ConditionResult(ok=True, fitted_C=c, fitted_theta_bar=theta_grid[t - 1])
 
     return fit(+1), fit(-1)
 

@@ -602,11 +602,11 @@ def _stack(pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, s, p
 
 
-def _fit_both(spec, pts, m: float = 2.0) -> dict:
-    """One _fit_radial_coercive call on a point list at Lambda = 8: sign -> result."""
+def _fit_both(spec, pts, m: float = 2.0, Lambda: float = 8.0) -> dict:
+    """One _fit_radial_coercive call on a point list: sign -> result."""
     x, s, p = _stack(pts)
     pm = _libm(math.pow, np.sqrt(_sq_norm(p)), m)  # as probe_L_conditions forms it
-    sub, sup = _fit_radial_coercive(spec, x, s, p, pm, 8.0, eps=1e-9)
+    sub, sup = _fit_radial_coercive(spec, x, s, p, pm, Lambda, eps=1e-9)
     return {1: sub, -1: sup}
 
 
@@ -651,12 +651,13 @@ def _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, eps):
 @pytest.mark.parametrize("text", ["genL:tanh_quad", "quad:1:1", "quad:1:-1", "rotinv:zero:pow(-0.5,1.5)",
                                   "genL:cubic_mix"])
 @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
-def test_stacked_coercivity_fit_matches_per_matrix_loop(text, m):
+@pytest.mark.parametrize("Lambda", [8.0, 32.0])
+def test_stacked_coercivity_fit_matches_per_matrix_loop(text, m, Lambda):
     spec = parse_operator(text)
     pts = _probe_points(seed=5, samples=60, R=2.0)
-    both = _fit_both(spec, pts, m)
+    both = _fit_both(spec, pts, m, Lambda)
     for sign, got in both.items():
-        ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, 8.0, m, sign, 1e-9)
+        ok, c, theta_bar, witness = _fit_radial_coercive_per_matrix(spec, pts, Lambda, m, sign, 1e-9)
         assert got.ok == ok, sign
         assert got.fitted_C == c and got.fitted_theta_bar == theta_bar, sign
         if witness is None:
@@ -673,15 +674,32 @@ def _padded_points():
     return pts[-1:] * 40 + pts
 
 
+def _one_point(*p):
+    return [(np.zeros(3), 0.0, 1.0, np.array(p, dtype=float))]
+
+
 # points, operator, sign, whether the fit passes, the witness sample: the
-# probe-L seed-7 points break the theta_bar scan of the tanh_quad fit at
+# probe-L seed-7 points break the theta_bar search of the tanh_quad fit at
 # sample 107; the mirrored fit fails at sample 0 for every C; the padded
-# stack's first violation is sample 40
+# stack's first violation is sample 40.  The last three land on the grid
+# ends: with a quadratic L the gap at p = 0 is theta I, so C is the first
+# grid point and theta_bar the last; for quad:a:a at p = (r, 0, 0) the gap at
+# C = 1 has smallest eigenvalue 0 and a slope near 1e5 r, which r = 0.02
+# puts between 2^-40 and 2^-39; quad:2^21:1 needs C >= 2^21 - 1 along p
 _COERCIVE_EXIT_CASES = {
     "theta-break-past-lead": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", 1, True, None),
     "fails-at-sample-0": (lambda: _probe_L_points(2.0, 400, 7), "genL:tanh_quad", -1, False, 0),
     "witness-past-lead": (_padded_points, "genL:tanh_quad", -1, False, 40),
     "passes": (lambda: _probe_points(seed=3, samples=100, R=1.0), "quad:1:1", 1, True, None),
+    "all-p-zero": (lambda: _one_point(0.0, 0.0, 0.0) * 40, "quad:1:1", 1, True, None),
+    "theta-fails-first-step": (lambda: _one_point(0.02, 0.0, 0.0), "quad:3600:3600", 1, True, None),
+    "c-at-last-step": (lambda: _one_point(1.0, 0.0, 0.0), "quad:2097152:1", 1, True, None),
+}
+# case -> the fitted (C, theta_bar) at the grid ends
+_GRID_END_FITS = {
+    "all-p-zero": (0.25, 1.0),
+    "theta-fails-first-step": (1.0, 2.0**-40),
+    "c-at-last-step": (2.0**21, 2.0**-26),
 }
 
 
@@ -695,6 +713,8 @@ def test_coercivity_fit_early_exit_matches_per_matrix_loop(case):
     assert got.ok == ok
     if first is not None:
         assert got.witness["p"] == pts[first][3].tolist()
+    if case in _GRID_END_FITS:
+        assert (got.fitted_C, got.fitted_theta_bar) == _GRID_END_FITS[case]
     if case == "theta-break-past-lead":
         # the leading block alone admits a larger theta_bar
         lead = _fit_radial_coercive_per_matrix(spec, pts[:_LEAD_SAMPLES], 8.0, 2.0, sign, 1e-9)
@@ -703,8 +723,9 @@ def test_coercivity_fit_early_exit_matches_per_matrix_loop(case):
 
 def test_coercivity_fits_eigen_solve_each_gap_matrix_once(monkeypatch):
     # each gap matrix at most once, and most checks stop within the leading
-    # block: 14,095 matrices for this probe, against 45,313 with whole stacks
-    # and the fitted pair solved again
+    # block: 5,164 matrices for this probe by bisection, against 14,095 when
+    # the C and theta_bar grids were scanned and 45,313 with whole stacks and
+    # the fitted pair solved again
     counted, inside = [0], [False]
     real_eig, real_fit = operators._sym_eigvals, operators._fit_radial_coercive
 
@@ -723,7 +744,7 @@ def test_coercivity_fits_eigen_solve_each_gap_matrix_once(monkeypatch):
     monkeypatch.setattr(operators, "_fit_radial_coercive", fit)
     report = probe_L_conditions(parse_operator("genL:tanh_quad"), R=2.0, Lambda=8.0, m=2.0, samples=400, seed=7)
     assert report.radial_coercive.ok and not report.radial_coercive_sup.ok
-    assert 0 < counted[0] < 15_000
+    assert 0 < counted[0] <= 6_000
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,14 @@ def test_callable_kinds_sweep_like_quad_const(monkeypatch, which, cone):
 
     ref = solve(OperatorSpec.quad_const(alpha, beta))
     assert ref.path == "sweep" and ref.sweeps == cap
+    if which == "interval" and cone == "posdef":
+        # 1 x 1 matrices: the positive cone sweeps as the trace cone, bitwise,
+        # so the twins would replay [interval-trace]
+        tr = perron_solve(build(OperatorSpec.quad_const(alpha, beta)), cfg)
+        assert (tr.sweeps, tr.converged, tr.last_update.hex()) == (ref.sweeps, ref.converged,
+                                                                   ref.last_update.hex())
+        assert tr.u.values.tobytes() == ref.u.values.tobytes()
+        return
     P = build(OperatorSpec.quad_const(alpha, beta))
     inside = (ref.u.values > P.sub.values) & (ref.u.values < P.sup.values)
     assert inside[P.interior_mask].mean() >= 0.25
