@@ -89,8 +89,6 @@ class UsageError(Exception):
 def _fmt_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)

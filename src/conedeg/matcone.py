@@ -38,7 +38,11 @@ _SYM_TOL = 1e-12  # relative asymmetry a matrix may have
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """0.5 (M + M^T) per matrix of an (..., n, n) stack; ValueError unless each
-    is square, n in [_MIN_N, _MAX_N], finite and symmetric to _SYM_TOL (1 + max |M|)."""
+    is square, n in [_MIN_N, _MAX_N], finite and symmetric to _SYM_TOL (1 + max |M|).
+
+    Entries bitwise equal to their mirror are kept (halving and adding would
+    round an odd subnormal), and a stack with no other entry is returned as is.
+    """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -47,13 +51,15 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     if not (_MIN_N <= n <= _MAX_N):
         raise ValueError(f"dimension must be in [{_MIN_N}, {_MAX_N}], got {n}")
     mt = np.swapaxes(m, -1, -2)
-    if m.size:
-        skew = np.abs(m - mt).max(axis=(-2, -1))
-        bad = skew > _SYM_TOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
-        if bad.any():
-            raise ValueError(f"matrix is not symmetric (asymmetry {np.max(skew * bad):.3e})")
+    same = m.view(np.int64) == mt.view(np.int64)  # bitwise, so +0 and -0 differ
+    if same.all():
+        return m
+    skew = np.abs(m - mt).max(axis=(-2, -1))
+    bad = skew > _SYM_TOL * (1.0 + np.abs(m).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"matrix is not symmetric (asymmetry {np.max(skew * bad):.3e})")
     # halve before adding: M + M^T overflows for finite entries above ~8.99e307
-    return 0.5 * m + 0.5 * mt
+    return np.where(same, m, 0.5 * m + 0.5 * mt)
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,10 @@ class SymMatrix:
     """Symmetric matrix, stored as its validated dense (n, n) array.
 
     from_dense checks the input (square, n in [1, 16], finite, symmetric to
-    _SYM_TOL) and stores 0.5 (M + M^T), so M[i, j] == M[j, i] holds bitwise; the
-    arithmetic below keeps that.  dense() hands out the stored array, which
-    is read-only.
+    _SYM_TOL) and stores 0.5 (M + M^T), keeping each entry already bitwise
+    equal to its mirror, so M[i, j] == M[j, i] holds bitwise; the arithmetic
+    below keeps that.  dense() hands out the stored array, which is
+    read-only (a copy, never the caller's array).
     """
 
     mat: np.ndarray
@@ -82,7 +89,8 @@ class SymMatrix:
         m = np.asarray(m, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        return cls(_symmetrized(m))
+        sym = _symmetrized(m)
+        return cls(sym.copy() if sym is m else sym)  # freezing must not reach the caller's array
 
     @classmethod
     def eye(cls, n: int, scale: float = 1.0) -> "SymMatrix":

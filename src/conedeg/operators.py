@@ -807,14 +807,14 @@ def example_varying_quad() -> OperatorSpec:
     )
 
 
-def _cusp_g(alpha: float, c4: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """g(s, |p|^2) = -(s^3 |p|^10 + alpha s |p|^6 + c4 |p|^4), the cusp-family
+def _cusp_g(alpha: float, q4: float = 1.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """g(s, |p|^2) = -(s^3 |p|^10 + alpha s |p|^6 + |p|^4 / q4), the cusp-family
     coefficient, on whole arrays.  Each power goes through libm pow (see
     _libm), so every entry is bitwise the float the scalar formula gives."""
 
     def g(s, t2):
         return -(_libm(math.pow, s, 3) * _libm(math.pow, t2, 5) + alpha * s * _libm(math.pow, t2, 3)
-                 + c4 * _libm(math.pow, t2, 2))
+                 + _libm(math.pow, t2, 2) / q4)
 
     return g
 

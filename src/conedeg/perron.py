@@ -29,10 +29,10 @@ w_a = 1 / h_a^2, S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on
 radial grids (0 otherwise).  The Jacobian couples each node to its two
 neighbours per axis (an M-matrix for small h): a tridiagonal system in 1D
 (Thomas algorithm).  In 2D it is x - sum_a (w_a / S)(x_-a + x_+a) plus a
-first-order term, solved matrix-free by restarted GMRES (Saad & Schultz
-1986) right-preconditioned by the constant-coefficient part, which a DST-I
-along each axis diagonalizes (Buzbee, Golub & Nielson 1970); the solve
-takes about ten iterations at every grid size.
+first-order term, solved matrix-free by one window of GMRES (Saad &
+Schultz 1986) right-preconditioned by the constant-coefficient part, which
+a DST-I along each axis diagonalizes (Buzbee, Golub & Nielson 1970); the
+window takes about ten iterations at every grid size.
 G is concave for b > 0 and convex for b < 0, and
 G(u + t d) = (1 - t) G(u) + t e - b t^2 |p(d)|^2 / S holds exactly along a
 direction d, e = G'(u) d + G(u) being the solve's error (0 for an exact
@@ -356,13 +356,12 @@ def _solve_tridiagonal(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) ->
     return np.array(x)
 
 
-# the 2D Newton direction is a restarted GMRES solve that stops once
+# the 2D Newton direction is one GMRES window that must end with
 # |G'(u) d + g|_2 <= _KRYLOV_TOL |d|_2: a backward error of about 4.5
 # rounding units, above the floor a float64 d sets (about 2.5e-16 at every
-# grid size from 17^2 to 513^2); it restarts every _KRYLOV_RESTART iterations
-# and gives up (NaN) after _KRYLOV_CAP
+# grid size from 17^2 to 513^2); the window holds at most _KRYLOV_CAP
+# iterations, and a window that misses the target gives NaN
 _KRYLOV_TOL = 1e-15
-_KRYLOV_RESTART = 20
 _KRYLOV_CAP = 60
 
 
@@ -380,61 +379,53 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
 
 def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
-    """x with apply(x) = b: restarted GMRES, right-preconditioned (Saad & Schultz 1986).
+    """x with apply(x) = b: one window of GMRES, right-preconditioned (Saad & Schultz 1986).
 
     apply and precondition map arrays shaped like b.  Arnoldi runs on flat
     vectors with classical Gram-Schmidt done twice, and Givens rotations
-    track the residual norm.  A window ends once that estimate drops below
-    _KRYLOV_TOL times the size of x (in the first window, of the
-    preconditioned residual), after _KRYLOV_RESTART iterations, or when the
-    Krylov space closes; x then takes the window's correction and the true
-    residual is formed.  x is returned once |b - apply(x)|_2 <= _KRYLOV_TOL
-    |x|_2, and NaN if _KRYLOV_CAP iterations do not get there.
+    track the residual norm.  The window ends once that estimate drops below
+    _KRYLOV_TOL times the size of the preconditioned residual, after
+    _KRYLOV_CAP iterations, or when the Krylov space closes; x then takes
+    the window's correction and the true residual is formed once.  x is
+    returned if |b - apply(x)|_2 <= _KRYLOV_TOL |x|_2, and NaN otherwise.
     """
     shape = b.shape
-    x = np.zeros(b.size)
     r = b.ravel()
-    xnorm = 0.0
-    iterations = 0
-    while iterations < _KRYLOV_CAP:
-        beta = float(np.linalg.norm(r))
-        basis = np.empty((_KRYLOV_RESTART + 1, b.size))
-        basis[0] = r / beta
-        tri = np.zeros((_KRYLOV_RESTART, _KRYLOV_RESTART))
-        rotations, rhs = [], [beta]
-        for j in range(min(_KRYLOV_RESTART, _KRYLOV_CAP - iterations)):
-            z = precondition(basis[j].reshape(shape))
-            if j == 0:
-                scale = max(xnorm, beta * float(np.linalg.norm(z)))
-            w = apply(z).ravel()
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            again = basis[: j + 1] @ w
-            w -= again @ basis[: j + 1]
-            col = (h + again).tolist()
-            sub = float(np.linalg.norm(w))
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            diag = math.hypot(col[j], sub)
-            if diag == 0.0:
-                return np.full(shape, np.nan)
-            c, s = col[j] / diag, sub / diag
-            col[j] = diag
-            tri[: j + 1, j] = col
-            rotations.append((c, s))
-            rhs.append(-s * rhs[j])
-            rhs[j] *= c
-            iterations += 1
-            if abs(rhs[-1]) <= _KRYLOV_TOL * scale or sub == 0.0:
-                break
-            basis[j + 1] = w / sub
-        k = len(rotations)
-        y = np.linalg.solve(tri[:k, :k], rhs[:k])
-        x += precondition((y @ basis[:k]).reshape(shape)).ravel()
-        r = b.ravel() - apply(x.reshape(shape)).ravel()
-        xnorm = float(np.linalg.norm(x))
-        if np.linalg.norm(r) <= _KRYLOV_TOL * xnorm:
-            return x.reshape(shape)
+    beta = float(np.linalg.norm(r))
+    basis = np.empty((_KRYLOV_CAP + 1, b.size))
+    basis[0] = r / beta
+    tri = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
+    rotations, rhs = [], [beta]
+    for j in range(_KRYLOV_CAP):
+        z = precondition(basis[j].reshape(shape))
+        if j == 0:
+            scale = beta * float(np.linalg.norm(z))
+        w = apply(z).ravel()
+        h = basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        again = basis[: j + 1] @ w
+        w -= again @ basis[: j + 1]
+        col = (h + again).tolist()
+        sub = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diag = math.hypot(col[j], sub)
+        if diag == 0.0:
+            return np.full(shape, np.nan)
+        c, s = col[j] / diag, sub / diag
+        col[j] = diag
+        tri[: j + 1, j] = col
+        rotations.append((c, s))
+        rhs.append(-s * rhs[j])
+        rhs[j] *= c
+        if abs(rhs[-1]) <= _KRYLOV_TOL * scale or sub == 0.0:
+            break
+        basis[j + 1] = w / sub
+    k = len(rotations)
+    y = np.linalg.solve(tri[:k, :k], rhs[:k])
+    x = precondition((y @ basis[:k]).reshape(shape)).ravel()
+    if np.linalg.norm(b.ravel() - apply(x.reshape(shape)).ravel()) <= _KRYLOV_TOL * np.linalg.norm(x):
+        return x.reshape(shape)
     return np.full(shape, np.nan)
 
 

@@ -130,32 +130,6 @@ class RadialProfile:
         return cls(f"boundary_lip:{m:g}", 1.0, a, psi, dpsi, ddpsi, excluded=(1.0,))
 
     @classmethod
-    def log_singular(cls, mu: float, alpha: float, beta: float, n: int) -> "RadialProfile":
-        """psi(r) = ln(r^{2-n} + mu) / (alpha - n beta) on (0, 1]."""
-        k = alpha - n * beta
-        if k <= 0.0:
-            raise ValueError("need alpha - n*beta > 0")
-
-        def parts(r):
-            g = r ** (2.0 - n) + mu
-            dg = (2.0 - n) * r ** (1.0 - n)
-            hg = (2.0 - n) * (1.0 - n) * r ** (-float(n))
-            return g, dg, hg
-
-        def psi(r):
-            return math.log(parts(r)[0]) / k
-
-        def dpsi(r):
-            g, dg, _ = parts(r)
-            return dg / (g * k)
-
-        def ddpsi(r):
-            g, dg, hg = parts(r)
-            return (hg / g - (dg / g) ** 2) / k
-
-        return cls(f"log_singular:{mu:g}", 0.0, 1.0, psi, dpsi, ddpsi, excluded=(0.0,))
-
-    @classmethod
     def sampled(cls, r: np.ndarray, psi: np.ndarray, dpsi: np.ndarray, ddpsi: np.ndarray) -> "RadialProfile":
         r = np.asarray(r, dtype=float)
         if np.any(np.diff(r) <= 0.0):
@@ -199,10 +173,10 @@ def radial_F_eigs(r, dpsi, ddpsi, spec: OperatorSpec, s=0.0, n: int = 2):
     return (float(mu), float(nu)) if r.ndim == 0 else (mu, nu)
 
 
-class _CuspVariant(namedtuple("_CuspVariant", "p4 p2 p1 d k b tt c4")):
+class _CuspVariant(namedtuple("_CuspVariant", "p4 p2 p1 d k b tt q4")):
     """One cusp-profile variant: P(t) = p4 t^4 + p2 alpha t^2 + p1 t, the
     constants (D, K, B, T) of its radial eigenvalues (see lambda12_t) and the
-    |p|^4 coefficient c4 of L = -(s^3|p|^10 + alpha s|p|^6 + c4 |p|^4) I."""
+    |p|^4 divisor q4 of L = -(s^3|p|^10 + alpha s|p|^6 + |p|^4 / q4) I."""
 
     def p(self, t: float, alpha: float) -> float:
         return self.p4 * t**4 + self.p2 * alpha * t**2 + self.p1 * t
@@ -210,7 +184,7 @@ class _CuspVariant(namedtuple("_CuspVariant", "p4 p2 p1 d k b tt c4")):
 
 _CUSP_VARIANTS = {
     "P4": _CuspVariant(64.0, 324.0, 729.0, 59049.0, 8.0, 6561.0, 19683.0, 1.0),
-    "P4tilde": _CuspVariant(6400.0, 32400.0, 729.0, 1476225.0, 2.0, 164025.0, 492075.0, 0.01),
+    "P4tilde": _CuspVariant(6400.0, 32400.0, 729.0, 1476225.0, 2.0, 164025.0, 492075.0, 100.0),
 }
 
 
@@ -224,7 +198,7 @@ def lambda12_t(t: float, r, r0: float, alpha: float, variant: str):
     """Closed-form eigenvalues of the cusp-profile family at radius r.
 
     variant "P4":     operator Hess - (s^3|p|^10 + alpha s|p|^6 + |p|^4) I
-    variant "P4tilde": same with the |p|^4 coefficient scaled to 1/100
+    variant "P4tilde": same with |p|^4 divided by its q4
     Both reduce on psi_t = t^{1/3}|r-r0|^{2/3} to
         lambda1 = -(2/D) t^{1/3} (K P(t) + B) / |r-r0|^{4/3}
         lambda2 = -(2/D) t^{1/3} (K P(t) - T (r-r0)/r) / |r-r0|^{4/3}
@@ -251,8 +225,8 @@ def lambda12_t(t: float, r, r0: float, alpha: float, variant: str):
 
 def cusp_family_operator(variant: str, alpha: float) -> OperatorSpec:
     """The isotropic operator whose radial reduction lambda12_t evaluates."""
-    c4 = _cusp_variant(variant).c4
-    return OperatorSpec.isotropic(_cusp_g(alpha, c4), m=10.0, name=f"cusp:{variant}:{alpha:g}")
+    q4 = _cusp_variant(variant).q4
+    return OperatorSpec.isotropic(_cusp_g(alpha, q4), m=10.0, name=f"cusp:{variant}:{alpha:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +360,11 @@ def monotone_interp_L(p_norm, s, alpha=_ALPHA_FIXED):
     """Scalar coefficient g(s, |p|) of the interpolated operator L = g I.
 
     Outside the strip {|s| |p|^2 < 32/45} this is exactly
-    -(s^3|p|^10 + alpha s|p|^6 + |p|^4/100); inside, a cubic Hermite in s
-    matching values and s-slopes at the strip boundary.  Accepts Fraction
-    arguments and then evaluates in exact rational arithmetic; floats go
-    through the array form _interp_strip_g.
+    -(s^3|p|^10 + alpha s|p|^6 + |p|^4 / q4), the P4tilde cusp coefficient
+    (q4 from _CUSP_VARIANTS); inside, a cubic Hermite in s matching values
+    and s-slopes at the strip boundary.  Accepts Fraction arguments and then
+    evaluates in exact rational arithmetic; floats go through the array form
+    _interp_strip_g.
 
     Note the two boundary values: -(245821/364500)|p|^4 at the lower end and
     +(238531/364500)|p|^4 at the upper end.  The coefficient rises across
@@ -411,7 +386,7 @@ def monotone_interp_L(p_norm, s, alpha=_ALPHA_FIXED):
     if p_norm == 0:
         return Fraction(0)
     if prod <= -_HOLE or prod >= _HOLE:
-        return -(s**3 * p2**5 + _ALPHA_FIXED * s * p2**3 + p2**2 / 100)
+        return -(s**3 * p2**5 + _ALPHA_FIXED * s * p2**3 + p2**2 / Fraction(_CUSP_VARIANTS["P4tilde"].q4))
     p4 = p2 * p2
     s_lo, s_hi = -_HOLE / p2, _HOLE / p2
     width = s_hi - s_lo
@@ -442,7 +417,8 @@ def _interp_strip_g(s, p_norm) -> np.ndarray:
     inner = (pn != 0.0) & ~outer
     so, q = s[outer], p2[outer]
     out[outer] = -(_libm(math.pow, so, 3) * _libm(math.pow, q, 5)
-                   + float(_ALPHA_FIXED) * so * _libm(math.pow, q, 3) + _libm(math.pow, q, 2) / 100.0)
+                   + float(_ALPHA_FIXED) * so * _libm(math.pow, q, 3)
+                   + _libm(math.pow, q, 2) / _CUSP_VARIANTS["P4tilde"].q4)
     si, q = s[inner], p2[inner]
     p4 = q * q
     s_lo, s_hi = -hole / q, hole / q
@@ -604,6 +580,15 @@ def _search_t0(q: QuarticSpec, variant: str, alpha: float, t1: float,
     return None
 
 
+def _cusp_pair_at(r: np.ndarray, r0: float, ts: list[float], t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a cusp certificate's pair at radii r: cbrt(t)|r - r0|^{2/3}
+    per branch, w with parameter ts[3] right of r0 and ts[1] elsewhere, v
+    with ts[2] and t0."""
+    right = r > r0
+    rho23 = _libm(math.pow, np.abs(r - r0), 2.0 / 3.0)
+    return np.where(right, cbrt(ts[3]), cbrt(ts[1])) * rho23, np.where(right, cbrt(ts[2]), cbrt(t0)) * rho23
+
+
 def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     variant = "P4" if kind == "beta_sign" else "P4tilde"
     r0 = 2.0
@@ -662,15 +647,13 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     r = r[~(np.abs(r - r0) < 1e-12)]
     right = r > r0
     arho = np.abs(r - r0)
-    rho23 = _libm(math.pow, arho, 2.0 / 3.0)
-    w_val, w_d, w_dd, v_val, mu_w, nu_w, mu_v, nu_v = np.empty((8, len(r)))
+    w_val, v_val = _cusp_pair_at(r, r0, ts, t0)
+    w_d, w_dd, mu_w, nu_w, mu_v, nu_v = np.empty((6, len(r)))
     # right branch: parameters ts[3] (w) and ts[2] (v); left: ts[1] and t0
     for sel, tw, tv, sign in ((right, ts[3], ts[2], 1.0), (~right, ts[1], t0, -1.0)):
         cw = cbrt(tw)
-        w_val[sel] = cw * rho23[sel]
         w_d[sel] = (2.0 / 3.0) * cw * _libm(math.pow, arho[sel], -1.0 / 3.0) * sign
         w_dd[sel] = -(2.0 / 9.0) * cw * _libm(math.pow, arho[sel], -4.0 / 3.0)
-        v_val[sel] = cbrt(tv) * rho23[sel]
         mu_w[sel], nu_w[sel] = lambda12_t(tw, r[sel], r0, alpha, variant)
         mu_v[sel], nu_v[sel] = lambda12_t(tv, r[sel], r0, alpha, variant)
     # w branches use root parameters: radial eigenvalue vanishes and the
@@ -686,7 +669,7 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
     sign_ok = bool(branch_sign.all())
     w_ok, v_ok = bool(row_w.all()), bool(row_v.all())
     gap = w_val - v_val
-    min_gap_scaled = float(np.fmin.reduce(gap / rho23, initial=math.inf))
+    min_gap_scaled = float(np.fmin.reduce(gap / _libm(math.pow, arho, 2.0 / 3.0), initial=math.inf))
     cert.rows = np.empty(len(r), _CERT_ROW)
     for name, column in zip(_CERT_ROW.names, (r, w_val, v_val, mu_w, nu_w, mu_v, nu_v, row_w & row_v)):
         cert.rows[name] = column
@@ -805,11 +788,7 @@ def cusp_pair_values(cert: CtexCertificate, rgrid: int | None = None):
     if rgrid is None:
         rgrid = len(cert.rows) + 1
     radii = np.linspace(r0 - delta, r0 + delta, rgrid)
-    right = radii > r0
-    rho23 = _libm(math.pow, np.abs(radii - r0), 2.0 / 3.0)
-    w = np.where(right, cbrt(ts[3]), cbrt(ts[1])) * rho23
-    v = np.where(right, cbrt(ts[2]), cbrt(t0)) * rho23
-    return radii, w, v
+    return (radii, *_cusp_pair_at(radii, r0, ts, t0))
 
 
 # ---------------------------------------------------------------------------

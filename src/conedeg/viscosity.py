@@ -214,16 +214,6 @@ class GridVerifyReport:
     def consistent_solution(self) -> bool:
         return self.consistent_sub and self.consistent_super
 
-    def summary(self) -> str:
-        tags = [name for name, ok in (("subsolution", self.consistent_sub),
-                                      ("supersolution", self.consistent_super)) if ok]
-        label = "consistent with " + " and ".join(tags) if tags else "no clean signature"
-        c = self.counts
-        return (
-            f"{label}; interior={c['INTERIOR']} boundary={c['BOUNDARY']} "
-            f"outside={c['OUTSIDE']} skipped={len(self.skipped)}"
-        )
-
 
 def grid_verify(
     psi: GridFn,

@@ -458,6 +458,22 @@ def test_cone_axioms_failing_cone_exits_one(tmp_path):
     assert "trace_positive,false" in text
 
 
+@pytest.mark.parametrize("source,digest", [
+    ("gaussian", "0bbedbd71b6dbc4dda84eea87b8d06b7232cb90f2470034dcf9fa576ed10783a"),
+    ("step", "2262b9746c4e3ee7f6375077695f275cfa330b8e27fcf619e91bed0050abde19"),
+    ("dyadic", "2839e4a1d98389193b9f203d27ca286135dec02980d6eb394fd0e048eb2c8bbf"),
+])
+def test_envelope_builtin_sources_pass_and_are_pinned(source, digest, capsys):
+    # every row of the default width ladder passes on each built-in source,
+    # and stdout stays byte-identical to the pinned sha256
+    assert dispatch(["envelope", "--source", source]) == EXIT_PASS
+    out = capsys.readouterr().out
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0][-1] == "row_ok" and len(rows) == 4
+    assert all(row[-1] == "true" for row in rows[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_envelope_file_source_roundtrip(tmp_path):
     xs = np.linspace(-1.0, 1.0, 81)
     grid_path = tmp_path / "grid.csv"

@@ -113,6 +113,31 @@ def test_symmatrix_storage_is_read_only_and_exactly_symmetric():
             assert np.array_equal(d.view(np.int64), d.T.view(np.int64))  # zero signs too
 
 
+def test_symmetrization_keeps_entries_equal_to_their_mirror():
+    # an exactly symmetric matrix is stored as it is: halving and adding
+    # would round the odd subnormal 1.5e-323 (3 ulps) up to 2e-323
+    m = np.array([[1.5e-323, 1.0], [1.0, 2.0]])
+    stored = SymMatrix.from_dense(m).dense()
+    assert stored.tobytes() == m.tobytes()
+    assert m.flags.writeable and stored is not m  # the caller's array stays writeable
+    m[0, 0] = 3.0
+    assert stored[0, 0] == 1.5e-323
+    # a +-0 mirror pair differs bitwise and is averaged to +0 twice
+    z = SymMatrix.from_dense(np.array([[1.0, -0.0], [0.0, 2.0]])).dense()
+    assert np.array_equal(z, np.diag([1.0, 2.0])) and not np.signbit(z).any()
+    # within tolerance but not bitwise symmetric: the pair is averaged, and
+    # every entry already equal to its mirror is kept
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 7):
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        a[0, 1] += 1e-14
+        expect = 0.5 * a + 0.5 * a.T
+        assert _symmetrized(a).tobytes() == expect.tobytes()
+        a[1, 1] = 5e-324
+        assert _symmetrized(a)[1, 1] == 5e-324 and (0.5 * a + 0.5 * a.T)[1, 1] == 0.0
+
+
 def test_spectrum_sorts():
     s = Spectrum(np.array([3.0, -1.0, 2.0]))
     np.testing.assert_array_equal(s.values, [-1.0, 2.0, 3.0])

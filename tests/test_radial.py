@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conedeg import radial
-from conedeg.operators import OperatorSpec, eval_L, format_operator, parse_operator
+from conedeg.operators import FieldOracle, OperatorSpec, eval_L, format_operator, parse_operator
 from conedeg.radial import (
     CtexCertificate,
     QuarticSpec,
@@ -90,7 +90,6 @@ def test_profile_derivatives_match_finite_differences():
     _fd_check(RadialProfile.tanh_bump(0.5, 2.0), [1.1, 1.9, 2.0, 2.7])
     _fd_check(RadialProfile.holder_solution(0.5, 3), [0.2, 0.6, 0.95])
     _fd_check(RadialProfile.boundary_lip(3.0), [1.2, 1.5, 1.9])
-    _fd_check(RadialProfile.log_singular(1.0, -1.0, -1.0, 3), [0.3, 0.7, 1.0])
 
 
 def test_profile_parameter_validation():
@@ -100,8 +99,6 @@ def test_profile_parameter_validation():
         RadialProfile.holder_solution(1.0, 3)
     with pytest.raises(ValueError):
         RadialProfile.boundary_lip(2.0)
-    with pytest.raises(ValueError):
-        RadialProfile.log_singular(1.0, -1.0, 1.0, 3)  # alpha - n*beta < 0
 
 
 def test_boundary_lip_profile_solves_exactly():
@@ -407,11 +404,11 @@ def _scalar_interp_g(p_norm, s):
 
 
 def _per_node_cusp_operator(variant, alpha):
-    c4 = 1.0 if variant == "P4" else 0.01
+    q4 = 1.0 if variant == "P4" else 100.0
 
     def L_fn(x, s, p):
         t2 = float(p @ p)
-        val = -(s**3 * t2**5 + alpha * s * t2**3 + c4 * t2**2)
+        val = -(s**3 * t2**5 + alpha * s * t2**3 + t2**2 / q4)
         return val * np.eye(len(p))
 
     return OperatorSpec.general_l(_node_by_node(L_fn), m=10.0, name=f"cusp:{variant}:{alpha:g}")
@@ -544,9 +541,10 @@ def test_log_singular_value_gap_at_unit_radius():
     # difference between the mu=1 and mu=0 members at |x|=1 is ln 2 / (alpha - n beta)
     alpha, beta, n = -1.0, -1.0, 3
     k = alpha - n * beta
-    p1 = RadialProfile.log_singular(1.0, alpha, beta, n)
-    p0 = RadialProfile.log_singular(0.0, alpha, beta, n)
-    assert p1.psi(1.0) - p0.psi(1.0) == pytest.approx(math.log(2.0) / k, rel=1e-14)
+    p1 = FieldOracle.log_singular(alpha, beta, 1.0, n)
+    p0 = FieldOracle.log_singular(alpha, beta, 0.0, n)
+    x = np.array([1.0, 0.0, 0.0])
+    assert p1.value(x) - p0.value(x) == pytest.approx(math.log(2.0) / k, rel=1e-14)
 
 
 def test_log_singular_domain_errors():
