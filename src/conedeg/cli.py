@@ -34,6 +34,7 @@ import numpy as np
 
 from .envelopes import (
     GridFn,
+    _format_rows,
     check_envelope_properties,
     dyadic_sharpness,
     dyadic_w,
@@ -96,6 +97,11 @@ def _fmt_value(v) -> str:
 
 def _b(flag) -> str:
     return "true" if flag else "false"
+
+
+def _bools(col: np.ndarray) -> np.ndarray:
+    """A bool column as true/false cells."""
+    return np.where(col, "true", "false")
 
 
 def _squash(d: dict) -> str:
@@ -321,9 +327,9 @@ def _cmd_ctex(ns) -> tuple[str, list[str], int]:
         cert = build_counterexample(ns.kind.replace("-", "_"), rgrid=ns.rgrid, **params)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
-    body = []
-    for rb in cert.roots:
-        body.append(f"# root: i={rb.index} t={rb.t:.15g} bracket=[{rb.lo:.15g},{rb.hi:.15g}]")
+    roots = cert.roots
+    body = _format_rows("# root: i=%d t=%.15g bracket=[%.15g,%.15g]", range(len(roots)),
+                        roots["t"], roots["lo"], roots["hi"]).splitlines()
     for name in sorted(cert.clauses):
         body.append(f"# clause: {name}={_b(cert.clauses[name])}")
     for note in cert.notes:
@@ -370,18 +376,17 @@ def _envelope_source(ns) -> GridFn:
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
     src = _envelope_source(ns)
     report = check_envelope_properties(src, _floats(ns.eps), ns.side, lipschitz_K=ns.lipschitz)
-    body = [
-        "eps,monotone_ok,curvature_ok,curvature_worst,displacement_ok,"
-        "displacement_worst,gradient_ok,gradient_worst,lipschitz_ok,row_ok"
-    ]
-    for row in report.rows:
-        lip = "" if row.lipschitz_ok is None else _b(row.lipschitz_ok)
-        body.append(
-            f"{row.eps:.12g},{_b(row.monotone_ok)},{_b(row.curvature_ok)},"
-            f"{row.curvature_worst:.12g},{_b(row.displacement_ok)},"
-            f"{row.displacement_worst:.12g},{_b(row.gradient_ok)},"
-            f"{row.gradient_worst:.12g},{lip},{_b(row.ok)}"
-        )
+    rows = report.rows
+    # the lipschitz cell stays empty when no constant was given
+    lip = [""] * len(rows) if ns.lipschitz is None else _bools(rows["lipschitz_ok"])
+    body = _format_rows(
+        "%.12g,%s,%s,%.12g,%s,%.12g,%s,%.12g,%s,%s", rows["eps"], _bools(rows["monotone_ok"]),
+        _bools(rows["curvature_ok"]), rows["curvature_worst"], _bools(rows["displacement_ok"]),
+        rows["displacement_worst"], _bools(rows["gradient_ok"]), rows["gradient_worst"], lip,
+        _bools(rows["ok"]),
+        header="eps,monotone_ok,curvature_ok,curvature_worst,displacement_ok,"
+               "displacement_worst,gradient_ok,gradient_worst,lipschitz_ok,row_ok",
+    ).splitlines()
     claim = (
         f"{ns.side} quadratic-penalty envelopes of the {ns.source} source are "
         f"monotone in the width, keep one-sided curvature within 2/eps plus "
@@ -392,21 +397,17 @@ def _cmd_envelope(ns) -> tuple[str, list[str], int]:
 
 
 def _cmd_dyadic(ns) -> tuple[str, list[str], int]:
-    report = dyadic_sharpness()
-    body = ["k,eps,x,env_value,value_bound,displacement,displacement_bound,window_min,ok"]
-    for row in report.rows:
-        body.append(
-            f"{row.k},{row.eps:.12g},{row.x:.12g},{row.env_value:.12g},"
-            f"{row.value_bound:.12g},{row.displacement:.12g},"
-            f"{row.displacement_bound:.12g},{row.window_min:.12g},{_b(row.ok)}"
-        )
+    rows = dyadic_sharpness()
+    floats = [rows[name] for name in rows.dtype.names[1:-1]]
+    body = _format_rows("%d" + ",%.12g" * len(floats) + ",%s", rows["k"], *floats, _bools(rows["ok"]),
+                        header=",".join(rows.dtype.names)).splitlines()
     claim = (
         "lower envelopes of the shell-and-ramp source at five dyadic widths "
         "stay within the 1/16 value cap at the probe node while the minimizer "
         "jumps at least an eighth of the penalty radius: the displacement "
         "bound is sharp in order"
     )
-    return claim, body, EXIT_PASS if report.all_ok else EXIT_FAIL
+    return claim, body, EXIT_PASS if rows["ok"].all() else EXIT_FAIL
 
 
 def _cmd_first_variation(ns) -> tuple[str, list[str], int]:
@@ -555,14 +556,16 @@ def _cmd_kelvin(ns) -> tuple[str, list[str], int]:
             report = moving_sphere_check(oracle, ns.n, centers, lams, seed=ns.seed)
         except ValueError as exc:  # a radius above the admissible start radius
             raise UsageError(str(exc))
-        for t in report.trials:
-            where = "(" + ";".join(f"{c:.4g}" for c in t.center) + f") lam={t.lam:g}"
-            body.append(f"inversion_excess,{where},{t.max_excess:.12g},"
-                        f"{report.tol:.12g},{_b(t.max_excess <= report.tol)}")
-            body.append(f"sphere_identity,{where},{t.sphere_gap:.12g},"
-                        f"{report.tol:.12g},{_b(t.sphere_gap <= report.tol)}")
-            body.append(f"outer_shell,{where},{t.boundary_excess:.12g},"
-                        f"{report.tol:.12g},{_b(t.boundary_excess <= report.tol)}")
+        tr, cap = report.trials, report.tol
+        where = _format_rows("(" + ";".join(["%.4g"] * ns.n) + ") lam=%g",
+                             *tr["center"].T, tr["lam"]).splitlines()
+        # one three-line row per trial
+        body.extend(_format_rows(
+            f"inversion_excess,%s,%.12g,{cap:.12g},%s\nsphere_identity,%s,%.12g,{cap:.12g},%s\n"
+            f"outer_shell,%s,%.12g,{cap:.12g},%s",
+            where, tr["max_excess"], _bools(tr["max_excess"] <= cap),
+            where, tr["sphere_gap"], _bools(tr["sphere_gap"] <= cap),
+            where, tr["boundary_excess"], _bools(tr["boundary_excess"] <= cap)).splitlines())
         body.append(f"# start_radius: {report.start_radius:.12g}")
         body.append(f"# lipschitz_quotient: {report.lipschitz_quotient:.12g}")
         all_ok = all_ok and report.all_ok

@@ -14,8 +14,9 @@ same values.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,56 +198,40 @@ def lower_envelope_separable(w: GridFn, eps: float) -> EnvelopeResult:
 # property suite
 
 
-@dataclass
-class PropertyRow:
-    eps: float
-    monotone_ok: bool
-    curvature_ok: bool
-    curvature_worst: float
-    displacement_ok: bool
-    displacement_worst: float
-    gradient_ok: bool
-    gradient_worst: float
-    lipschitz_ok: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.monotone_ok, self.curvature_ok, self.displacement_ok, self.gradient_ok]
-        if self.lipschitz_ok is not None:
-            checks.append(self.lipschitz_ok)
-        return all(checks)
+_PROPERTY_ROW = np.dtype([("eps", np.float64), ("monotone_ok", np.bool_), ("curvature_ok", np.bool_),
+                          ("curvature_worst", np.float64), ("displacement_ok", np.bool_),
+                          ("displacement_worst", np.float64), ("gradient_ok", np.bool_),
+                          ("gradient_worst", np.float64), ("lipschitz_ok", np.bool_), ("ok", np.bool_)])
 
 
 @dataclass
 class PropertyReport:
+    """rows is a _PROPERTY_ROW structured array, one row per eps in the given
+    order; lipschitz_ok reads true when no Lipschitz constant was given, and
+    ok is the conjunction of the row's checks."""
+
     side: str
-    rows: list[PropertyRow] = field(default_factory=list)
-    approach_worst: float = math.nan
+    rows: np.ndarray
+    approach_worst: float
 
     @property
     def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return bool(self.rows["ok"].all())
+
+
+def _on(axis: int, start: int | None, stop: int | None) -> tuple[slice, ...]:
+    """The index taking start:stop along axis and every node along the other axes."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 def _second_differences(env: np.ndarray, h: tuple[float, ...]):
     """Per-axis centered second differences at interior nodes."""
-    out = []
-    if env.ndim == 1:
-        out.append((env[2:] - 2 * env[1:-1] + env[:-2]) / h[0] ** 2)
-    else:
-        out.append((env[2:, :] - 2 * env[1:-1, :] + env[:-2, :]) / h[0] ** 2)
-        out.append((env[:, 2:] - 2 * env[:, 1:-1] + env[:, :-2]) / h[1] ** 2)
-    return out
+    return [(env[_on(a, 2, None)] - 2 * env[_on(a, 1, -1)] + env[_on(a, None, -2)]) / ha ** 2
+            for a, ha in enumerate(h)]
 
 
 def _first_differences(env: np.ndarray, h: tuple[float, ...]):
-    out = []
-    if env.ndim == 1:
-        out.append((env[1:] - env[:-1]) / h[0])
-    else:
-        out.append((env[1:, :] - env[:-1, :]) / h[0])
-        out.append((env[:, 1:] - env[:, :-1]) / h[1])
-    return out
+    return [(env[_on(a, 1, None)] - env[_on(a, None, -1)]) / ha for a, ha in enumerate(h)]
 
 
 def check_envelope_properties(src: GridFn, eps_list: list, side: str,
@@ -282,15 +267,17 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
     else:
         grad_range = float(np.max(src.values[win_finite])) - vmin
 
-    report = PropertyReport(side=side)
+    # check (a) compares the envelope with the source on its finite nodes only
+    source = np.where(finite, src.values, -math.inf if up else math.inf)
+    rows = np.empty(len(eps_list), _PROPERTY_ROW)
     prev = None
     coords = src.node_coords()
     sup_abs = max(abs(vmax), abs(vmin))
-    for eps in eps_list:
+    for i, eps in enumerate(eps_list):
         res = compute(src, eps)
         env = res.env.values
         # (a) one-sided position and monotonicity in eps
-        mono = bool(np.all(env >= src.values - 1e-12) if up else np.all(env <= src.values + 1e-12))
+        mono = bool(np.all(env >= source - 1e-12) if up else np.all(env <= source + 1e-12))
         if prev is not None:
             mono &= bool(np.all(env <= prev + 1e-12) if up else np.all(env >= prev - 1e-12))
         prev = env
@@ -323,15 +310,15 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
                 continue
             worst_grad = max(worst_grad, float(np.max(d1)))
             grad_ok &= float(np.max(d1)) <= gbound + 1e-9 * (1.0 + gbound)
-        row = PropertyRow(eps, mono, curv_ok, worst_curv, disp_ok, worst_disp, grad_ok, worst_grad)
         # optional modulus refinement for Lipschitz sources
+        lip_ok = True
         if lipschitz_K is not None:
             lip_bound = math.sqrt(eps * lipschitz_K * math.sqrt(2.0 * eps * sup_abs))
             disp = np.sqrt(d2_all[finite])
-            row.lipschitz_ok = bool(np.all(disp <= lip_bound + 1e-9 * (1.0 + lip_bound)))
-        report.rows.append(row)
-    report.approach_worst = float(np.max(np.abs(prev - src.values)[finite]))
-    return report
+            lip_ok = bool(np.all(disp <= lip_bound + 1e-9 * (1.0 + lip_bound)))
+        ok = mono and curv_ok and disp_ok and grad_ok and lip_ok
+        rows[i] = eps, mono, curv_ok, worst_curv, disp_ok, worst_disp, grad_ok, worst_grad, lip_ok, ok
+    return PropertyReport(side, rows, float(np.max(np.abs(prev - src.values)[finite])))
 
 
 # ---------------------------------------------------------------------------
@@ -355,42 +342,23 @@ def dyadic_w(y: float) -> float:
     return 2.0 - 2.0 * a
 
 
-@dataclass
-class DyadicRow:
-    k: int
-    eps: float
-    x: float
-    env_value: float
-    value_bound: float
-    displacement: float
-    displacement_bound: float
-    window_min: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.env_value <= self.value_bound
-            and self.displacement >= self.displacement_bound
-            and self.window_min > 0.5
-        )
+_DYADIC_ROW = np.dtype([("k", np.int64), ("eps", np.float64), ("x", np.float64), ("env_value", np.float64),
+                        ("value_bound", np.float64), ("displacement", np.float64),
+                        ("displacement_bound", np.float64), ("window_min", np.float64), ("ok", np.bool_)])
 
 
-@dataclass
-class DyadicReport:
-    rows: list[DyadicRow] = field(default_factory=list)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def dyadic_sharpness() -> DyadicReport:
+def dyadic_sharpness() -> np.ndarray:
     """The displacement bound is sharp: at eps_k = 2^{-2(2k+1)} and
     x_k = 2^{-(2k+3)}, the lower-envelope minimizer sits at the origin,
     a distance 2^{-(2k+3)} = 2 * (sqrt(eps_k)/8) away, while every node in
-    the punctured window of radius sqrt(eps_k)/8 carries value > 1/2."""
-    report = DyadicReport()
-    for k in range(2, 7):
+    the punctured window of radius sqrt(eps_k)/8 carries value > 1/2.
+
+    Returns one _DYADIC_ROW per k = 2..6; ok holds when the value stays
+    within its bound, the minimizer jumps at least the displacement bound
+    and the window minimum exceeds 1/2."""
+    ks = range(2, 7)
+    rows = np.empty(len(ks), _DYADIC_ROW)
+    for row, k in enumerate(ks):
         eps = 2.0 ** (-2 * (2 * k + 1))
         xk = 2.0 ** -(2 * k + 3)
         root = math.sqrt(eps)
@@ -406,43 +374,32 @@ def dyadic_sharpness() -> DyadicReport:
         scores = wvals + (ys - xk) ** 2 / eps
         imin = int(np.argmin(scores))
         window = (np.abs(ys - xk) < root / 8.0) & (np.abs(ys - xk) > 0.0)
-        report.rows.append(
-            DyadicRow(
-                k=k,
-                eps=eps,
-                x=xk,
-                env_value=float(scores[imin]),
-                value_bound=1.0 / 16.0,
-                displacement=abs(float(ys[imin]) - xk),
-                displacement_bound=root / 8.0,
-                window_min=float(np.min(wvals[window])),
-            )
-        )
-    return report
+        value, disp, window_min = float(scores[imin]), abs(float(ys[imin]) - xk), float(np.min(wvals[window]))
+        ok = value <= 1.0 / 16.0 and disp >= root / 8.0 and window_min > 0.5
+        rows[row] = k, eps, xk, value, 1.0 / 16.0, disp, root / 8.0, window_min, ok
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # stability of envelopes under eps_j -> 0, x_j -> x
 
 
-@dataclass
-class StabilityRow:
-    node_index: int
-    target_value: float
-    tail_extreme: float
-    slack: float
-    ok: bool
+_STABILITY_ROW = np.dtype([("node_index", np.int64), ("target_value", np.float64),
+                           ("tail_extreme", np.float64), ("slack", np.float64), ("ok", np.bool_)])
 
 
 @dataclass
 class StabilityReport:
+    """rows is a _STABILITY_ROW structured array, one row per trial; ok holds
+    when the slack is at least -tolerance."""
+
     side: str
     tolerance: float
-    rows: list[StabilityRow] = field(default_factory=list)
+    rows: np.ndarray
 
     @property
     def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return bool(self.rows["ok"].all())
 
 
 def _point_envelope(src: GridFn, eps: float, x: np.ndarray, sign: float) -> float:
@@ -478,7 +435,7 @@ def stability_check(src: GridFn, side: str, trials: int = 10, seed: int = 0) -> 
     vals = src.values
     finite_idx = np.flatnonzero(np.isfinite(vals).ravel())
     coords = src.node_coords()
-    report = StabilityReport(side=side, tolerance=tol)
+    rows = np.empty(trials, _STABILITY_ROW)
     # the tail must reach eps small enough that a one-node penalty h^2/eps
     # dominates the value range; only then is the discrete limit exact
     vrange = float(np.ptp(vals[np.isfinite(vals)])) + 1.0
@@ -513,23 +470,33 @@ def stability_check(src: GridFn, side: str, trials: int = 10, seed: int = 0) -> 
                 tail.append(val)
         extreme = max(tail) if up else min(tail)
         slack = (target - extreme) if up else (extreme - target)
-        report.rows.append(StabilityRow(i, target, extreme, slack, slack >= -tol))
-    return report
+        rows[trial] = i, target, extreme, slack, slack >= -tol
+    return StabilityReport(side, tol, rows)
 
 
 # ---------------------------------------------------------------------------
 # CSV plumbing
 
 
+def _format_rows(fmt: str, *columns, header: str = "") -> str:
+    """One fmt line per row of the equal-length columns (each an array,
+    read row-major, or a sequence of cells), below header when one is given;
+    every line ends in a newline.  The whole table is one %-format over the
+    chained cells, which is quicker than one per row.  fmt may span lines,
+    for a multi-line row."""
+    cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    body = (fmt + "\n") * len(cols[0]) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    return f"{header}\n{body}" if header else body
+
+
 def _node_table(g: GridFn, *columns: tuple[str, str, object], numbered: bool = False) -> str:
     """CSV text over the nodes of g, row-major: a header, then per node its
     index (when numbered), its coordinates x[,y] in %.12g, and one value from
-    each (name, %-format, values) column; each row is one %-format."""
+    each (name, %-format, values) column."""
     names = ["node"] * numbered + ["x", "y"][:g.dim] + [name for name, _, _ in columns]
     fmt = ",".join(["%d"] * numbered + ["%.12g"] * g.dim + [f for _, f, _ in columns])
     cols = [range(g.values.size)] * numbered + g.node_coords().T.tolist()
-    cols += [np.ravel(vals).tolist() for _, _, vals in columns]
-    return "\n".join([",".join(names)] + [fmt % row for row in zip(*cols)]) + "\n"
+    return _format_rows(fmt, *cols, *(vals for _, _, vals in columns), header=",".join(names))
 
 
 def grid_to_csv(g: GridFn) -> str:

@@ -12,7 +12,6 @@ per-radius sign scan that becomes a pass/fail certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -21,13 +20,13 @@ from typing import Callable
 
 import numpy as np
 
+from .envelopes import _format_rows
 from .matcone import eigen_sym
 from .operators import FieldOracle, OperatorSpec, _cusp_g, _libm, _radial_jets, _where_positive, eval_F, eval_L
 
 __all__ = [
     "RadialProfile",
     "QuarticSpec",
-    "RootBracket",
     "CtexCertificate",
     "cbrt",
     "radial_F_eigs",
@@ -286,35 +285,33 @@ def quartic_eval(q: QuarticSpec, t: "Fraction | int | float"):
     return ((float(q.c4) * tf * tf + float(q.c2)) * tf + float(q.c1)) * tf + float(q.c0)
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    index: int
-    t: float
-    lo: float
-    hi: float
-
+# a certified root t and its bisection bracket [lo, hi]; a root's index is its row
+_ROOT_ROW = np.dtype([("t", np.float64), ("lo", np.float64), ("hi", np.float64)])
 
 # the probe window, its probe intervals, and the bisection's bracket width
 _ROOT_LO, _ROOT_HI, _ROOT_PROBES, _ROOT_WIDTH = -10.0, 10.0, 1024, 1e-12
 
 
-def quartic_roots(q: QuarticSpec) -> list[RootBracket]:
-    """All simple real roots in [-10, 10] by sign-change bracketing + bisection.
+def quartic_roots(q: QuarticSpec) -> np.ndarray:
+    """All simple real roots in [-10, 10] by sign-change bracketing + bisection,
+    as _ROOT_ROW rows in ascending order.
 
     A double root produces no sign change at the probe resolution and is
-    therefore missing from the list; callers that expect a fixed count
+    therefore missing from the rows; callers that expect a fixed count
     treat a shortfall as "unresolved" rather than inventing roots.
     """
     ts = np.linspace(_ROOT_LO, _ROOT_HI, _ROOT_PROBES + 1)
-    vals = quartic_eval(q, ts).tolist()
-    roots: list[RootBracket] = []
-    for i in range(_ROOT_PROBES):
+    vals = quartic_eval(q, ts)
+    # a probe value of 0 is a root; otherwise a sign change (or a NaN product)
+    # is bisected
+    f0, f1 = vals[:-1], vals[1:]
+    starts = np.flatnonzero((f0 == 0.0) | ~(f0 * f1 >= 0.0)).tolist()
+    roots = np.empty(len(starts) + int(vals[-1] == 0.0), _ROOT_ROW)
+    for row, i in enumerate(starts):
         a, b = float(ts[i]), float(ts[i + 1])
-        fa, fb = vals[i], vals[i + 1]
+        fa = float(vals[i])
         if fa == 0.0:
-            roots.append(RootBracket(len(roots), a, a, a))
-            continue
-        if fa * fb >= 0.0:
+            roots[row] = a, a, a
             continue
         while b - a > _ROOT_WIDTH:
             mid = 0.5 * (a + b)
@@ -339,9 +336,9 @@ def quartic_roots(q: QuarticSpec) -> list[RootBracket]:
             if not (ts[i] <= t_new <= ts[i + 1]):
                 break
             t_hat = t_new
-        roots.append(RootBracket(len(roots), t_hat, a, b))
+        roots[row] = t_hat, a, b
     if vals[-1] == 0.0:
-        roots.append(RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
+        roots[-1] = (ts[-1],) * 3
     return roots
 
 
@@ -495,7 +492,7 @@ _CERT_ROW = np.dtype([(name, np.float64) for name in ("r", "w", "v", "mu_w", "nu
 class CtexCertificate:
     kind: str
     params: dict
-    roots: list[RootBracket] = field(default_factory=list)
+    roots: np.ndarray = field(default_factory=lambda: np.empty(0, _ROOT_ROW))  # quartic_roots rows
     # _CERT_ROW rows by ascending radius; none when the build stops before its scan
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, _CERT_ROW))
     touching: list[float] = field(default_factory=list)
@@ -606,7 +603,7 @@ def _build_cusp_pair(kind: str, alpha: float, rgrid: int) -> CtexCertificate:
         cert.notes.append(f"expected 4 simple roots, found {len(cert.roots)} at probe resolution")
         return cert
     cert.clauses["roots_resolved"] = True
-    ts = [rb.t for rb in cert.roots]
+    ts = cert.roots["t"].tolist()
 
     # interlacing against the fence values (whose quartic signs certify it)
     if kind == "beta_sign":
@@ -821,20 +818,14 @@ def log_singular_check(mu: float, alpha: float, beta: float, n: int, x: np.ndarr
 # CSV serialization
 
 
-_ROW_FORMAT = ",".join(["%.12g"] * 7 + ["%s"]) + "\n"
-
-
 def certificate_rows_csv(cert: CtexCertificate) -> str:
-    """The per-radius table as one %-format over whole columns, which beats
-    per-field f-strings; the report header is the caller's to write."""
+    """The per-radius table; the report header is the caller's to write."""
     rows = cert.rows
-    columns = [rows[name].tolist() for name in _CERT_ROW.names[:-1]]
-    cells = zip(*columns, np.where(rows["ok"], "ok", "violation").tolist())
-    table = _ROW_FORMAT * len(rows) % tuple(itertools.chain.from_iterable(cells))
-    return "r,w,v,mu_w,nu_w,mu_v,nu_v,verdict\n" + table
+    return _format_rows(",".join(["%.12g"] * 7 + ["%s"]), *(rows[name] for name in _CERT_ROW.names[:-1]),
+                        np.where(rows["ok"], "ok", "violation"), header="r,w,v,mu_w,nu_w,mu_v,nu_v,verdict")
 
 
 def certificate_roots_csv(cert: CtexCertificate) -> str:
-    return "i,t_i,bracket_lo,bracket_hi\n" + "".join(
-        f"{rb.index},{rb.t:.15g},{rb.lo:.15g},{rb.hi:.15g}\n" for rb in cert.roots)
-
+    roots = cert.roots
+    return _format_rows("%d,%.15g,%.15g,%.15g", range(len(roots)), roots["t"], roots["lo"], roots["hi"],
+                        header="i,t_i,bracket_lo,bracket_hi")

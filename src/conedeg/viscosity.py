@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .envelopes import GridFn, _boundary_mask, lower_envelope, upper_envelope
+from .envelopes import GridFn, _boundary_mask, _format_rows, lower_envelope, upper_envelope
 from .matcone import (
     ConeClass,
     ConeSpec,
@@ -241,9 +241,8 @@ def grid_verify(
 def verify_rows_csv(report: GridVerifyReport) -> str:
     """node_index,class,margin: one "%d,%s,%.12g" row per checked node."""
     rows = report.rows
-    cells = zip(rows["node_index"].tolist(), _CLASS_NAMES[rows["cls"]], rows["margin"].tolist())
-    table = "%d,%s,%.12g\n" * len(rows) % tuple(itertools.chain.from_iterable(cells))
-    return "node_index,class,margin\n" + table
+    return _format_rows("%d,%s,%.12g", rows["node_index"], _CLASS_NAMES[rows["cls"]], rows["margin"],
+                        header="node_index,class,margin")
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +589,6 @@ class TouchReport:
     def interior_only(self) -> int:
         return sum(1 for bc in self.boundary_contact if not bc)
 
-    def summary(self) -> str:
-        return (
-            f"verdict={self.verdict} components={len(self.components)} "
-            f"interior_only={self.interior_only}"
-        )
-
 
 def touching_experiment(
     w: GridFn, v: GridFn, F: OperatorSpec, U: ConeSpec, tol: float
@@ -657,29 +650,32 @@ def touching_experiment(
 # moving spheres
 
 
-@dataclass(frozen=True)
-class SphereTrial:
-    center: tuple[float, ...]
-    lam: float
-    max_excess: float  # max of (transformed - original) off the sphere
-    sphere_gap: float  # max |transformed - original| on the sphere itself
-    boundary_excess: float  # max of (transformed - inf u) on the outer shell
-    ok: bool
+def _sphere_trial_row(n: int) -> np.dtype:
+    """One moving-sphere trial in dimension n: the center, the radius, the
+    three excesses and the verdict."""
+    return np.dtype([("center", np.float64, (n,)), ("lam", np.float64),
+                     ("max_excess", np.float64),  # max of (transformed - original) off the sphere
+                     ("sphere_gap", np.float64),  # max |transformed - original| on the sphere itself
+                     ("boundary_excess", np.float64),  # max of (transformed - inf u) on the outer shell
+                     ("ok", np.bool_)])
 
 
 @dataclass
 class MovingSphereReport:
+    """trials is a _sphere_trial_row(n) structured array, one row per
+    (center, radius) pair in the order they were given."""
+
     n: int
     sup_u: float
     inf_u: float
     start_radius: float
     lipschitz_quotient: float
     tol: float
-    trials: list[SphereTrial] = field(default_factory=list)
+    trials: np.ndarray
 
     @property
     def all_ok(self) -> bool:
-        return bool(self.trials) and all(t.ok for t in self.trials)
+        return bool(self.trials.size) and bool(self.trials["ok"].all())
 
 
 _SPHERE_DIRS = 48  # rays per (center, lam) trial
@@ -766,10 +762,8 @@ def moving_sphere_check(
     dist = np.sqrt(_sq_norm(pts[i] - pts[k]))
     apart = dist >= 1e-3
     quot = float(np.max(np.abs(vals[i[apart]] - vals[k[apart]]) / dist[apart], initial=0.0))
-    report = MovingSphereReport(
-        n=n, sup_u=sup_u, inf_u=inf_u, start_radius=R,
-        lipschitz_quotient=quot, tol=tol,
-    )
+    trials = np.empty(sum(map(len, lam_lists)), _sphere_trial_row(n))
+    row = 0
     shells = np.arange(_SPHERE_SHELLS, dtype=float)
     for x, lams in zip(centers, lam_lists):
         b = _dot(dirs, x)
@@ -792,10 +786,6 @@ def moving_sphere_check(
             sphere_gap = float(np.fmax.reduce(np.abs(excess[rho == lam]), initial=0.0))
             boundary_excess = float(np.fmax.reduce(rim, initial=-math.inf))
             ok = max_excess <= tol and sphere_gap <= tol and boundary_excess <= tol
-            report.trials.append(
-                SphereTrial(
-                    tuple(float(c) for c in x), float(lam),
-                    max_excess, sphere_gap, boundary_excess, ok,
-                )
-            )
-    return report
+            trials[row] = x, lam, max_excess, sphere_gap, boundary_excess, ok
+            row += 1
+    return MovingSphereReport(n, sup_u, inf_u, R, quot, tol, trials)

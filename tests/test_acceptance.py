@@ -105,7 +105,7 @@ def test_criterion_2_counterexample_certificates():
     )
     cert = build_counterexample("beta_sign", rgrid=2001, alpha=-3.0)
     times.append(time.perf_counter() - t0)
-    ts = [rb.t for rb in cert.roots]
+    ts = cert.roots["t"].tolist()
     checks["beta_sign_verdict"] = cert.verdict == "pass"
     checks["beta_sign_four_roots"] = len(ts) == 4
     checks["beta_sign_interlacing"] = (
@@ -120,7 +120,7 @@ def test_criterion_2_counterexample_certificates():
     t0 = time.perf_counter()
     cert = build_counterexample("nondec", rgrid=2001)
     times.append(time.perf_counter() - t0)
-    ts = [rb.t for rb in cert.roots]
+    ts = cert.roots["t"].tolist()
     checks["nondec_verdict"] = cert.verdict == "pass"
     checks["nondec_alpha"] = cert.params["alpha"] == -36 / 25
     checks["nondec_interlacing_across_8_5"] = (
@@ -152,7 +152,7 @@ def _random_piecewise(rng: np.random.Generator) -> GridFn:
 
 def test_criterion_3_envelope_suite():
     t0 = time.perf_counter()
-    checks = {"dyadic_sharpness": dyadic_sharpness().all_ok}
+    checks = {"dyadic_sharpness": bool(dyadic_sharpness()["ok"].all())}
     eps_list = [1e-2, 1e-3, 1e-4]
     properties_ok = True
     duality_ok = True
@@ -343,9 +343,9 @@ def test_criterion_8_moving_spheres():
     checks = {
         "start_radius_near_0.2": abs(report.start_radius - 0.2) < 1e-6,
         "all_20_trials": len(report.trials) == len(centers) * 4,
-        "inverted_below_plus_1e-8": all(t.max_excess <= 1e-8 for t in report.trials),
-        "equality_on_sphere": all(t.sphere_gap <= 1e-12 for t in report.trials),
-        "outer_shell_estimate": all(t.boundary_excess <= 1e-8 for t in report.trials),
+        "inverted_below_plus_1e-8": bool(np.all(report.trials["max_excess"] <= 1e-8)),
+        "equality_on_sphere": bool(np.all(report.trials["sphere_gap"] <= 1e-12)),
+        "outer_shell_estimate": bool(np.all(report.trials["boundary_excess"] <= 1e-8)),
     }
     _report(8, "moving spheres", checks,
             f"start radius {report.start_radius:.6g}")

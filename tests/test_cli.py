@@ -3,6 +3,7 @@ command-line surface.  Heavy numerical behavior is covered by the module
 suites; here the subject is the plumbing."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -472,6 +473,34 @@ def test_envelope_builtin_sources_pass_and_are_pinned(source, digest, capsys):
     assert rows[0][-1] == "row_ok" and len(rows) == 4
     assert all(row[-1] == "true" for row in rows[1:])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["dyadic"], "b7d3ef944113cd6ebfbf5fb2a4bab3ece3d6b0e5eac68537f26ea5650a1c7d00"),
+    (["envelope", "--side", "upper"], "d56cdfbdacef82abbf97a892177e3d4f3aa6f21ac48e68716f8347d94f436379"),
+    (["envelope", "--lipschitz", "3"], "6e59f9814790c23fd332c42fda63f10a4ef109c3bbe91462c173beebbb0547e3"),
+    (["envelope", "--source", "random", "--seed", "1", "--eps", "1e-2,1e-3"],
+     "ab1e61c0f4747cccf00260e66640b673f3e010b817ef467235fc62e7055a1a25"),
+])
+def test_envelope_tables_are_pinned(args, digest, capsys):
+    # sha256 of the stdout from when each envelope and dyadic row was a
+    # Python object written by its own f-string
+    assert dispatch(args) == EXIT_PASS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_envelope_file_source_with_a_masked_node(tmp_path):
+    # an inf cell reads back as a masked node, which the upper suite leaves
+    # out of its comparison with the source
+    xs = np.linspace(-1.0, 1.0, 41)
+    vals = np.exp(-8.0 * xs * xs)
+    vals[13] = math.inf
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text(grid_to_csv(GridFn(((-1.0, 1.0),), vals)))
+    code, text = run_to_file(tmp_path, ["envelope", "--side", "upper", "--source", "file",
+                                        "--input", str(grid_path)])
+    assert code == EXIT_PASS
+    assert "false" not in text
 
 
 def test_envelope_file_source_roundtrip(tmp_path):

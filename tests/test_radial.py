@@ -204,11 +204,11 @@ def test_quartic_roots_main_family():
         1.5381626518682436,
         3.2299603596285476,
     )
-    for rb, want in zip(roots, expected):
-        assert rb.t == pytest.approx(want, abs=1e-9)
-        assert rb.lo <= rb.t <= rb.hi or (rb.hi - rb.lo) < 1e-11
-        assert abs(float(quartic_eval(q, rb.t))) < 1e-8
-    ts = [rb.t for rb in roots]
+    ts = roots["t"].tolist()
+    assert ts == pytest.approx(expected, abs=1e-9)
+    for t, lo, hi in roots.tolist():
+        assert lo <= t <= hi or (hi - lo) < 1e-11
+        assert abs(float(quartic_eval(q, t))) < 1e-8
     assert ts[0] < -2.0 < ts[1] < 0.0 < ts[2] < 9.0 / 4.0 < ts[3]
 
 
@@ -216,8 +216,8 @@ def test_quartic_roots_polish_residual():
     # Newton polish should reach evaluation-noise level, far below the
     # bisection width; the certificates rely on this headroom
     for q in (QuarticSpec.p4_shifted(Fraction(-3)), QuarticSpec.p4_tilde_shifted(Fraction(-36, 25))):
-        for rb in quartic_roots(q):
-            assert abs(float(quartic_eval(q, rb.t))) < 1e-9
+        for t in quartic_roots(q)["t"].tolist():
+            assert abs(float(quartic_eval(q, t))) < 1e-9
 
 
 def test_quartic_roots_degenerate_count_is_reported():
@@ -231,8 +231,8 @@ def test_quartic_roots_exact_grid_hit():
     q = QuarticSpec(1, 0, 0, -10000)  # t^4 = 10^4, roots at -10 and 10
     roots = quartic_roots(q)
     assert len(roots) == 2
-    assert roots[0].t == pytest.approx(-10.0, abs=1e-12)
-    assert roots[-1].t == pytest.approx(10.0, abs=1e-12)
+    assert roots["t"][0] == pytest.approx(-10.0, abs=1e-12)
+    assert roots["t"][-1] == pytest.approx(10.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +610,7 @@ def test_nondec_certificate_passes(nondec_cert):
     assert cert.verdict == "pass"
     assert all(cert.clauses.values()), cert.clauses
     assert cert.params["t0"] == -3.0
-    ts = [rb.t for rb in cert.roots]
+    ts = cert.roots["t"].tolist()
     assert ts[0] < -2.0 < ts[1] < -1.6
     assert 1.6 < ts[2] < 2.0 < ts[3]
     assert cert.clauses["profiles_in_interp_region"]
@@ -763,7 +763,7 @@ def _replay_quartic_roots(q, lo=-10.0, hi=10.0, probes=1024, width=1e-12):
         a, b = float(ts[i]), float(ts[i + 1])
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
-            roots.append(radial.RootBracket(len(roots), a, a, a))
+            roots.append((a, a, a))
             continue
         if fa * fb >= 0.0:
             continue
@@ -787,10 +787,10 @@ def _replay_quartic_roots(q, lo=-10.0, hi=10.0, probes=1024, width=1e-12):
             if not (ts[i] <= t_new <= ts[i + 1]):
                 break
             t_hat = t_new
-        roots.append(radial.RootBracket(len(roots), t_hat, a, b))
+        roots.append((t_hat, a, b))
     if vals[-1] == 0.0:
-        roots.append(radial.RootBracket(len(roots), float(ts[-1]), float(ts[-1]), float(ts[-1])))
-    return roots
+        roots.append((float(ts[-1]), float(ts[-1]), float(ts[-1])))
+    return np.array(roots, radial._ROOT_ROW)
 
 
 def _replay_sign_scan_delta(variant, alpha, roots, t0, r0):
@@ -835,7 +835,7 @@ def _replay_build_cusp_pair(kind, alpha, rgrid):
         cert.notes.append(f"expected 4 simple roots, found {len(cert.roots)} at probe resolution")
         return cert
     cert.clauses["roots_resolved"] = True
-    ts = [rb.t for rb in cert.roots]
+    ts = cert.roots["t"].tolist()
     if kind == "beta_sign":
         interlace = ts[0] < -2.0 < ts[1] < 0.0 < ts[2] < 9.0 / 4.0 < ts[3]
     else:
