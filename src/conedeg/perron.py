@@ -29,10 +29,10 @@ w_a = 1 / h_a^2, S = sum_a 2 w_a, b = alpha - n beta and a = (n - 1) / r on
 radial grids (0 otherwise).  The Jacobian couples each node to its two
 neighbours per axis (an M-matrix for small h): a tridiagonal system in 1D
 (Thomas algorithm).  In 2D it is x - sum_a (w_a / S)(x_-a + x_+a) plus a
-first-order term, solved matrix-free by one window of GMRES (Saad &
-Schultz 1986) right-preconditioned by the constant-coefficient part, which
-a DST-I along each axis diagonalizes (Buzbee, Golub & Nielson 1970); the
-window takes about ten iterations at every grid size.
+first-order term, solved matrix-free by restarted GMRES (Saad & Schultz
+1986) right-preconditioned by the constant-coefficient part, which a DST-I
+along each axis diagonalizes (Buzbee, Golub & Nielson 1970); the step
+charges the true residual the last window leaves.
 G is concave for b > 0 and convex for b < 0, and
 G(u + t d) = (1 - t) G(u) + t e - b t^2 |p(d)|^2 / S holds exactly along a
 direction d, e = G'(u) d + G(u) being the solve's error (0 for an exact
@@ -42,7 +42,7 @@ is taken there when e keeps that side up to rounding; on the other side the
 step is shortened in closed form until every node keeps half its margin,
 with t |e| charged against it.  A node already on the cone boundary admits
 no shortened step; when the step would be that short (below
-_MIN_NEWTON_STEP) or the solve fails, the iteration takes one crossing
+_MIN_NEWTON_STEP) or the solve breaks down, the iteration takes one crossing
 sweep instead, whose last group moves only halfway, which keeps the run's
 side and leaves every moved node strictly inside.  No run looks at the
 other end of the bracket except to clamp into it.
@@ -356,12 +356,12 @@ def _solve_tridiagonal(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) ->
     return np.array(x)
 
 
-# the 2D Newton direction is one GMRES window that must end with
-# |G'(u) d + g|_2 <= _KRYLOV_TOL |d|_2: a backward error of about 4.5
-# rounding units, above the floor a float64 d sets (about 2.5e-16 at every
-# grid size from 17^2 to 513^2); the window holds at most _KRYLOV_CAP
-# iterations, and a window that misses the target gives NaN
+# GMRES restarts from the true residual while |G'(u) d + g|_2 > _KRYLOV_TOL
+# |d|_2, a backward error of about 4.5 rounding units above the floor a
+# float64 d sets (about 2.5e-16 at every grid size from 17^2 to 513^2), in
+# windows of _KRYLOV_WINDOW, _KRYLOV_CAP iterations in all
 _KRYLOV_TOL = 1e-15
+_KRYLOV_WINDOW = 20
 _KRYLOV_CAP = 60
 
 
@@ -378,55 +378,61 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext)[..., 1 : m + 1].imag
 
 
-def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray:
-    """x with apply(x) = b: one window of GMRES, right-preconditioned (Saad & Schultz 1986).
+def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, r = b - apply(x)) for apply(x) = b: restarted GMRES (Saad & Schultz 1986).
 
-    apply and precondition map arrays shaped like b.  Arnoldi runs on flat
-    vectors with classical Gram-Schmidt done twice, and Givens rotations
-    track the residual norm.  The window ends once that estimate drops below
-    _KRYLOV_TOL times the size of the preconditioned residual, after
-    _KRYLOV_CAP iterations, or when the Krylov space closes; x then takes
-    the window's correction and the true residual is formed once.  x is
-    returned if |b - apply(x)|_2 <= _KRYLOV_TOL |x|_2, and NaN otherwise.
+    Right-preconditioned; apply and precondition map arrays shaped like b.
+    Arnoldi runs on flat vectors with classical Gram-Schmidt done twice, and
+    Givens rotations track the residual norm.  A window ends once that
+    estimate drops below _KRYLOV_TOL max(|x|_2, |M^-1 b|_2), after
+    _KRYLOV_WINDOW iterations, or when the Krylov space closes; x then takes
+    its correction and r is formed.  Windows restart from r while |r|_2 >
+    _KRYLOV_TOL |x|_2, within _KRYLOV_CAP iterations; the caller charges r.
+    x and r are NaN only on a zero pivot.
     """
     shape = b.shape
-    r = b.ravel()
-    beta = float(np.linalg.norm(r))
-    basis = np.empty((_KRYLOV_CAP + 1, b.size))
-    basis[0] = r / beta
-    tri = np.zeros((_KRYLOV_CAP, _KRYLOV_CAP))
-    rotations, rhs = [], [beta]
-    for j in range(_KRYLOV_CAP):
-        z = precondition(basis[j].reshape(shape))
-        if j == 0:
-            scale = beta * float(np.linalg.norm(z))
-        w = apply(z).ravel()
-        h = basis[: j + 1] @ w
-        w -= h @ basis[: j + 1]
-        again = basis[: j + 1] @ w
-        w -= again @ basis[: j + 1]
-        col = (h + again).tolist()
-        sub = float(np.linalg.norm(w))
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-        diag = math.hypot(col[j], sub)
-        if diag == 0.0:
-            return np.full(shape, np.nan)
-        c, s = col[j] / diag, sub / diag
-        col[j] = diag
-        tri[: j + 1, j] = col
-        rotations.append((c, s))
-        rhs.append(-s * rhs[j])
-        rhs[j] *= c
-        if abs(rhs[-1]) <= _KRYLOV_TOL * scale or sub == 0.0:
+    x, r = np.zeros(b.size), b.ravel()
+    iterations = 0
+    while iterations < _KRYLOV_CAP:
+        beta = float(np.linalg.norm(r))
+        size = min(_KRYLOV_WINDOW, _KRYLOV_CAP - iterations)
+        basis = np.empty((size + 1, b.size))
+        basis[0] = r / beta
+        tri = np.zeros((size, size))
+        rotations, rhs = [], [beta]
+        for j in range(size):
+            z = precondition(basis[j].reshape(shape))
+            if j == 0:
+                scale = max(float(np.linalg.norm(x)), beta * float(np.linalg.norm(z)))
+            w = apply(z).ravel()
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            again = basis[: j + 1] @ w
+            w -= again @ basis[: j + 1]
+            col = (h + again).tolist()
+            sub = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            diag = math.hypot(col[j], sub)
+            if diag == 0.0:
+                return np.full(shape, np.nan), np.full(shape, np.nan)
+            c, s = col[j] / diag, sub / diag
+            col[j] = diag
+            tri[: j + 1, j] = col
+            rotations.append((c, s))
+            rhs.append(-s * rhs[j])
+            rhs[j] *= c
+            if abs(rhs[-1]) <= _KRYLOV_TOL * scale or sub == 0.0:
+                break
+            basis[j + 1] = w / sub
+        k = len(rotations)
+        iterations += k
+        y = np.linalg.solve(tri[:k, :k], rhs[:k])
+        x += precondition((y @ basis[:k]).reshape(shape)).ravel()
+        r = b.ravel() - apply(x.reshape(shape)).ravel()
+        if np.linalg.norm(r) <= _KRYLOV_TOL * np.linalg.norm(x):
             break
-        basis[j + 1] = w / sub
-    k = len(rotations)
-    y = np.linalg.solve(tri[:k, :k], rhs[:k])
-    x = precondition((y @ basis[:k]).reshape(shape)).ravel()
-    if np.linalg.norm(b.ravel() - apply(x.reshape(shape)).ravel()) <= _KRYLOV_TOL * np.linalg.norm(x):
-        return x.reshape(shape)
-    return np.full(shape, np.nan)
+    return x.reshape(shape), r.reshape(shape)
 
 
 class _TraceCrossing:
@@ -484,19 +490,19 @@ class _TraceCrossing:
             self.upper.append(-wt - k)
         return -t.reshape(self.shape)
 
-    def newton_direction(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """d with G'(u) d = -g on the interior and d = 0 on the grid edge.
+    def newton_direction(self, u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        """(d, e): G'(u) d ~ -g on the interior, d = 0 on the grid edge, e = G'(u) d + g.
 
-        u is the field of the last residual call.  The Thomas algorithm
-        solves the 1D system; in 2D, GMRES preconditioned by the DST-I
-        inverse of G'(u)'s k = 0 part (NaN when it misses its target).
+        u is the field of the last residual call.  The Thomas algorithm solves
+        the 1D system (e counts as 0.0); in 2D, GMRES preconditioned by the
+        DST-I inverse of G'(u)'s k = 0 part gives e = -r.  NaN on a zero pivot.
         """
         d = np.zeros_like(u)
         if u.ndim == 1:
             d[self.inner] = _solve_tridiagonal(self.lower[0], self.upper[0], -g)
-        else:
-            d[self.inner] = _gmres(self.jacobian, self.precondition, -g)
-        return d
+            return d, 0.0
+        d[self.inner], r = _gmres(self.jacobian, self.precondition, -g)
+        return d, -r
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """G'(u) x for x on the 2D interior, zero beyond it."""
@@ -544,8 +550,8 @@ def _newton_trace(
     the full step unless the direction's error, or on the damped side (s b >
     0, s = +1 descending, -1 ascending) the quadratic term, would leave the
     run's side; or one crossing sweep whose last group moves halfway, when
-    that step is shorter than _MIN_NEWTON_STEP or the Jacobian solve fails
-    (a damped run with a zero-slack node sweeps without solving); path is
+    that step is shorter than _MIN_NEWTON_STEP or the Jacobian solve breaks
+    down (a damped run with a zero-slack node sweeps without solving); path is
     "newton+sweep" once such a sweep ran.
     Every step is clamped into the sandwich.  A step that moves no node is a
     fixed point (every later step repeats it), so the run ends there,
@@ -579,13 +585,12 @@ def _newton_trace(
             # a node with zero slack admits no shortened step: sweep unsolved
             t = 0.0
         else:
-            d = tc.newton_direction(u, g)
             # G(u + t d) = (1 - t) g + t e - b t^2 |p(d)|^2 / S with e = G'(u) d + g
             # the Krylov solve's error (the 1D Thomas solve counts as exact).  e
             # off the run's side within eps max|u|, what writing the field rounds
             # G by, is let pass; the step is charged for the rest, and for the
             # quadratic term on the damped side only
-            e = tc.jacobian(d[tc.inner]) + g if u.ndim == 2 else 0.0
+            d, e = tc.newton_direction(u, g)
             err = np.maximum(-side * e - np.finfo(float).eps * np.abs(u).max(), 0.0)
             slack = np.maximum(side * g, 0.0)
             t = tc.damped_step(d, slack, err) if damped else _shortened_step(slack, err, 0.0)
