@@ -357,9 +357,9 @@ def _solve_tridiagonal(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) ->
 
 
 # GMRES restarts from the true residual while |G'(u) d + g|_2 > _KRYLOV_TOL
-# |d|_2, a backward error of about 4.5 rounding units above the floor a
-# float64 d sets (about 2.5e-16 at every grid size from 17^2 to 513^2), in
-# windows of _KRYLOV_WINDOW, _KRYLOV_CAP iterations in all
+# |d|_2 (a backward error of about 4.5 rounding units, above the floor a
+# float64 d sets: about 2.5e-16 at every grid size from 17^2 to 513^2), in
+# windows of _KRYLOV_WINDOW iterations, _KRYLOV_CAP in all
 _KRYLOV_TOL = 1e-15
 _KRYLOV_WINDOW = 20
 _KRYLOV_CAP = 60
