@@ -63,7 +63,6 @@ from .radial import (
     _MIN_RGRID,
     build_counterexample,
     certificate_rows_csv,
-    cusp_family_operator,
     cusp_pair_values,
 )
 from .viscosity import (
@@ -375,7 +374,10 @@ def _envelope_source(ns) -> GridFn:
 
 def _cmd_envelope(ns) -> tuple[str, list[str], int]:
     src = _envelope_source(ns)
-    report = check_envelope_properties(src, _floats(ns.eps), ns.side, lipschitz_K=ns.lipschitz)
+    try:
+        report = check_envelope_properties(src, _floats(ns.eps), ns.side, lipschitz_K=ns.lipschitz)
+    except ValueError as exc:  # the parser checks every flag, so only a read grid gets here
+        raise UsageError(f"bad --input grid: {exc}")
     rows = report.rows
     # the lipschitz cell stays empty when no constant was given
     lip = [""] * len(rows) if ns.lipschitz is None else _bools(rows["lipschitz_ok"])
@@ -599,10 +601,7 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
         except ValueError as exc:  # --grid below the radial minimum, or no certified pair
             raise UsageError(str(exc))
         box = ((float(rr[0]), float(rr[-1])),)
-        rep = touching_experiment(
-            GridFn(box, wv), GridFn(box, vv),
-            cusp_family_operator("P4", ns.alpha), parse_cone("one_pos"), 1e-12,
-        )
+        rep = touching_experiment(GridFn(box, wv), GridFn(box, vv), 1e-12)
         body.append(_touch_row("cusp", ns.grid, rep))
         expected = (rep.verdict == PROPAGATION_VIOLATED
                     and rep.interior_only == len(rep.components) == 1)
@@ -616,17 +615,13 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
     if ns.pair == "logpair":
         w_o = FieldOracle.log_singular(1.0, 0.0, 1.0, 3)
         v_o = FieldOracle.log_singular(1.0, 0.0, 0.0, 3)
-        F = OperatorSpec.quad_const(1.0, 0.0)
-        U = parse_cone("trace")
         gaps = []
         consistent = True
         for rmin in (1e-1, 1e-2, 1e-3):
             pts = np.zeros((ns.grid, 3))
             pts[:, 0] = np.linspace(rmin, 1.0, ns.grid)
             wv, vv = w_o.value(pts), v_o.value(pts)
-            rep = touching_experiment(
-                GridFn(((rmin, 1.0),), wv), GridFn(((rmin, 1.0),), vv), F, U, 1e-9
-            )
+            rep = touching_experiment(GridFn(((rmin, 1.0),), wv), GridFn(((rmin, 1.0),), vv), 1e-9)
             body.append(_touch_row(f"logpair:{rmin:g}", ns.grid, rep))
             gaps.append(rep.min_gap)
             consistent = consistent and rep.verdict == PROPAGATION_CONSISTENT
@@ -638,15 +633,13 @@ def _cmd_touching(ns) -> tuple[str, list[str], int]:
         )
         return claim, body, EXIT_PASS if ok else EXIT_FAIL
 
-    F = OperatorSpec.quad_const(1.0, 0.7)
-    U = parse_cone("posdef")
     rng = np.random.default_rng(ns.seed)
     xs = np.linspace(0.0, 1.0, 64)
     ok = True
     for i in range(ns.trials):
         v = GridFn(((0.0, 1.0),), rng.normal(size=64))
         gap = rng.uniform(0.2, 2.0) * xs * (np.cos(rng.uniform(0.0, 1.0) * xs) + 1.1)
-        rep = touching_experiment(GridFn(((0.0, 1.0),), v.values + gap), v, F, U, 1e-12)
+        rep = touching_experiment(GridFn(((0.0, 1.0),), v.values + gap), v, 1e-12)
         body.append(_touch_row(f"random:{i}", 64, rep))
         ok = ok and rep.verdict == PROPAGATION_CONSISTENT
     claim = (

@@ -113,7 +113,6 @@ class EnvelopeResult:
     # exact ties go to the smallest second-axis index, then the smallest
     # first-axis index that maximizes the first pass
     argpt: np.ndarray
-    eps: float
 
 
 def _penalties(src: GridFn, eps: float):
@@ -163,7 +162,7 @@ def _envelope(src: GridFn, eps: float, sign: float) -> EnvelopeResult:
         env, l = np.ascontiguousarray(env_t.T), np.ascontiguousarray(arg2.T)
         arg = np.take_along_axis(arg1, l, axis=1) * src.shape[1] + l
     env = env if sign > 0 else -env
-    return EnvelopeResult(src.with_values(env), arg, eps)
+    return EnvelopeResult(src.with_values(env), arg)
 
 
 def upper_envelope(v: GridFn, eps: float) -> EnvelopeResult:
@@ -210,7 +209,6 @@ class PropertyReport:
     order; lipschitz_ok reads true when no Lipschitz constant was given, and
     ok is the conjunction of the row's checks."""
 
-    side: str
     rows: np.ndarray
     approach_worst: float
 
@@ -242,7 +240,9 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
     one-sided curvature bound 2/eps on discrete second differences, (c) the
     displacement bound |argpt - x|^2 <= eps (range above/below x), (d) the
     gradient bound 2 eps^{-1/2} range^{1/2} plus an h/eps slack.  All are
-    exact discrete statements; the tolerances only absorb rounding.
+    exact discrete statements; the tolerances only absorb rounding.  The
+    range in (d) reads the finite interior nodes: ValueError if there are
+    none.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
@@ -260,6 +260,8 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
     vmin = float(np.min(src.values[finite]))
     interior = ~_boundary_mask(src.shape)
     win_finite = finite & interior
+    if not win_finite.any():
+        raise ValueError("the grid has no finite interior node to bound the gradient range")
     # range constant entering the gradient bound: global extremum on the
     # favorable side, window extremum on the other
     if up:
@@ -318,7 +320,7 @@ def check_envelope_properties(src: GridFn, eps_list: list, side: str,
             lip_ok = bool(np.all(disp <= lip_bound + 1e-9 * (1.0 + lip_bound)))
         ok = mono and curv_ok and disp_ok and grad_ok and lip_ok
         rows[i] = eps, mono, curv_ok, worst_curv, disp_ok, worst_disp, grad_ok, worst_grad, lip_ok, ok
-    return PropertyReport(side, rows, float(np.max(np.abs(prev - src.values)[finite])))
+    return PropertyReport(rows, float(np.max(np.abs(prev - src.values)[finite])))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,6 @@ class StabilityReport:
     """rows is a _STABILITY_ROW structured array, one row per trial; ok holds
     when the slack is at least -tolerance."""
 
-    side: str
     tolerance: float
     rows: np.ndarray
 
@@ -471,7 +472,7 @@ def stability_check(src: GridFn, side: str, trials: int = 10, seed: int = 0) -> 
         extreme = max(tail) if up else min(tail)
         slack = (target - extreme) if up else (extreme - target)
         rows[trial] = i, target, extreme, slack, slack >= -tol
-    return StabilityReport(side, tol, rows)
+    return StabilityReport(tol, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,9 @@ class AxiomReport:
         return all(flag for flag, _ in self.results.values())
 
 
-def _sample_member(rng: np.random.Generator, n: int, spec: ConeSpec, tries: int = 2000) -> np.ndarray | None:
-    """Rejection-sample an eigenvalue vector inside the open cone."""
-    for _ in range(tries):
+def _sample_member(rng: np.random.Generator, n: int, spec: ConeSpec) -> np.ndarray | None:
+    """Rejection-sample an eigenvalue vector inside the open cone, in at most 2000 draws."""
+    for _ in range(2000):
         lam = rng.normal(scale=2.0, size=n)
         if in_cone(lam, spec):
             return lam

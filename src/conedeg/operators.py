@@ -295,10 +295,7 @@ def u_to_w_jet(j: Jet2, n: int) -> Jet2:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    x: np.ndarray
-    n: int
     deviation: float
-    tol: float
     passed: bool
 
 
@@ -320,7 +317,7 @@ def consistency_check(u_oracle: "FieldOracle", x: np.ndarray, n: int, tol: float
         float(np.max(np.abs(a_u - a_psi))),
         float(np.max(np.abs(a_w - a_psi))),
     )
-    return ConsistencyReport(x=x, n=n, deviation=dev, tol=tol, passed=dev <= tol)
+    return ConsistencyReport(deviation=dev, passed=dev <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +559,6 @@ class LProbeReport:
     """
 
     operator: str
-    R: float
-    Lambda: float
-    m: float
-    samples: int
-    p_cap: float
     grad_x_bound: ConditionResult = field(default_factory=ConditionResult)  # |grad_x L| <= C|p|^m
     s_growth: ConditionResult = field(default_factory=ConditionResult)      # 0 <= dL <= C ds |p|^m I
     radial_coercive: ConditionResult = field(default_factory=ConditionResult)      # sub-unit scaling regime
@@ -647,36 +639,33 @@ def probe_L_conditions(
     m: float,
     samples: int,
     seed: int,
-    n: int = 3,
 ) -> LProbeReport:
     """Sample-based falsification/fitting of the structural conditions on L.
 
-    For each sampled (x, s <= s', p): fits the smallest constants making the
-    gradient bound, the s-growth bound, and the radial coercivity inequality
-    hold on the whole sample (reporting the largest workable theta_bar for
-    the coercivity one), or reports a violating witness.  Monotonicity in s
+    For each sampled (x, s <= s', p), x and p in R^3: fits the smallest
+    constants making the gradient bound, the s-growth bound, and the radial
+    coercivity inequality hold on the whole sample (reporting the largest
+    workable theta_bar for the coercivity one), or reports a violating
+    witness.  Monotonicity in s
     is checked as a matrix ordering.  Sampling caps |p| at 1e3; constants are
     sample-feasible only, witnesses are disproofs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    report = LProbeReport(
-        operator=format_operator(spec), R=R, Lambda=Lambda, m=m,
-        samples=samples, p_cap=_P_CAP,
-    )
+    report = LProbeReport(operator=format_operator(spec))
 
     # sample jets: |p| log-spaced to hit both the small- and large-gradient
     # regimes, which stress different terms of the inequalities
     pts = []
     for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, size=n)
+        x = rng.uniform(-1.0, 1.0, size=3)
         s_lo, s_hi = np.sort(rng.uniform(-R, R, size=2))
-        direction = rng.normal(size=n)
+        direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         mag = 10.0 ** rng.uniform(-3.0, math.log10(_P_CAP))
         pts.append((x, s_lo, s_hi, mag * direction))
-    pts.append((np.zeros(n), 0.0, min(R, 1.0), np.zeros(n)))  # p = 0 corner case
+    pts.append((np.zeros(3), 0.0, min(R, 1.0), np.zeros(3)))  # p = 0 corner case
     xs, s_lo, s_hi, ps = (np.array(col, dtype=float) for col in zip(*pts))
     pm = _libm(math.pow, np.sqrt(_sq_norm(ps)), m)
 
@@ -819,9 +808,9 @@ def _cusp_g(alpha: float, q4: float = 1.0) -> Callable[[np.ndarray, np.ndarray],
     return g
 
 
-def cubic_mix_L(coef: float = -36.0 / 25.0) -> OperatorSpec:
-    """L(s, p) = -(s^3 |p|^10 + coef * s |p|^6 + |p|^4) I; not monotone in s."""
-    return OperatorSpec.isotropic(_cusp_g(coef), m=10.0, name="cubic_mix")
+def cubic_mix_L() -> OperatorSpec:
+    """L(s, p) = -(s^3 |p|^10 - (36/25) s |p|^6 + |p|^4) I; not monotone in s."""
+    return OperatorSpec.isotropic(_cusp_g(-36.0 / 25.0), m=10.0, name="cubic_mix")
 
 
 _GENL_BUILTINS: dict[str, Callable[[], OperatorSpec]] = {

@@ -193,36 +193,12 @@ def _crossing_mode(U: ConeSpec, amb: int) -> str:
     )
 
 
-class _SweepGroup(_Stencil):
-    """One red-black group's stencils plus its sandwich bounds.
-
-    Raises ValueError for a group the positive cone's crossing cannot read:
-    a masked diagonal neighbour in 2D (the cross difference would not be
-    finite), or a general L on a radial grid (it need not keep the radial
-    jet diagonal).
-    """
-
-    def __init__(self, problem: DirichletProblem, idx: np.ndarray, mode: str):
-        # the trace of M reads no off-diagonal entry: no cross difference
-        super().__init__(problem.sub, idx, problem.matrix_dim, mode == "mineig")
-        vals = problem.sub.values.ravel()
-        self.lo = vals[idx]
-        self.hi = problem.sup.values.ravel()[idx]
-        if self.corners is not None and not np.isfinite(vals[np.concatenate(self.corners)]).all():
-            raise ValueError("the positive cone's 2D crossing needs finite diagonal neighbours")
-        if mode == "mineig" and self.radii is not None and problem.F.kind == "general_l":
-            raise ValueError(
-                "eigenvalue cones with a general lower-order term "
-                "are not supported on radial grids"
-            )
-
-
 # operators whose lower-order term reads the field value
 _VALUE_KINDS = ("quad_var", "isotropic", "general_l")
 
 
 def _moves(
-    u: np.ndarray, st: _Stencil, F: OperatorSpec, mode: str
+    u: np.ndarray, st: _Stencil, problem: DirichletProblem, mode: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, p, t): the nodes' values, slopes and moves to the crossing, given the flat field u.
 
@@ -236,14 +212,13 @@ def _moves(
     operators take s from u and then from the crossing s + t, three passes
     in all; a node sent to -inf keeps its value argument, so it stays there.
     """
+    F = problem.F
     s, p, H = st.jet(u)
     arg = s
     for _ in range(3 if F.kind in _VALUE_KINDS else 1):
         M = H + eval_L(F, st.x, arg, p)
         if mode == "trace":
-            # sum(st.center) is _margin_slope(problem) bit for bit: a factor
-            # 2 commutes with rounding
-            t = np.einsum("kii->k", M) / sum(st.center)
+            t = np.einsum("kii->k", M) / _margin_slope(problem)
         elif len(st.center) == 2:
             t = _mineig_crossing_2d(M[:, 0, 0], M[:, 1, 1], M[:, 0, 1], *st.center)
         else:
@@ -269,27 +244,46 @@ def _mineig_crossing_2d(a0, d0, b, sx: float, sy: float) -> np.ndarray:
 
 
 def _margin_slope(problem: DirichletProblem) -> float:
-    """Upper bound on |d margin / d center|, the residual scale of one move."""
+    """S = sum_a 2 / h_a^2: an upper bound on |d margin / d center|, the
+    residual scale of one move, and the trace cone's exact slope."""
     return 2.0 * sum(1.0 / (h * h) for h in problem.sub.h)
 
 
-def _make_groups(problem: DirichletProblem, mode: str) -> list[_SweepGroup]:
-    """The red and the black interior nodes, odd coordinate sum first."""
+def _make_groups(problem: DirichletProblem, mode: str) -> list[tuple[_Stencil, np.ndarray, np.ndarray]]:
+    """(stencils, sub, sup) of the red and the black interior nodes, odd
+    coordinate sum first.
+
+    Raises ValueError where the positive cone's crossing cannot read a
+    group: a masked diagonal neighbour in 2D (the cross difference would not
+    be finite), or a general L on a radial grid (it need not keep the radial
+    jet diagonal).
+    """
     interior = problem.interior_mask
     flat = np.flatnonzero(interior.ravel())
     coords = np.array(np.unravel_index(flat, interior.shape))
     parity = coords.sum(axis=0) % 2
+    lo, hi = problem.sub.values.ravel(), problem.sup.values.ravel()
     groups = []
     for par in (1, 0):
         sel = flat[parity == par]
-        if sel.size:
-            groups.append(_SweepGroup(problem, sel, mode))
+        if not sel.size:
+            continue
+        # the trace of M reads no off-diagonal entry: no cross difference
+        st = _Stencil(problem.sub, sel, problem.matrix_dim, mode == "mineig")
+        if st.corners is not None and not np.isfinite(lo[np.concatenate(st.corners)]).all():
+            raise ValueError("the positive cone's 2D crossing needs finite diagonal neighbours")
+        if mode == "mineig" and st.radii is not None and problem.F.kind == "general_l":
+            raise ValueError(
+                "eigenvalue cones with a general lower-order term "
+                "are not supported on radial grids"
+            )
+        groups.append((st, lo[sel], hi[sel]))
     return groups
 
 
 def _sweep(
     flat: np.ndarray,
-    groups: list[_SweepGroup],
+    groups: list[tuple[_Stencil, np.ndarray, np.ndarray]],
     problem: DirichletProblem,
     mode: str,
     last_weight: float = 1.0,
@@ -302,10 +296,10 @@ def _sweep(
     none is).
     """
     moves = []
-    for weight, st in zip((1.0, last_weight), groups):
-        s, _, t = _moves(flat, st, problem.F, mode)
+    for weight, (st, lo, hi) in zip((1.0, last_weight), groups):
+        s, _, t = _moves(flat, st, problem, mode)
         # np.minimum/np.maximum: the same values as np.clip, at half its call cost
-        c = np.minimum(np.maximum(s + t, st.lo), st.hi)
+        c = np.minimum(np.maximum(s + t, lo), hi)
         diff = c - s
         flat[st.idx] = c if weight == 1.0 else s + weight * diff
         moves.append(diff)
@@ -453,13 +447,12 @@ class _TraceCrossing:
     def __init__(self, problem: DirichletProblem):
         g = problem.sub
         amb = problem.matrix_dim
-        self.F = problem.F
+        self.problem = problem
         self.group = _Stencil(g, np.flatnonzero(problem.interior_mask.ravel()), amb, False)
         self.shape = tuple(size - 2 for size in g.shape)
         self.h = g.h
-        w = [1.0 / (h * h) for h in g.h]
-        total = 2.0 * sum(w)
-        self.weight = [wa / total for wa in w]
+        total = _margin_slope(problem)
+        self.weight = [1.0 / (h * h) / total for h in g.h]
         # 1 / S as (w_0 / S) h_0^2: in 1D the factor is 0.5 h^2 bit for bit
         self.scale = self.weight[0] * g.h[0] * g.h[0]
         self.b = problem.F.alpha - amb * problem.F.beta
@@ -480,7 +473,7 @@ class _TraceCrossing:
         return [p[:, ax].reshape(self.shape) for ax in range(len(self.h))]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        _, p, t = _moves(u.ravel(), self.group, self.F, "trace")
+        _, p, t = _moves(u.ravel(), self.group, self.problem, "trace")
         self.lower, self.upper = [], []
         for ax, (h, wt) in enumerate(zip(self.h, self.weight)):
             # (w_a / S) / (2 h_a) = 1 / (2 h_a S), which is 0.25 h in 1D
@@ -628,7 +621,6 @@ class PerronResult:
     u: GridFn
     sweeps: int
     converged: bool
-    direction: str
     monotone_ok: bool
     sandwich_ok: bool
     last_update: float
@@ -716,7 +708,6 @@ def perron_solve(
         u=out,
         sweeps=sweeps,
         converged=converged,
-        direction=direction,
         monotone_ok=monotone,
         sandwich_ok=sandwich,
         last_update=last,
@@ -735,7 +726,6 @@ class UniquenessReport:
 
     verdict: str  # pass | fail | inconclusive
     max_distance: float
-    tol: float
     runs: tuple[PerronResult, ...]
 
     @property
@@ -763,14 +753,14 @@ def uniqueness_experiment(
         runs.append(perron_solve(problem, cfg, direction="descending", start=init))
     fin = np.isfinite(problem.sub.values)
     if not all(r.converged for r in runs):
-        return UniquenessReport("inconclusive", math.nan, cfg.tol, tuple(runs))
+        return UniquenessReport("inconclusive", math.nan, tuple(runs))
     dist = 0.0
     for i in range(len(runs)):
         for j in range(i + 1, len(runs)):
             d = float(np.abs(runs[i].u.values[fin] - runs[j].u.values[fin]).max())
             dist = max(dist, d)
     verdict = "pass" if dist <= 10.0 * cfg.tol else "fail"
-    return UniquenessReport(verdict, dist, cfg.tol, tuple(runs))
+    return UniquenessReport(verdict, dist, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -779,7 +769,6 @@ class TranslationBoundReport:
 
     interior_max: float
     band_max: float
-    spacing: float
     slack: float
 
     @property
@@ -806,8 +795,7 @@ def translation_gradient_bound(psi: GridFn, band: np.ndarray) -> TranslationBoun
     mag = np.sqrt((p * p).sum(axis=1))
     interior_max = float(mag.max())
     band_max = float(mag[band.ravel()[idx]].max())
-    hmax = max(psi.h)
-    return TranslationBoundReport(interior_max, band_max, hmax, hmax)
+    return TranslationBoundReport(interior_max, band_max, max(psi.h))
 
 
 # a node's role by boundary + 2 * interior: neither (masked), boundary, interior
@@ -831,57 +819,41 @@ def solution_csv(result: PerronResult, problem: DirichletProblem) -> str:
 # reference problems with known exact solutions
 
 
-def radial_sandwich_problem(
-    npts: int,
-    *,
-    n: int = 3,
-    mu: float = 1.0,
-    width: float = 0.25,
-    inner: float = 0.5,
-    outer: float = 1.0,
-) -> tuple[DirichletProblem, np.ndarray]:
-    """Radial annulus with the singular-log solution and a quadratic sandwich.
+def radial_sandwich_problem(npts: int, *, n: int = 3) -> tuple[DirichletProblem, np.ndarray]:
+    """Radial annulus 1/2 <= r <= 1 with the singular-log solution and a quadratic sandwich.
 
-    The exact field ln(r^(2-n) + mu) solves the trace equation of the
-    gradient-square operator; adding +-width*(r - inner)*(outer - r) gives a
-    strict super/subsolution pair agreeing with it on the rim (for width <= 1
-    on the default annulus; certify with grid_verify when changing shape).
-    Returns the problem and the exact nodal values.
+    The exact field ln(r^(2-n) + 1) solves the trace equation of the
+    gradient-square operator; adding +-(r - 1/2)(1 - r)/4 gives a strict
+    super/subsolution pair agreeing with it on the rim.  Returns the problem
+    and the exact nodal values.
     """
-    if not (0.0 < inner < outer):
-        raise ValueError("need 0 < inner < outer")
-    rs = np.linspace(inner, outer, npts)
-    exact = np.log(rs ** (2.0 - n) + mu)
-    bump = width * (rs - inner) * (outer - rs)
+    rs = np.linspace(0.5, 1.0, npts)
+    exact = np.log(rs ** (2.0 - n) + 1.0)
+    bump = 0.25 * (rs - 0.5) * (1.0 - rs)
     problem = DirichletProblem(
         F=OperatorSpec.quad_const(1.0, 0.0),
         U=ConeSpec("trace"),
-        sub=GridFn(((inner, outer),), exact - bump),
-        sup=GridFn(((inner, outer),), exact + bump),
+        sub=GridFn(((0.5, 1.0),), exact - bump),
+        sup=GridFn(((0.5, 1.0),), exact + bump),
         ambient_n=n,
     )
     return problem, exact
 
 
-def box_sandwich_problem(
-    npts: int,
-    *,
-    scale: float = 2.0,
-    lo: float = 0.55,
-    hi: float = 0.95,
-) -> tuple[DirichletProblem, np.ndarray]:
-    """2D box with the exact field ln(1 - ln r) and a product-bump sandwich.
+def box_sandwich_problem(npts: int) -> tuple[DirichletProblem, np.ndarray]:
+    """Box [0.55, 0.95]^2 with the exact field ln(1 - ln r) and a product-bump sandwich.
 
     exp of the field is log-harmonic, so the trace equation of the
-    gradient-square operator holds exactly; the bump vanishes on the box
-    edge and keeps the sandwich strict inside.
+    gradient-square operator holds exactly; the bump
+    2 (x - 0.55)(0.95 - x)(y - 0.55)(0.95 - y) vanishes on the box edge and
+    keeps the sandwich strict inside.
     """
-    xs = np.linspace(lo, hi, npts)
+    xs = np.linspace(0.55, 0.95, npts)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     R = np.hypot(X, Y)
     exact = np.log(1.0 - np.log(R))
-    bump = scale * (X - lo) * (hi - X) * (Y - lo) * (hi - Y)
-    box = ((lo, hi), (lo, hi))
+    bump = 2.0 * (X - 0.55) * (0.95 - X) * (Y - 0.55) * (0.95 - Y)
+    box = ((0.55, 0.95), (0.55, 0.95))
     problem = DirichletProblem(
         F=OperatorSpec.quad_const(1.0, 0.0),
         U=ConeSpec.gamma(1),

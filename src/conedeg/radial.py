@@ -81,8 +81,8 @@ class RadialProfile:
         return cls(f"tanh_bump:{delta:g}", r0 - 1.0, r0 + 1.0, psi, dpsi, ddpsi)
 
     @classmethod
-    def holder_solution(cls, gamma: float, n: int, r_hi: float = 1.0) -> "RadialProfile":
-        """psi(r) = r^{lam+1} / ((lam+1)(lam+n-1)^lam), lam = 1/(1-gamma).
+    def holder_solution(cls, gamma: float, n: int) -> "RadialProfile":
+        """psi(r) = r^{lam+1} / ((lam+1)(lam+n-1)^lam) on (0, 1), lam = 1/(1-gamma).
 
         Classical solution of (Laplacian psi) = |grad psi|^gamma; the scaling
         constant makes both sides match exactly.
@@ -103,11 +103,11 @@ class RadialProfile:
         def ddpsi(r):
             return c * (lam + 1.0) * lam * r ** (lam - 1.0)
 
-        return cls(f"holder:{gamma:g}:{n}", 0.0, r_hi, psi, dpsi, ddpsi, excluded=(0.0,))
+        return cls(f"holder:{gamma:g}:{n}", 0.0, 1.0, psi, dpsi, ddpsi, excluded=(0.0,))
 
     @classmethod
-    def boundary_lip(cls, m: float, a: float = 2.0) -> "RadialProfile":
-        """psi(r) = -(m-1)^{(m-2)/(m-1)} (m-2)^{-1} (r-1)^{(m-2)/(m-1)} on (1, a).
+    def boundary_lip(cls, m: float) -> "RadialProfile":
+        """psi(r) = -(m-1)^{(m-2)/(m-1)} (m-2)^{-1} (r-1)^{(m-2)/(m-1)} on (1, 2).
 
         Satisfies psi'' = |psi'|^m exactly; the gradient blows up at r = 1,
         so the solution is continuous up to the boundary but not Lipschitz.
@@ -126,7 +126,7 @@ class RadialProfile:
         def ddpsi(r):
             return -c * kappa * (kappa - 1.0) * (r - 1.0) ** (kappa - 2.0)
 
-        return cls(f"boundary_lip:{m:g}", 1.0, a, psi, dpsi, ddpsi, excluded=(1.0,))
+        return cls(f"boundary_lip:{m:g}", 1.0, 2.0, psi, dpsi, ddpsi, excluded=(1.0,))
 
     @classmethod
     def sampled(cls, r: np.ndarray, psi: np.ndarray, dpsi: np.ndarray, ddpsi: np.ndarray) -> "RadialProfile":
@@ -434,7 +434,6 @@ def _interp_strip_g(s, p_norm) -> np.ndarray:
 
 @dataclass
 class SlopeScanReport:
-    grid_points: int
     nonpos_outside: bool
     nonpos_fraction: float
     rise_witness: dict | None
@@ -465,7 +464,6 @@ def interp_L_slope_scan(n_s: int = 40, n_p: int = 25) -> SlopeScanReport:
         witness = {"p_norm": float(p[i, 0]), "s": float(s[i, j]), "slope": float(slope[i, j]),
                    "inside_strip": bool(inside[i, j])}
     return SlopeScanReport(
-        grid_points=slope.size,
         nonpos_outside=not (rises & ~inside).any(),
         nonpos_fraction=int((~rises).sum()) / slope.size,
         rise_witness=witness,

@@ -29,7 +29,6 @@ from .matcone import (
     _symmetrized,
     classify,
     cone_margin,
-    format_cone,
 )
 from .operators import (
     FieldOracle,
@@ -41,7 +40,6 @@ from .operators import (
     _sq_norm,
     eval_F,
     eval_L,
-    format_operator,
     kelvin,
     moving_sphere_radius,
     probe_L_conditions,
@@ -176,16 +174,13 @@ class GridVerifyReport:
     """Per-node cone verdicts for a grid-sampled function.
 
     rows is a _VERDICT_ROW structured array, one row per checked node in
-    ascending order: node_index, cls (a ConeClass value) and margin.
-    skipped lists the interior nodes with a non-finite stencil; tol is the
-    effective tolerance including the grid term.  Read off the rows: counts,
+    ascending order: node_index, cls (a ConeClass value) and margin, classed
+    against the effective tolerance of grid_verify.  skipped lists the
+    interior nodes with a non-finite stencil.  Read off the rows: counts,
     sub_failures (OUTSIDE: F leaves the closed cone, against a subsolution)
     and super_failures (INTERIOR: F lies inside, against a supersolution).
     """
 
-    operator: str
-    cone: str
-    tol: float
     rows: np.ndarray
     skipped: list[int]
 
@@ -215,6 +210,14 @@ class GridVerifyReport:
         return self.consistent_sub and self.consistent_super
 
 
+def _effective_tol(g: GridFn, tol: float) -> float:
+    """tol + 4 h^2, h the largest grid step: the verifiers' tolerance, which
+    absorbs the truncation error of the centered stencil on fields with
+    bounded fourth derivatives."""
+    heff = max(g.h)
+    return tol + 4.0 * heff * heff
+
+
 def grid_verify(
     psi: GridFn,
     F: OperatorSpec,
@@ -223,19 +226,15 @@ def grid_verify(
     *,
     ambient_n: int | None = None,
 ) -> GridVerifyReport:
-    """Classify the discrete F at every interior node of a sampled function.
-
-    The effective tolerance is tol + 4 h^2, absorbing the truncation error
-    of the centered stencil on fields with bounded fourth derivatives.
-    """
+    """Classify the discrete F at every interior node of a sampled function,
+    against the effective tolerance tol + 4 h^2 (_effective_tol)."""
     _check_tol(tol)
-    heff = max(psi.h)
-    tol_eff = tol + 4.0 * heff * heff
+    tol_eff = _effective_tol(psi, tol)
     nodes, ok, x, s, p, H = _interior_jets(psi, ambient_n)
     margins = cone_margin(_sym_eigvals(H + eval_L(F, x, s, p)), U)
     rows = np.empty(margins.size, _VERDICT_ROW)
     rows["node_index"], rows["cls"], rows["margin"] = nodes[ok], _margin_class(margins, tol_eff), margins
-    return GridVerifyReport(format_operator(F), format_cone(U), tol_eff, rows, nodes[~ok].tolist())
+    return GridVerifyReport(rows, nodes[~ok].tolist())
 
 
 def verify_rows_csv(report: GridVerifyReport) -> str:
@@ -293,10 +292,7 @@ def first_variation_constants(
     *,
     M: float,
     R: float,
-    m: float | None = None,
     samples: int = 400,
-    seed: int = 0,
-    n: int = 3,
 ) -> PerturbationParams:
     """Deterministic constant cascade for the perturbation inequalities.
 
@@ -309,11 +305,11 @@ def first_variation_constants(
     """
     if not (0.0 < M < math.inf and 0.0 < R < math.inf):
         raise ValueError("need positive finite working-box bounds M and R")
-    mm = float(F.m if m is None else m)
+    mm = float(F.m)
     C = 2.0
     for _ in range(6):
         # the probe's R bounds the sampled values: the gap test's |s| <= M
-        probe = probe_L_conditions(F, R=M, Lambda=8.0 * C, m=mm, samples=samples, seed=seed, n=n)
+        probe = probe_L_conditions(F, R=M, Lambda=8.0 * C, m=mm, samples=samples, seed=0)
         if not probe.all_ok():
             raise ValueError("operator fails the structural probes on the working box")
         fits = [
@@ -454,8 +450,6 @@ class EnvelopeErrorReport:
     (infinite a_required) and fitted_a (largest finite a_required, or 0.0).
     """
 
-    side: str
-    eps: float
     skipped: int
     edge_attained: int
     rows: np.ndarray
@@ -516,8 +510,7 @@ def envelope_error_check(
     if np.any(np.abs(w.values[finite]) > M):
         raise ValueError("amplitude bound violated: need |w| <= M")
     res = lower_envelope(w, eps) if side == "super" else upper_envelope(w, eps)
-    heff = max(w.h)
-    tol_eff = tol + 4.0 * heff * heff
+    tol_eff = _effective_tol(w, tol)
     nodes, ok, x, s, p, H = _interior_jets(res.env, ambient_n)
     argpt = res.argpt.ravel()
     edge = _boundary_mask(w.shape).ravel()[argpt[nodes[ok]]]
@@ -556,7 +549,7 @@ def envelope_error_check(
     rows = np.empty(len(idx), _ENVELOPE_ROW)
     rows["node_index"], rows["displacement"], rows["grad_norm"], rows["margin"] = idx, dist, pn, m0
     rows["a_required"] = np.where(feasible(m0), 0.0, np.where(bisect, hi, math.inf))
-    return EnvelopeErrorReport(side, eps, int(np.count_nonzero(~ok)), int(np.count_nonzero(edge)), rows)
+    return EnvelopeErrorReport(int(np.count_nonzero(~ok)), int(np.count_nonzero(edge)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +569,6 @@ class TouchReport:
     Components use 2*dim-neighbor adjacency, flat row-major node indices.
     """
 
-    operator: str
-    cone: str
-    tol: float
     components: list[list[int]] = field(default_factory=list)
     boundary_contact: list[bool] = field(default_factory=list)
     verdict: str = PROPAGATION_CONSISTENT
@@ -590,15 +580,12 @@ class TouchReport:
         return sum(1 for bc in self.boundary_contact if not bc)
 
 
-def touching_experiment(
-    w: GridFn, v: GridFn, F: OperatorSpec, U: ConeSpec, tol: float
-) -> TouchReport:
+def touching_experiment(w: GridFn, v: GridFn, tol: float) -> TouchReport:
     """Locate where an ordered pair nearly touches and judge propagation.
 
     Masked nodes (non-finite in either grid) are excluded from the touching
-    set, the gap statistics, and the boundary test.  The operator and cone
-    are recorded for provenance of the experiment; the verdict itself is a
-    statement about the pair's geometry.
+    set, the gap statistics, and the boundary test.  The verdict is a
+    statement about the pair's geometry alone, so no operator or cone enters.
     """
     if w.box != v.box or w.shape != v.shape:
         raise ValueError("grids mismatched: w and v must share box and shape")
@@ -611,7 +598,7 @@ def touching_experiment(
         raise ValueError("ordering violated: need w >= v - tol nodewise")
     shape = w.shape
     boundary = _boundary_mask(shape)
-    report = TouchReport(operator=format_operator(F), cone=format_cone(U), tol=tol)
+    report = TouchReport()
     report.min_gap = float(np.min(gap[mask]))
     if np.any(mask & boundary):
         report.boundary_gap = float(np.min(gap[mask & boundary]))

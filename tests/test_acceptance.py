@@ -19,7 +19,7 @@ from conedeg.envelopes import (
     lower_envelope,
     upper_envelope,
 )
-from conedeg.matcone import ConeSpec, SymMatrix, eigen_sym, parse_cone
+from conedeg.matcone import SymMatrix, eigen_sym
 from conedeg.operators import (
     FieldOracle,
     Jet2,
@@ -34,7 +34,6 @@ from conedeg.perron import SolverConfig, perron_solve, radial_sandwich_problem, 
 from conedeg.radial import (
     QuarticSpec,
     build_counterexample,
-    cusp_family_operator,
     cusp_pair_values,
     monotone_interp_L,
     quartic_eval,
@@ -285,38 +284,31 @@ def test_criterion_7_touching_propagation():
     cert = build_counterexample("beta_sign", rgrid=501, alpha=-3.0)
     rr, wv, vv = cusp_pair_values(cert, 501)
     box = ((float(rr[0]), float(rr[-1])),)
-    rep = touching_experiment(GridFn(box, wv), GridFn(box, vv),
-                              cusp_family_operator("P4", -3.0),
-                              parse_cone("one_pos"), 1e-12)
+    rep = touching_experiment(GridFn(box, wv), GridFn(box, vv), 1e-12)
     checks["cusp_pair_violated"] = rep.verdict == PROPAGATION_VIOLATED
     checks["cusp_component_is_r0_only"] = (
         rep.components == [[250]] and float(rr[250]) == 2.0
     )
 
-    F = OperatorSpec.quad_const(1.0, 0.7)
-    U = ConeSpec.posdef()
     rng = np.random.default_rng(77)
     xs = np.linspace(0.0, 1.0, 64)
     consistent = True
     for _ in range(20):
         v = GridFn(((0.0, 1.0),), rng.normal(size=64))
         gap = rng.uniform(0.2, 2.0) * xs * (np.cos(rng.uniform(0.0, 1.0) * xs) + 1.1)
-        pair = touching_experiment(GridFn(((0.0, 1.0),), v.values + gap), v, F, U, 1e-12)
+        pair = touching_experiment(GridFn(((0.0, 1.0),), v.values + gap), v, 1e-12)
         consistent &= pair.verdict == PROPAGATION_CONSISTENT
     checks["twenty_conforming_pairs_consistent"] = consistent
 
     w_o = FieldOracle.log_singular(1.0, 0.0, 1.0, 3)
     v_o = FieldOracle.log_singular(1.0, 0.0, 0.0, 3)
-    trace_op = OperatorSpec.quad_const(1.0, 0.0)
-    trace_cone = parse_cone("trace")
     gaps = []
     for rmin in (1e-1, 1e-2, 1e-3):
         rs = np.linspace(rmin, 1.0, 801)
         wvals = np.array([w_o.value(np.array([r, 0.0, 0.0])) for r in rs])
         vvals = np.array([v_o.value(np.array([r, 0.0, 0.0])) for r in rs])
         rep = touching_experiment(GridFn(((rmin, 1.0),), wvals),
-                                  GridFn(((rmin, 1.0),), vvals),
-                                  trace_op, trace_cone, 1e-9)
+                                  GridFn(((rmin, 1.0),), vvals), 1e-9)
         checks[f"punctured_pair_consistent_rmin_{rmin:g}"] = (
             rep.verdict == PROPAGATION_CONSISTENT
         )

@@ -454,9 +454,10 @@ def test_kelvin_oversized_radius_is_usage(capsys):
 
 
 def test_cone_axioms_failing_cone_exits_one(tmp_path):
-    code, text = run_to_file(tmp_path, ["cone-axioms", "--cone", "one_pos"])
-    assert code == EXIT_FAIL
-    assert "trace_positive,false" in text
+    for cone, witness in (("one_pos", "trace_positive,false"), ("neg:posdef", "add_posdef,false,eig_sum=")):
+        code, text = run_to_file(tmp_path, ["cone-axioms", "--cone", cone])
+        assert code == EXIT_FAIL
+        assert witness in text
 
 
 @pytest.mark.parametrize("source,digest", [
@@ -523,10 +524,12 @@ def test_envelope_file_source_needs_input(capsys):
     "x,value\n0,1\n0.1,2\n1,3\n",
     "x,value\n0,1\n1,2\n0.5,3\n",
     "x,value\n0,1\n0.5,2\n0.5,2\n1,3\n",
+    "x,value\n-1,0\n0,inf\n1,1\n",
 ])
 def test_envelope_malformed_input_grid_is_usage(text, tmp_path, capsys):
     # y-major, non-uniform, unsorted and duplicated nodes used to be read
-    # without complaint (transposed, respaced or kept in file order)
+    # without complaint (transposed, respaced or kept in file order); a grid
+    # with no finite interior node failed inside numpy, with exit 1
     grid_path = tmp_path / "grid.csv"
     grid_path.write_text(text)
     assert dispatch(["envelope", "--source", "file", "--input", str(grid_path)]) == EXIT_USAGE

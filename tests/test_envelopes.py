@@ -342,6 +342,24 @@ def test_properties_2d():
     assert rep.all_ok
 
 
+def _masked_interior(dim: int) -> GridFn:
+    """x,value rows -1,0 / 0,inf / 1,1 in 1D; a 5 x 5 grid with an inf 3 x 3 interior in 2D."""
+    if dim == 1:
+        return GridFn(((-1.0, 1.0),), np.array([0.0, math.inf, 1.0]))
+    vals = np.zeros((5, 5))
+    vals[1:-1, 1:-1] = math.inf
+    return GridFn(((-1.0, 1.0), (-1.0, 1.0)), vals)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_properties_need_a_finite_interior_node(dim, side):
+    # the gradient range reads the finite interior nodes; with none it used
+    # to fail in numpy ("zero-size array to reduction operation")
+    with pytest.raises(ValueError, match="no finite interior node"):
+        check_envelope_properties(_masked_interior(dim), [0.1], side=side)
+
+
 def test_properties_eps_list_validation():
     g = _random_piecewise(np.random.default_rng(5))
     with pytest.raises(ValueError):
@@ -501,7 +519,7 @@ def test_grid_csv_bytes_are_pinned(g, grid_digest, env_digest):
     # inf/-inf special case: +-inf print as inf/-inf, -0.0 as -0
     import hashlib
 
-    res = EnvelopeResult(g, np.arange(g.values.size)[::-1].reshape(g.shape), 0.1)
+    res = EnvelopeResult(g, np.arange(g.values.size)[::-1].reshape(g.shape))
     assert hashlib.sha256(grid_to_csv(g).encode()).hexdigest() == grid_digest
     assert hashlib.sha256(envelope_to_csv(res).encode()).hexdigest() == env_digest
 

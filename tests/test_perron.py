@@ -290,6 +290,9 @@ def test_problem_validation():
         )
     with pytest.raises(ValueError):  # cone pinned to the wrong dimension
         DirichletProblem(LAPLACE, ConeSpec.gamma(1, n=3), lo, GridFn(((0, 1),), hi2))
+    walled = GridFn(((0, 1),), np.array([0.0, np.inf, 0.0]))
+    with pytest.raises(ValueError, match="the domain has no interior nodes"):
+        DirichletProblem(LAPLACE, TRACE, walled, walled)
 
 
 def test_problem_roles_with_mask():
@@ -570,6 +573,22 @@ def test_newton_iterates_stay_on_their_side(alpha, beta, direction, side):
         if res.converged:
             break
     assert res.converged
+
+
+@pytest.mark.parametrize("which, path", [
+    ("box9", "newton"), ("radial41", "newton"), ("box9_posdef", "sweep"),
+])
+def test_ascending_run_from_the_top_is_not_monotone(which, path):
+    # started at sup, an ascending run can only move down: the monotone check
+    # of the ascending branch must see it, on the Newton and the sweep path
+    P = {
+        "box9": lambda: box_sandwich_problem(9)[0],
+        "radial41": lambda: radial_sandwich_problem(41)[0],
+        "box9_posdef": lambda: dataclasses.replace(box_sandwich_problem(9)[0], U=ConeSpec.posdef()),
+    }[which]()
+    res = perron_solve(P, SolverConfig(), direction="ascending", start=P.sup)
+    assert res.path.startswith(path)
+    assert not res.monotone_ok
 
 
 NEWTON_2D_PROBLEMS = {
@@ -1139,6 +1158,10 @@ def test_solve_start_validation():
     too_high[0], too_high[-1] = 0.0, 1.0
     with pytest.raises(ValueError):
         perron_solve(P, cfg, start=GridFn(((0, 1),), too_high))
+    holed = P.sub.values.copy()
+    holed[5] = np.inf
+    with pytest.raises(ValueError, match="start must mask the same nodes as the sandwich"):
+        perron_solve(P, cfg, start=GridFn(((0, 1),), holed))
 
 
 def test_solve_non_converged_flagged():

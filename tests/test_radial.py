@@ -507,7 +507,7 @@ def _replay_interp_L_slope_scan(n_s=40, n_p=25):
                 outside_ok = outside_ok and inside
                 if witness is None:
                     witness = {"p_norm": p, "s": s, "slope": float(slope), "inside_strip": inside}
-    return radial.SlopeScanReport(total, outside_ok, nonpos / total, witness)
+    return radial.SlopeScanReport(outside_ok, nonpos / total, witness)
 
 
 @pytest.mark.parametrize("n_s, n_p", [(40, 25), (7, 3), (101, 9), (1, 1), (2, 60)])

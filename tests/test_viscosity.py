@@ -24,7 +24,7 @@ from conedeg.operators import (
     parse_operator,
 )
 from conedeg.perron import box_sandwich_problem, radial_sandwich_problem
-from conedeg.radial import RadialProfile, build_counterexample, cusp_family_operator, cusp_pair_values
+from conedeg.radial import RadialProfile, build_counterexample, cusp_pair_values
 from conedeg.viscosity import (
     PROPAGATION_CONSISTENT,
     PROPAGATION_VIOLATED,
@@ -189,6 +189,11 @@ def test_grid_verify_radial_needs_positive_radii():
     g = GridFn.constant(0.0, ((-0.5, 1.0),), (11,))
     with pytest.raises(ValueError):
         grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), ambient_n=3)
+    plane = GridFn.constant(0.0, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+    with pytest.raises(ValueError, match="2D grids carry 2D jets"):
+        grid_verify(plane, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), ambient_n=3)
+    with pytest.raises(ValueError, match="ambient_n must be >= 1"):
+        grid_verify(g, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), ambient_n=0)
 
 
 def _replay_jets(g: GridFn, ambient_n) -> list:
@@ -372,7 +377,7 @@ def test_verifiers_reject_a_tolerance_that_is_not_positive_and_finite(entry, tol
         "jet_classify": lambda: jet_classify(_jet([0.0], 0.0, [0.0], [[1.0]]), F, U, tol=tol),
         "classify": lambda: classify(SymMatrix.eye(3), U, tol=tol),
         "envelope_error_check": lambda: envelope_error_check(g, 1e-2, F, U, 5.0, tol=tol),
-        "touching_experiment": lambda: touching_experiment(g, g, F, U, tol),
+        "touching_experiment": lambda: touching_experiment(g, g, tol),
         "moving_sphere_check": lambda: moving_sphere_check(FieldOracle.constant(3.0, 3), 3,
                                                            [np.zeros(3)], [0.1], tol=tol),
     }
@@ -837,16 +842,11 @@ def test_stacked_envelope_error_check_matches_per_node_replay_property(layout, s
 # touching points
 
 
-def _cone_and_op():
-    return OperatorSpec.quad_const(1.0, 0.5), parse_cone("posdef")
-
-
 def test_touching_interior_only_violated():
-    F, U = _cone_and_op()
     xs = np.linspace(-1, 1, 101)
     v = GridFn(((-1, 1),), np.zeros(101))
     w = GridFn(((-1, 1),), xs * xs)
-    rep = touching_experiment(w, v, F, U, 1e-12)
+    rep = touching_experiment(w, v, 1e-12)
     assert rep.verdict == PROPAGATION_VIOLATED
     assert rep.components == [[50]]
     assert rep.boundary_contact == [False]
@@ -854,54 +854,53 @@ def test_touching_interior_only_violated():
 
 
 def test_touching_boundary_contact_consistent():
-    F, U = _cone_and_op()
     xs = np.linspace(0, 1, 101)
     v = GridFn(((0, 1),), np.zeros(101))
     w = GridFn(((0, 1),), xs * (1 - xs))  # vanishes on both boundary nodes
-    rep = touching_experiment(w, v, F, U, 1e-12)
+    rep = touching_experiment(w, v, 1e-12)
     assert rep.verdict == PROPAGATION_CONSISTENT
     assert len(rep.components) == 2
     assert all(rep.boundary_contact)
 
 
 def test_touching_no_contact_consistent():
-    F, U = _cone_and_op()
     v = GridFn(((0, 1),), np.zeros(21))
     w = GridFn(((0, 1),), np.full(21, 0.5))
-    rep = touching_experiment(w, v, F, U, 1e-9)
+    rep = touching_experiment(w, v, 1e-9)
     assert rep.verdict == PROPAGATION_CONSISTENT
     assert rep.components == []
     assert rep.min_gap == 0.5
 
 
 def test_touching_validation():
-    F, U = _cone_and_op()
     a = GridFn(((0, 1),), np.zeros(11))
     b = GridFn(((0, 2),), np.zeros(11))
     with pytest.raises(ValueError):
-        touching_experiment(a, b, F, U, 1e-9)
+        touching_experiment(a, b, 1e-9)
     c = GridFn(((0, 1),), np.full(11, -1.0))
     with pytest.raises(ValueError):
-        touching_experiment(c, a, F, U, 1e-9)  # ordering violated
+        touching_experiment(c, a, 1e-9)  # ordering violated
     with pytest.raises(ValueError):
-        touching_experiment(a, a, F, U, 0.0)
+        touching_experiment(a, a, 0.0)
+    left = GridFn(((0, 1),), np.array([0.0, np.inf, np.inf]))
+    right = GridFn(((0, 1),), np.array([np.inf, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="no unmasked nodes to compare"):
+        touching_experiment(right, left, 1e-9)
 
 
 def test_touching_2d_components():
-    F, U = _cone_and_op()
     vals = np.ones((11, 11))
     vals[5, 5] = 0.0  # interior touching point
     vals[0, 3] = 0.0  # boundary touching point
     w = GridFn(((0, 1), (0, 1)), vals)
     v = GridFn(((0, 1), (0, 1)), np.zeros((11, 11)))
-    rep = touching_experiment(w, v, F, U, 1e-12)
+    rep = touching_experiment(w, v, 1e-12)
     assert len(rep.components) == 2
     assert rep.interior_only == 1
     assert rep.verdict == PROPAGATION_CONSISTENT  # w = v at a boundary node
 
 
 def test_touching_constant_shift_invariance():
-    F, U = _cone_and_op()
     rng = np.random.default_rng(8)
     xs = np.linspace(-1, 1, 81)
     for _ in range(5):
@@ -910,9 +909,9 @@ def test_touching_constant_shift_invariance():
         w = GridFn(((-1, 1),), base + bump)
         v = GridFn(((-1, 1),), base)
         shift = rng.uniform(-5, 5)
-        r1 = touching_experiment(w, v, F, U, 1e-12)
+        r1 = touching_experiment(w, v, 1e-12)
         r2 = touching_experiment(
-            GridFn(((-1, 1),), w.values + shift), GridFn(((-1, 1),), v.values + shift), F, U, 1e-12
+            GridFn(((-1, 1),), w.values + shift), GridFn(((-1, 1),), v.values + shift), 1e-12
         )
         assert r1.verdict == r2.verdict
         assert r1.components == r2.components
@@ -922,39 +921,32 @@ def test_touching_cusp_pair_violated():
     cert = build_counterexample("beta_sign", rgrid=501, alpha=-3.0)
     rr, wv, vv = cusp_pair_values(cert, 501)
     box = ((float(rr[0]), float(rr[-1])),)
-    rep = touching_experiment(
-        GridFn(box, wv), GridFn(box, vv), cusp_family_operator("P4", -3.0),
-        parse_cone("one_pos"), 1e-12,
-    )
+    rep = touching_experiment(GridFn(box, wv), GridFn(box, vv), 1e-12)
     assert rep.verdict == PROPAGATION_VIOLATED
     assert rep.components == [[250]]  # the cusp node, dead center
     assert rep.boundary_gap > 0.1
 
 
 def test_touching_random_conforming_pairs_consistent():
-    F = OperatorSpec.quad_const(1.0, 0.7)
-    U = parse_cone("posdef")
     rng = np.random.default_rng(77)
     xs = np.linspace(0.0, 1.0, 64)
     for _ in range(8):
         v = GridFn(((0, 1),), rng.normal(size=64))
         gap = rng.uniform(0.2, 2.0) * xs * (np.cos(rng.uniform(0, 1) * xs) + 1.1)
         w = GridFn(((0, 1),), v.values + gap)  # gap vanishes only at x = 0
-        rep = touching_experiment(w, v, F, U, 1e-12)
+        rep = touching_experiment(w, v, 1e-12)
         assert rep.verdict == PROPAGATION_CONSISTENT
 
 
 def test_touching_punctured_log_pair_gap_shrinks():
     w_o = FieldOracle.log_singular(1.0, 0.0, 1.0, 3)
     v_o = FieldOracle.log_singular(1.0, 0.0, 0.0, 3)
-    F = OperatorSpec.quad_const(1.0, 0.0)
-    U = parse_cone("trace")
     gaps = []
     for rmin in (1e-1, 1e-2, 1e-3):
         rs = np.linspace(rmin, 1.0, 801)
         wv = np.array([w_o.value(np.array([r, 0, 0])) for r in rs])
         vv = np.array([v_o.value(np.array([r, 0, 0])) for r in rs])
-        rep = touching_experiment(GridFn(((rmin, 1.0),), wv), GridFn(((rmin, 1.0),), vv), F, U, 1e-9)
+        rep = touching_experiment(GridFn(((rmin, 1.0),), wv), GridFn(((rmin, 1.0),), vv), 1e-9)
         assert rep.verdict == PROPAGATION_CONSISTENT
         assert rep.components == []
         gaps.append(rep.min_gap)
@@ -963,13 +955,12 @@ def test_touching_punctured_log_pair_gap_shrinks():
 
 
 def test_touching_masked_nodes_excluded():
-    F, U = _cone_and_op()
     wv = np.ones(21)
     wv[10] = np.inf  # masked: would otherwise touch
     vv = np.ones(21)
     w = GridFn(((0, 1),), wv)
     v = GridFn(((0, 1),), vv)
-    rep = touching_experiment(w, v, F, U, 1e-12)
+    rep = touching_experiment(w, v, 1e-12)
     # every unmasked node touches; the component reaches the boundary
     assert rep.verdict == PROPAGATION_CONSISTENT
     assert sum(len(c) for c in rep.components) == 20
