@@ -646,9 +646,9 @@ def probe_L_conditions(
     constants making the gradient bound, the s-growth bound, and the radial
     coercivity inequality hold on the whole sample (reporting the largest
     workable theta_bar for the coercivity one), or reports a violating
-    witness.  Monotonicity in s
-    is checked as a matrix ordering.  Sampling caps |p| at 1e3; constants are
-    sample-feasible only, witnesses are disproofs.
+    witness.  Monotonicity in s is checked as a matrix ordering.  Sampling
+    caps |p| at 1e3; constants are sample-feasible only, witnesses are
+    disproofs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
