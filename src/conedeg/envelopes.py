@@ -7,9 +7,10 @@ the extremum ranges over the nodes, which keeps every structural property
 finite-dimensional statement rather than a limit.
 
 The penalty separates by axis, so an envelope is built in two passes of a
-1D max-plus transform (along axis 0, then axis 1): O(N^3) work on an N x N
-grid instead of the O(N^4) search over every node pair, with bitwise the
-same values.
+1D max-plus transform (along axis 0, then axis 1).  Each pass scores only
+the offsets that can win, at most D ~ sqrt(eps * oscillation) / h nodes
+away: O(N^2 D) work on an N x N grid instead of the O(N^4) search over
+every node pair, with bitwise the same values.
 """
 
 from __future__ import annotations
@@ -120,26 +121,73 @@ def _penalties(src: GridFn, eps: float):
     tables = []
     for a in range(src.dim):
         nodes = src.axis_nodes(a)
+        # in place: one (n, n) table instead of three
         diff = nodes[:, None] - nodes[None, :]
-        tables.append(diff * diff / eps)
+        diff *= diff
+        diff /= eps
+        tables.append(diff)
     return tables
+
+
+def _reach(cand: np.ndarray, pen: np.ndarray) -> int:
+    """D for _max_plus: the largest |k - x| with fl(top[k] - pen[x, k]) >=
+    low[x], where top and low are the row maximum and minimum of cand."""
+    n = len(pen)
+    admit = cand.max(axis=1) - pen >= cand.min(axis=1)[:, None]  # (x, k); k = x always
+    rows = np.arange(n)
+    first = admit.argmax(axis=1)
+    last = n - 1 - admit[:, ::-1].argmax(axis=1)
+    return int(max((rows - first).max(), (last - rows).max()))
 
 
 def _max_plus(cand: np.ndarray, pen: np.ndarray):
     """One pass along axis 0: out[x, l] = max_k cand[k, l] - pen[x, k].
 
-    Returns the values and the first maximizing k.  Lines are taken one at
-    a time, so a single (n, n) score table is live.
+    Returns the values and the first maximizing k, bitwise those of scoring
+    every k.  Only offsets d = k - x with |d| <= D = _reach(cand, pen) are
+    scored.  That is exact: the k = x term has penalty exactly 0, so out[x, l]
+    >= cand[x, l] >= low[x] = min_l cand[x, l]; rounding is monotone, so
+    cand[k, l] - pen[x, k] <= fl(top[k] - pen[x, k]) with top[k] =
+    max_l cand[k, l], and where that bound is below low[x], k can neither
+    win nor tie at x on any line.  A -inf in cand[x] admits every k.
+
+    The pass takes the shorter loop.  When 2D + 1 < m it loops over the
+    offsets -D..D in increasing k, on whole (n, m) slices, and replaces an
+    entry only on a strict gain, which keeps the first maximizer.  Otherwise
+    it builds one (n, n) score table per line: in 1D (m = 1), at wide eps,
+    and on masked lines (a -inf in cand[x] makes D >= (n - 1)/2).  Both
+    score the same float cand[k, l] - pen[x, k].  The cost is O(n m D) on
+    the offset loop and O(n^2 m) on the line loop: O(N^2 D) per pass on an
+    N x N grid.
     """
     n, m = cand.shape
-    out = np.empty((n, m))
-    arg = np.empty((n, m), dtype=np.int64)
-    rows = np.arange(n)
-    for l in range(m):
-        scores = cand[None, :, l] - pen  # (x, k)
-        a = np.argmax(scores, axis=1)
-        arg[:, l] = a
-        out[:, l] = scores[rows, a]
+    reach = _reach(cand, pen) if m > 1 else n - 1
+    if 2 * reach + 1 >= m:
+        lines = np.ascontiguousarray(cand.T)  # (l, k)
+        arg = np.empty((m, n), dtype=np.int64)
+        for l in range(m):
+            np.argmax(lines[l] - pen, axis=1, out=arg[l])  # over the (x, k) scores
+        # the winning scores, formed again from the same two operands
+        out = np.take_along_axis(lines, arg, axis=1) - pen[np.arange(n), arg]
+        return out.T, arg.T
+    cand = np.ascontiguousarray(cand)
+    rows = np.arange(n)[:, None]
+    out = np.full((n, m), -np.inf)
+    # the offset d = k - x of the maximizer until the end; an all -inf line
+    # keeps k = 0, as argmax does
+    arg = np.repeat(-rows, m, axis=1)
+    score = np.empty((n, m))
+    gain = np.empty((n, m), dtype=bool)
+    for d in range(-reach, reach + 1):
+        r = n - abs(d)
+        x = slice(max(0, -d), max(0, -d) + r)
+        k = slice(max(0, d), max(0, d) + r)
+        # np.diagonal(pen, d) lists pen[x, x + d] in the order of these slices
+        s = np.subtract(cand[k], np.diagonal(pen, d)[:, None], out=score[:r])
+        g = np.greater(s, out[x], out=gain[:r])
+        np.copyto(out[x], s, where=g)
+        np.copyto(arg[x], d, where=g)
+    arg += rows
     return out, arg
 
 
@@ -173,6 +221,12 @@ def upper_envelope(v: GridFn, eps: float) -> EnvelopeResult:
     is subtracted axis by axis and fl(max_k a_k - c) = max_k fl(a_k - c).
     ``argpt`` attains the same float objective; among exact ties it takes
     the smallest second-axis index, then the smallest first-axis index.
+
+    Each pass scores only the offsets that can reach or tie its maximum
+    (_max_plus), at most D nodes away, where (D h)^2 / eps stays within the
+    oscillation of the finite values.  On an N x N grid a build costs
+    O(N^2 D), so it gets cheaper as eps shrinks; wide eps and masked
+    lines cost O(N^3), as scoring every node does.
     """
     return _envelope(v, eps, +1.0)
 
@@ -182,9 +236,11 @@ def lower_envelope(w: GridFn, eps: float) -> EnvelopeResult:
     return _envelope(w, eps, -1.0)
 
 
-# Former names of the two-pass variant, kept for callers (perfbench).  They
-# are separate function objects so that a span recorder wrapping each public
-# name counts one build once.
+# Former names of the two-pass variant.  The benchmark still calls
+# upper_envelope_separable and compares it bitwise with upper_envelope, and
+# its tracer wraps both names, so they stay until the benchmark drops them.
+# They are separate function objects so that a span recorder wrapping each
+# public name counts one build once.
 def upper_envelope_separable(v: GridFn, eps: float) -> EnvelopeResult:
     return _envelope(v, eps, +1.0)
 

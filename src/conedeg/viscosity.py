@@ -227,10 +227,14 @@ def grid_verify(
     ambient_n: int | None = None,
 ) -> GridVerifyReport:
     """Classify the discrete F at every interior node of a sampled function,
-    against the effective tolerance tol + 4 h^2 (_effective_tol)."""
+    against the effective tolerance tol + 4 h^2 (_effective_tol).
+    ValueError if no interior node has a finite stencil, since then no node
+    is checked."""
     _check_tol(tol)
     tol_eff = _effective_tol(psi, tol)
     nodes, ok, x, s, p, H = _interior_jets(psi, ambient_n)
+    if not ok.any():
+        raise ValueError("no interior node has a finite stencil: nothing to check")
     margins = cone_margin(_sym_eigvals(H + eval_L(F, x, s, p)), U)
     rows = np.empty(margins.size, _VERDICT_ROW)
     rows["node_index"], rows["cls"], rows["margin"] = nodes[ok], _margin_class(margins, tol_eff), margins
@@ -502,6 +506,8 @@ def envelope_error_check(
     and counted (edge_attained): there the extremum transports no interior
     information and the clipped parabola carries curvature 2/eps with a
     vanishing gradient, which no gradient-weighted penalty can cover.
+    ValueError if no interior node is left to check: each one then has a
+    non-finite envelope stencil or an edge-attained envelope.
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
@@ -515,6 +521,9 @@ def envelope_error_check(
     argpt = res.argpt.ravel()
     edge = _boundary_mask(w.shape).ravel()[argpt[nodes[ok]]]
     idx = nodes[ok][~edge]
+    if not idx.size:
+        raise ValueError(f"no interior node to check: {int(np.sum(~ok))} have a non-finite envelope "
+                         f"stencil, {int(np.sum(edge))} an envelope attained at a grid-boundary node")
     x, s, p, H = x[~edge], s[~edge], p[~edge], H[~edge]
     coords = res.env.node_coords()
     dist = np.sqrt(_sq_norm(coords[argpt[idx]] - coords[idx]))

@@ -5,6 +5,7 @@ suites; here the subject is the plumbing."""
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -581,3 +582,26 @@ def test_cli_box_solve_loads_no_scipy_or_numba():
         f"print(code, {HEAVY})"
     )
     assert _fresh_interpreter(code) == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# the README's examples, as written
+
+
+def _readme_examples() -> list:
+    """(argv, expected exit code) per indented `conedeg` line of README.md; a
+    line whose comment says `exits 2` expects 2, every other line 0."""
+    examples = []
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("    conedeg "):
+            command, _, note = line.partition("#")
+            examples.append((shlex.split(command)[1:], 2 if "exits 2" in note else 0))
+    assert examples, "README.md lists no conedeg example"
+    return examples
+
+
+@pytest.mark.parametrize("args,code", _readme_examples(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_readme_example_exits_as_documented(args, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `--dump solution.csv` writes here
+    assert dispatch(args) == code

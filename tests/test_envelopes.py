@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 from conedeg.envelopes import (
     EnvelopeResult,
     GridFn,
+    _max_plus,
+    _reach,
     check_envelope_properties,
     dyadic_sharpness,
     dyadic_w,
@@ -175,6 +177,12 @@ def test_envelope_eps_validation():
 # the two-pass envelope against the exhaustive search
 
 
+def _penalty_tables(src: GridFn, eps: float) -> list:
+    """(x_i - x_k)^2 / eps per axis, in the package's float order."""
+    diffs = (np.subtract.outer(x, x) for x in (src.axis_nodes(a) for a in range(src.dim)))
+    return [d * d / eps for d in diffs]
+
+
 def _exhaustive(src: GridFn, eps: float, sign: float):
     """Reference oracle: every node against every candidate node, O(N^4) in 2D.
 
@@ -184,11 +192,7 @@ def _exhaustive(src: GridFn, eps: float, sign: float):
     """
     work = src.values if sign > 0 else -src.values
     cand = np.where(np.isfinite(work), work, -np.inf)
-    pen = []
-    for a in range(src.dim):
-        nodes = src.axis_nodes(a)
-        diff = nodes[:, None] - nodes[None, :]
-        pen.append(diff * diff / eps)
+    pen = _penalty_tables(src, eps)
     if src.dim == 1:
         objective = cand[None, :] - pen[0]  # (i, k)
     else:
@@ -255,6 +259,21 @@ def test_exact_tie_takes_smallest_second_axis_index():
     assert first[i, j] == i * n + j + 1  # row-major search takes the other one
     low = lower_envelope(g.with_values(-vals), eps)
     assert low.argpt[i, j] == (i + 1) * n + j
+    # the same tie at 33^2 (h = 1/16) and eps = 1/64 (penalty h^2/eps = 1/4),
+    # where both passes take the offset loop
+    n, i, j = 33, 10, 21
+    vals = np.zeros((n, n))
+    vals[i + 1, j] = vals[i, j + 1] = 1.0
+    g = GridFn(((-1.0, 1.0), (-1.0, 1.0)), vals)
+    eps = 1.0 / 64.0
+    pen = _penalty_tables(g, eps)
+    stage, _ = _line_max_plus(vals, pen[0])
+    assert 2 * _reach(vals, pen[0]) + 1 < n and 2 * _reach(stage.T, pen[1]) + 1 < n
+    res = upper_envelope(g, eps)
+    _assert_matches_exhaustive(res, g, eps, +1.0)
+    assert res.env.values[i, j] == 0.75
+    assert res.argpt[i, j] == (i + 1) * n + j
+    assert lower_envelope(g.with_values(-vals), eps).argpt[i, j] == (i + 1) * n + j
 
 
 # hypothesis: 50 derandomized examples, so a run repeats
@@ -285,6 +304,90 @@ def test_two_pass_matches_exhaustive_property(g, eps):
     dual = upper_envelope(g.with_values(-g.values), eps)
     assert np.array_equal(low.env.values, -dual.env.values)
     assert np.array_equal(low.argpt, dual.argpt)
+
+
+def _line_max_plus(cand: np.ndarray, pen: np.ndarray):
+    """The pass that scores every k: one (n, n) table per line, first argmax."""
+    n, m = cand.shape
+    out = np.empty((n, m))
+    arg = np.empty((n, m), dtype=np.int64)
+    for l in range(m):
+        scores = cand[None, :, l] - pen
+        arg[:, l] = np.argmax(scores, axis=1)
+        out[:, l] = scores[np.arange(n), arg[:, l]]
+    return out, arg
+
+
+def _line_envelope(src: GridFn, eps: float, sign: float):
+    """Both 2D passes by _line_max_plus: values and argpt as the package
+    combines them."""
+    work = src.values if sign > 0 else -src.values
+    cand = np.where(np.isfinite(work), work, -np.inf)
+    pen = _penalty_tables(src, eps)
+    stage, arg1 = _line_max_plus(cand, pen[0])
+    env_t, arg2 = _line_max_plus(stage.T, pen[1])
+    l = arg2.T
+    env = env_t.T if sign > 0 else -env_t.T
+    return env, np.take_along_axis(arg1, l, axis=1) * src.shape[1] + l
+
+
+def _offset_loop(cand: np.ndarray, pen: np.ndarray) -> bool:
+    """Whether _max_plus takes the offset loop; checks _reach against the
+    largest |k - x| over every (x, k) its bound admits."""
+    admit = cand.max(axis=1)[None, :] - pen >= cand.min(axis=1)[:, None]
+    x, k = np.nonzero(admit)
+    reach = _reach(cand, pen)
+    assert reach == np.abs(k - x).max()
+    return 2 * reach + 1 < cand.shape[1]
+
+
+def test_band_pass_matches_line_pass_property():
+    loops = set()
+
+    @_PROPERTY
+    @given(shape=st.tuples(st.integers(20, 60), st.integers(20, 60)), seed=st.integers(0, 2**32 - 1),
+           quantum=st.sampled_from([0.0, 0.25, 1.0]), width=st.sampled_from([0.5, 2.0, 3.0]),
+           eps=st.sampled_from([1e-3, 1e-2, 0.1, 1.0]), sign=st.sampled_from([1.0, -1.0]))
+    def check(shape, seed, quantum, width, eps, sign):
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=shape)
+        if quantum:
+            vals = np.round(vals / quantum) * quantum  # repeated levels make exact ties
+        g = GridFn(((0.0, width), (-1.0, -1.0 + width)), vals)
+        env, argpt = _line_envelope(g, eps, sign)
+        res = upper_envelope(g, eps) if sign > 0 else lower_envelope(g, eps)
+        assert np.array_equal(res.env.values, env)
+        assert np.array_equal(np.signbit(res.env.values), np.signbit(env))
+        assert np.array_equal(res.argpt, argpt)
+        # each pass's own result, and which loop it took
+        pen = _penalty_tables(g, eps)
+        cand = sign * vals
+        for axis in range(2):
+            want = _line_max_plus(cand, pen[axis])
+            got = _max_plus(cand, pen[axis])
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            loops.add("offset" if _offset_loop(cand, pen[axis]) else "line")
+            cand = want[0].T
+
+    check()
+    assert loops == {"offset", "line"}
+
+
+def test_band_pass_keeps_argmax_on_an_all_masked_line():
+    # five nodes and forty lines, one line all -inf: every k ties at -inf and
+    # the pass keeps k = 0, as argmax does, although the offset loop runs
+    rng = np.random.default_rng(5)
+    cand = rng.normal(size=(5, 40))
+    cand[:, 7] = -np.inf
+    cand[2, 30] = -np.inf
+    nodes = np.linspace(-1.0, 1.0, 5)
+    diff = np.subtract.outer(nodes, nodes)
+    pen = diff * diff / 1e-3
+    assert _offset_loop(cand, pen)
+    out, arg = _max_plus(cand, pen)
+    want_out, want_arg = _line_max_plus(cand, pen)
+    assert np.array_equal(out, want_out) and np.array_equal(arg, want_arg)
+    assert np.all(arg[:, 7] == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,22 @@ def test_grid_verify_masked_interior_skipped():
     assert len(rep.rows) == 49 - 3
 
 
+def _nothing_checked(dim: int) -> GridFn:
+    """A grid whose every interior stencil meets a masked node."""
+    if dim == 1:
+        return GridFn(((-1.0, 1.0),), np.array([0.0, np.inf, 1.0]))
+    vals = np.zeros((5, 5))
+    vals[2, 2] = -np.inf
+    return GridFn(((-1.0, 1.0), (-1.0, 1.0)), vals)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_verify_with_nothing_checked_has_no_verdict(dim):
+    # a report of zero rows read as a consistent solution
+    with pytest.raises(ValueError, match="no interior node has a finite stencil"):
+        grid_verify(_nothing_checked(dim), OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"))
+
+
 def test_grid_verify_radial_needs_positive_radii():
     g = GridFn.constant(0.0, ((-0.5, 1.0),), (11,))
     with pytest.raises(ValueError):
@@ -302,8 +318,13 @@ def test_stacked_grid_verify_matches_per_node_replay_property(layout, data, op, 
     cones = ["trace", "posdef", "one_pos", "neg:trace"]
     cones += [f"gamma_k:{k}" for k in range(1, n + 1)] + [f"neg_gamma_c:{k}" for k in range(1, n + 1)]
     F, U = parse_operator(op), parse_cone(cones[pick % len(cones)])
-    rep = grid_verify(g, F, U, tol=1e-6, ambient_n=ambient_n)
     rows, skipped, sub, sup = _replay_grid_verify(g, F, U, 1e-6, ambient_n)
+    if not rows:
+        # a grid with nothing to check has no verdict
+        with pytest.raises(ValueError, match="no interior node has a finite stencil"):
+            grid_verify(g, F, U, tol=1e-6, ambient_n=ambient_n)
+        return
+    rep = grid_verify(g, F, U, tol=1e-6, ambient_n=ambient_n)
     # bitwise: float.hex tells -0.0 from 0.0 and every last bit
     assert [(idx, ConeClass(cls), margin.hex()) for idx, cls, margin in rep.rows.tolist()] == [
         (idx, cls, margin.hex()) for idx, cls, margin in rows
@@ -751,6 +772,17 @@ def test_envelope_error_validation():
         envelope_error_check(g, 1e-2, F, parse_cone("trace"), 1.0, side="above")
 
 
+@pytest.mark.parametrize("side", ["super", "sub"])
+def test_envelope_error_with_nothing_checked_has_no_verdict(side):
+    # the envelope at the one interior node is attained at an end node, so
+    # checked read 0 and ok true
+    g = _nothing_checked(1)
+    with pytest.raises(ValueError, match="no interior node to check: 0 have a non-finite envelope "
+                                         "stencil, 1 an envelope attained at a grid-boundary node"):
+        envelope_error_check(g, 1e-2, OperatorSpec.quad_const(0.0, 0.0), parse_cone("trace"), 1.0,
+                             side=side)
+
+
 def _replay_envelope_error_check(w: GridFn, eps, F, U, M, side, tol, ambient_n):
     """envelope_error_check one node at a time: per-node penalty doubling and
     bisection on each node's own eval_F spectrum."""
@@ -829,13 +861,20 @@ def test_stacked_envelope_error_check_matches_per_node_replay_property(layout, s
     cones += [f"gamma_k:{k}" for k in range(1, n + 1)] + [f"neg_gamma_c:{k}" for k in range(1, n + 1)]
     F, U = parse_operator(op), parse_cone(cones[pick % len(cones)])
     M = float(np.abs(w.values[np.isfinite(w.values)]).max())
+    want = _replay_envelope_error_check(w, eps, F, U, M, side, 1e-6, ambient_n)
+    if not want["checked"]:
+        # a grid with nothing to check has no verdict
+        cause = f"{want['skipped']} have a non-finite envelope stencil, {want['edge_attained']} an"
+        with pytest.raises(ValueError, match=cause):
+            envelope_error_check(w, eps, F, U, M, side=side, tol=1e-6, ambient_n=ambient_n)
+        return
     rep = envelope_error_check(w, eps, F, U, M, side=side, tol=1e-6, ambient_n=ambient_n)
     got = {
         "fitted_a": rep.fitted_a.hex(), "checked": rep.checked, "skipped": rep.skipped,
         "edge_attained": rep.edge_attained, "violations": rep.violations,
         "rows": [(idx, d.hex(), pn.hex(), m0.hex(), a.hex()) for idx, d, pn, m0, a in rep.rows.tolist()],
     }
-    assert got == _replay_envelope_error_check(w, eps, F, U, M, side, 1e-6, ambient_n)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
