@@ -133,7 +133,7 @@ def _reach(cand: np.ndarray, pen: np.ndarray) -> int:
     """D for _max_plus: the largest |k - x| with fl(top[k] - pen[x, k]) >=
     low[x], where top and low are the row maximum and minimum of cand."""
     n = len(pen)
-    admit = cand.max(axis=1) - pen >= cand.min(axis=1)[:, None]  # (x, k); k = x always
+    admit = cand.max(axis=1) - pen >= cand.min(axis=1)[:, None]  # (x, k); admits k = x
     rows = np.arange(n)
     first = admit.argmax(axis=1)
     last = n - 1 - admit[:, ::-1].argmax(axis=1)
